@@ -6,7 +6,8 @@ substream t, so re-runs give byte-identical CSV bodies whether trials are
 executed serially or across a thread pool.
 
 Exit codes: 0 all asserted invariants held, 1 an invariant was violated,
-2 the invocation or config was invalid.
+2 the invocation or config was invalid, 3 an internal error (an unexpected
+exception from an experiment or while writing outputs).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .graphs import (
     GRAPH_SHAPES,
     census_bruteforce,
     census_by_degrees,
+    degree_norms,
     degree_vector,
     preset_census,
     preset_graph,
@@ -48,7 +50,7 @@ from .nets import (
     sample_linear_banded,
     theorem_bound,
 )
-from .numerics import Rng, basis_digits, haar_unitary, random_hermitian
+from .numerics import Rng, basis_digits, random_hermitian
 from .qfi import (
     expected_qfi_haar,
     expected_qfi_symmetric,
@@ -73,6 +75,7 @@ THREADS_ENV = "QFIWB_THREADS"
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
+EXIT_INTERNAL = 3
 
 
 class ConfigError(Exception):
@@ -430,23 +433,19 @@ def run_result1_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def _sample_product_banded(
-    n: int, d: int, rng: Rng, a_lo: float, a_hi: float
-) -> ProductDiagonalHamiltonian:
-    bases = tuple(haar_unitary(d, rng) for _ in range(n))
-    dim = d**n
-    mags = a_lo + (a_hi - a_lo) * rng.random(dim)
-    signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
-    return ProductDiagonalHamiltonian(mags * signs, bases)
-
-
 def run_result3_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
     n, d = cfg["n"], cfg["d"]
     n_h, n_s = cfg["hamiltonians"], cfg["states"]
     c, eps, a_lo, a_hi = cfg["c"], cfg["eps"], cfg["A"], cfg["B"]
     _require(n >= 1 and d >= 2 and n_h >= 1 and n_s >= 1, "counts must be positive")
     h_rng = rng.substream(0)
-    hams = [_sample_product_banded(n, d, h_rng.substream(i), a_lo, a_hi) for i in range(n_h)]
+    hams = []
+    for i in range(n_h):
+        # |coefficients| uniform in [A, B], then an independent random sign each.
+        r = h_rng.substream(i)
+        h = sample_product_diagonal(n, d, r, a_lo, a_hi)
+        signs = np.where(r.random(h.coeffs.size) < 0.5, -1.0, 1.0)
+        hams.append(ProductDiagonalHamiltonian(h.coeffs * signs, h.site_bases))
     dense = [h.dense() for h in hams]
     refs = [optimal_separable_reference(h) for h in hams]
     draw = rng.substream(1)
@@ -591,14 +590,13 @@ def run_table_census(cfg, rng: Rng, threads: int) -> ExperimentResult:
             skipped.append(shape)
             continue
         brute = census_bruteforce(g)
+        deg = degree_vector(g)
         routes = [closed, brute]
         if k == 2:
-            routes.append(census_by_degrees(degree_vector(g)))
+            routes.append(census_by_degrees(deg))
         if any(r != brute for r in routes):
             mismatches.append(shape)
-        deg = degree_vector(g)
-        norm1_sq = float(sum(deg.d)) ** 2
-        norm2_sq = float(sum(x * x for x in deg.d))
+        norm1_sq, norm2_sq = degree_norms(deg)
         rows.append(
             (shape, n, k, brute.s, brute.disjoint, brute.connected, brute.all,
              norm1_sq, norm2_sq)
@@ -826,6 +824,12 @@ def _resolve_threads(arg: int | None) -> int:
     return value
 
 
+def _internal_error(exc: Exception) -> int:
+    """Report a crash on one line; exit 1 stays reserved for violated checks."""
+    print(f"qfiwb: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qfiwb",
@@ -868,6 +872,8 @@ def main(argv: list[str] | None = None) -> int:
         # documented domain, so it maps to the config exit, not a crash.
         print(f"qfiwb: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        return _internal_error(exc)
 
     csv_path = out_dir / f"{args.experiment}.csv"
     summary_path = out_dir / f"{args.experiment}.summary.json"
@@ -885,6 +891,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"qfiwb: config error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        # Experiments validate every string they emit, so a bad cell is a bug.
+        return _internal_error(exc)
 
     status = "pass" if result.passed else "FAIL"
     print(f"{args.experiment}: {status} ({len(result.rows)} rows) -> {csv_path}")

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
-from .hamiltonians import LinearHamiltonian, SingleSiteOperator
-from .qfi import qfi
+from .numerics import Rng, basis_digits
 from .states import PureState
 
 OVERLAP_ATOL = 1e-10
@@ -291,16 +289,8 @@ class SymmetrizedAmplitudes:
         object.__setattr__(self, "b", b)
 
 
-def _weights(n: int) -> np.ndarray:
-    idx = np.arange(2**n, dtype=np.uint64)
-    w = np.zeros(2**n, dtype=np.int64)
-    for bit in range(n):
-        w += ((idx >> np.uint64(bit)) & np.uint64(1)).astype(np.int64)
-    return w
-
-
 def _state_from_profile(n: int, b: np.ndarray) -> PureState:
-    return PureState(n, 2, np.asarray(b, dtype=np.complex128)[_weights(n)])
+    return PureState(n, 2, np.asarray(b, dtype=np.complex128)[basis_digits(n, 2).sum(axis=1)])
 
 
 def symmetrize_amplitudes(state: PureState) -> tuple[SymmetrizedAmplitudes, PureState]:
@@ -313,13 +303,18 @@ def symmetrize_amplitudes(state: PureState) -> tuple[SymmetrizedAmplitudes, Pure
     if state.d != 2:
         raise ValueError("weight symmetrization covers qubits only (d = 2)")
     n = state.n
-    w = _weights(n)
-    sq = np.abs(state.amplitudes) ** 2
     comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    a = np.sqrt(np.bincount(w, weights=sq, minlength=n + 1) / comb)
+    a = np.sqrt(_weight_histogram(state) / comb)
     b = np.sqrt((a**2 + a[::-1] ** 2) / 2.0)
     profile = SymmetrizedAmplitudes(n, a, b)
     return profile, _state_from_profile(n, profile.b)
+
+
+def _weight_histogram(state: PureState) -> np.ndarray:
+    """Probability of each Hamming weight k under a qubit state."""
+    weights = basis_digits(state.n, 2).sum(axis=1)
+    sq = np.abs(state.amplitudes) ** 2
+    return np.bincount(weights, weights=sq, minlength=state.n + 1)
 
 
 def weight_distribution(profile: SymmetrizedAmplitudes) -> np.ndarray:
@@ -328,17 +323,21 @@ def weight_distribution(profile: SymmetrizedAmplitudes) -> np.ndarray:
     return comb * profile.b**2
 
 
-def symmetric_weight_qfi(profile: SymmetrizedAmplitudes, delta: float) -> float:
-    """QFI of the symmetrized state from the weight distribution alone.
+def _weight_qfi(h: np.ndarray, delta: float) -> float:
+    """QFI under a diagonal single-site probe from a weight distribution h.
 
-    A diagonal single-site probe with gap delta acts as delta * weight (plus
-    a constant), so the QFI is 4 delta^2 Var[weight].
+    A probe with gap delta on every qubit acts as delta * weight (plus a
+    constant), so the QFI is 4 delta^2 Var[weight].
     """
-    h = weight_distribution(profile)
-    k = np.arange(profile.n + 1, dtype=float)
+    k = np.arange(h.size, dtype=float)
     mean = float(np.dot(h, k))
     second = float(np.dot(h, k**2))
     return 4.0 * delta**2 * (second - mean**2)
+
+
+def symmetric_weight_qfi(profile: SymmetrizedAmplitudes, delta: float) -> float:
+    """QFI of the symmetrized state from the weight distribution alone."""
+    return _weight_qfi(weight_distribution(profile), delta)
 
 
 # --- threshold / cap chain -------------------------------------------------------
@@ -456,14 +455,16 @@ def verify_result2(
     the grid oracle for up to four sites, or the trivial bound E_g >= 0 when
     the threshold is negative. An uncertified coordinate-ascent estimate can
     overstate E_g, so it never establishes the hypothesis by itself.
+
+    The probe puts gap delta on every qubit, so it acts as delta times the
+    Hamming weight and both QFIs are 4 delta^2 Var[weight].
     """
     n = state.n
     threshold = gme_threshold(n, c)
     estimate = gme(state, restarts=restarts, rng=rng)
-    _, sym_state = symmetrize_amplitudes(state)
-    probe = LinearHamiltonian.from_site(n, SingleSiteOperator.computational((0.0, delta)))
-    q_state = qfi(state, probe)
-    q_sym = qfi(sym_state, probe)
+    profile, _ = symmetrize_amplitudes(state)
+    q_state = _weight_qfi(_weight_histogram(state), delta)
+    q_sym = symmetric_weight_qfi(profile, delta)
     cap = qfi_cap(n, c, delta)
     certified = 0.0
     oracle_used = False

@@ -174,17 +174,17 @@ def census_bruteforce(g: InteractionGraph) -> PairCensus:
     return _census_from_masks(masks, s)
 
 
-def kbody_census(g: InteractionGraph) -> PairCensus:
-    """Ordered-pair census for uniform arity k (the 2-body case included)."""
-    return census_bruteforce(g)
-
-
 def degree_vector(g: InteractionGraph) -> DegreeVector:
     counts = [0] * g.n
     for e in g.edges:
         for v in e:
             counts[v - 1] += 1
     return DegreeVector(tuple(counts))
+
+
+def degree_norms(deg: DegreeVector) -> tuple[float, float]:
+    """Squared 1-norm and squared 2-norm of a degree vector."""
+    return float(sum(deg.d)) ** 2, float(sum(x * x for x in deg.d))
 
 
 def census_by_degrees(deg: DegreeVector) -> PairCensus:
@@ -220,7 +220,7 @@ def preset_census(shape: str, n: int, k: int = 2) -> PairCensus:
             s = n - 1
             disjoint = n * n - 5 * n + 6
             return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
-        return kbody_census(chain_graph(n, k))
+        return census_bruteforce(chain_graph(n, k))
     if shape == "ring":
         if n < 2 * k - 1:
             raise ValueError(f"the ring count formula needs n >= {2 * k - 1}")
@@ -255,9 +255,7 @@ class ScalingReport:
 def scaling_report(g: InteractionGraph) -> ScalingReport:
     if g.k != 2:
         raise ValueError("degree scaling applies to 2-body graphs")
-    deg = degree_vector(g)
-    norm1_sq = float(sum(deg.d)) ** 2
-    norm2_sq = float(sum(x * x for x in deg.d))
+    norm1_sq, norm2_sq = degree_norms(degree_vector(g))
     ratio = norm2_sq / norm1_sq
     verdict = "gap" if ratio <= GAP_RATIO else "no-gap"
     return ScalingReport(norm1_sq, norm2_sq, ratio, census_bruteforce(g), verdict)
@@ -281,9 +279,9 @@ def to_hamiltonian(
 class WitnessReport:
     """Both QFI maxima with the count-level witnesses they should track.
 
-    `max_all` is exact (squared spectral spread); `max_prod` is the scanned
-    product-state optimum. The envelope fields evaluate the pointwise
-    sandwich at the scanned p*, so max_prod must land inside
+    `max_all` is exact (squared spectral spread); `max_prod` is the exact
+    symmetric product-state optimum. The envelope fields evaluate the
+    pointwise sandwich at its p*, so max_prod must land inside
     [prod_lower, prod_upper] and max_all equals all_constant * s^2.
     """
 
@@ -309,8 +307,8 @@ def qfi_witnesses(g: InteractionGraph, lam0: float, lam1: float) -> WitnessRepor
     diag = h.diagonal()
     spread = float(np.max(diag) - np.min(diag))
     max_all = spread**2
-    scan = max_qfi_symmetric_product(h)
     census = census_bruteforce(g)
+    scan = max_qfi_symmetric_product(census.s, census.connected, lam0, lam1)
     all_count, prod_count = census.witness_counts
     p = scan.p
     mu = (lam0 - lam1) * p + lam1
@@ -344,7 +342,7 @@ def graph_to_text(g: InteractionGraph) -> str:
 
 
 def graph_from_text(text: str) -> InteractionGraph:
-    rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    rows = [ln for ln in (s.split("#", 1)[0].strip() for s in text.splitlines()) if ln]
     if not rows:
         raise ValueError("empty graph file")
     head = rows[0].split()

@@ -28,7 +28,7 @@ from .hamiltonians import (
     SingleSiteOperator,
     linear_to_product_diagonal,
 )
-from .states import DickeBasis, PureState, dicke_basis, dim_symmetric, product_state
+from .states import NORM_ATOL, DickeBasis, PureState, dicke_basis, dim_symmetric, product_state
 
 QFI_CLIP_ATOL = 1e-9
 
@@ -76,14 +76,21 @@ def qfi(state: PureState, h) -> float:
 
 
 def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
-    """QFI of many states at once; rows of `amplitudes` are state vectors."""
+    """QFI of many states at once; rows of `amplitudes` are unit state vectors.
+
+    An empty (0, dim) batch gives an empty result.
+    """
     hm = _dense(h)
     a = np.asarray(amplitudes, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[1] != hm.shape[0]:
+        raise ValueError(f"dimension mismatch: state rows {a.shape}, operator {hm.shape[0]}")
+    if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > NORM_ATOL):
+        raise ValueError(f"a state row's norm deviates from 1 by more than {NORM_ATOL}")
     y = a @ hm.T
     second = np.sum(np.abs(y) ** 2, axis=1)
     mean = np.real(np.sum(np.conjugate(a) * y, axis=1))
     raw = 4.0 * (second - mean**2)
-    if np.min(raw) < -QFI_CLIP_ATOL:
+    if np.any(raw < -QFI_CLIP_ATOL):
         raise ArithmeticError("negative variance beyond the numerical-consistency tolerance")
     return np.maximum(raw, 0.0)
 
@@ -181,7 +188,8 @@ def levy_bound(h, dim: int, epsilon: float, one_sided: bool = False) -> Concentr
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     lip = lipschitz_constant(h)
-    x = 2.0 * dim * epsilon**2 / (9.0 * math.pi**3 * lip**2)
+    # lip = 0 means H = 0: the QFI is constant and both tails are exactly 0.
+    x = math.inf if lip == 0.0 else 2.0 * dim * epsilon**2 / (9.0 * math.pi**3 * lip**2)
     two = 2.0 * math.exp(-x)
     one = 2.0 * math.exp(-x / math.log(2.0))
     return ConcentrationBound(
@@ -299,19 +307,7 @@ def max_separable_linear(h: LinearHamiltonian) -> float:
     return total
 
 
-# --- symmetric product scan for graph Hamiltonians ----------------------------
-
-def _ordered_pair_counts(hyperedges) -> tuple[int, int]:
-    """(s, connected) where connected counts ordered overlapping distinct pairs."""
-    edges = [frozenset(e) for e in hyperedges]
-    s = len(edges)
-    connected = 0
-    for a in range(s):
-        for b in range(s):
-            if a != b and edges[a] & edges[b]:
-                connected += 1
-    return s, connected
-
+# --- symmetric product optimum for graph Hamiltonians --------------------------
 
 def product_qfi_closed_form(
     s: int, connected: int, lam0: float, lam1: float, p: float
@@ -331,7 +327,7 @@ def product_qfi_closed_form(
 
 @dataclass(frozen=True)
 class ProductScan:
-    """Best symmetric product state found by the closed-form scan over p."""
+    """Best symmetric product state: the exact maximizer of the closed form over p."""
 
     p: float
     value: float
@@ -342,44 +338,28 @@ class ProductScan:
 
 
 def max_qfi_symmetric_product(
-    h: GraphHamiltonian, resolution: int = 1001, refine_rounds: int = 3
+    s: int, connected: int, lam0: float, lam1: float
 ) -> ProductScan:
-    """Maximize the closed form over p in [0, 1] by scan plus local refinement.
+    """Exact maximum of product_qfi_closed_form over p in [0, 1].
 
-    Works for 2-body graph Hamiltonians with shared levels. The refinement
-    re-scans a shrinking bracket around the best point, which pins p to about
-    (1/resolution)^(refine_rounds + 1).
+    m2 and mu are linear in p, so the closed form is a polynomial of degree
+    at most 4 and its maximum sits at p = 0, p = 1 or a real root of the
+    cubic derivative. Real parts of every root are clipped into [0, 1] and
+    tried, so a double root that rounding splits into a complex pair still
+    counts; each candidate is valued by the closed form itself.
     """
-    if h.k != 2:
-        raise ValueError("the symmetric product scan covers 2-body graphs")
-    shared = h.shared_levels
-    if shared is None:
-        raise ValueError("the closed form needs shared levels across sites")
-    lam0, lam1 = shared
-    s, connected = _ordered_pair_counts(h.hyperedges)
-    if resolution < 3:
-        raise ValueError("resolution must be at least 3")
-
-    def scan(lo: float, hi: float) -> tuple[float, float]:
-        ps = np.linspace(lo, hi, resolution)
-        vals = np.array(
-            [product_qfi_closed_form(s, connected, lam0, lam1, p) for p in ps]
-        )
-        i = int(np.argmax(vals))
-        return float(ps[i]), float(vals[i])
-
-    lo, hi = 0.0, 1.0
-    best_p, best_v = scan(lo, hi)
-    for _ in range(refine_rounds):
-        width = (hi - lo) / (resolution - 1)
-        lo = max(0.0, best_p - 2 * width)
-        hi = min(1.0, best_p + 2 * width)
-        best_p, best_v = scan(lo, hi)
-    return ProductScan(best_p, best_v, s, connected, lam0, lam1)
+    mu = np.poly1d([lam0 - lam1, lam1])
+    m2 = np.poly1d([lam0**2 - lam1**2, lam1**2])
+    quartic = s * (m2**2 - mu**4) + connected * mu**2 * (m2 - mu**2)
+    roots = np.clip(np.real(quartic.deriv().roots), 0.0, 1.0)
+    candidates = [0.0, 1.0, *(float(r) for r in roots)]
+    values = [product_qfi_closed_form(s, connected, lam0, lam1, p) for p in candidates]
+    i = int(np.argmax(values))
+    return ProductScan(candidates[i], values[i], s, connected, lam0, lam1)
 
 
 def symmetric_product_state(h: GraphHamiltonian, p: float) -> PureState:
-    """The scanned product state itself, aligned with each site's basis."""
+    """The symmetric product state at weight p, aligned with each site's basis."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     local = np.array([math.sqrt(p), math.sqrt(1.0 - p)], dtype=np.complex128)

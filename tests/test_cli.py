@@ -10,6 +10,7 @@ import pytest
 
 from qfiwb.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_VIOLATION,
     EXPERIMENTS,
@@ -173,6 +174,28 @@ def test_main_domain_error_maps_to_config_exit(tmp_path: Path, capsys):
     rc = main(["result2-verify", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_concentration_with_zero_hamiltonian(tmp_path: Path):
+    # H = 0 has a zero Lipschitz constant: both tails are exactly 0, no crash.
+    cfg = cfg_file(tmp_path, "n = 3\ntrials = 20\nlam0 = 0\nlam1 = 0\n")
+    rc = main(["concentration", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    summary = json.loads((tmp_path / "concentration.summary.json").read_text())
+    assert summary["bound_two_sided"] == 0.0
+
+
+def test_main_internal_error_exit(tmp_path: Path, capsys, monkeypatch):
+    def crash(cfg, rng, threads):
+        raise ArithmeticError("boom")
+
+    fields, _ = EXPERIMENTS["ghz-baseline"]
+    monkeypatch.setitem(EXPERIMENTS, "ghz-baseline", (fields, crash))
+    cfg = cfg_file(tmp_path, "")
+    rc = main(["ghz-baseline", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err == "qfiwb: internal error: ArithmeticError: boom\n"
 
 
 def test_main_violation_exit(tmp_path: Path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qfiwb.gme import (
@@ -233,3 +234,19 @@ def test_verify_result2_uncertifiable_returns_none():
     assert not report.oracle_used
     assert not report.hypothesis_established
     assert report.implication_holds is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 10**6),
+    delta=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_verify_result2_weight_qfi_matches_dense_probe(n, seed, delta):
+    # The dense diagonal probe is the reference for the weight-variance route.
+    state = sample_haar(n, 2, Rng(seed))
+    report = verify_result2(state, 1.5, delta, rng=Rng(seed), restarts=1)
+    probe = LinearHamiltonian.from_site(n, SingleSiteOperator.computational((0.0, delta)))
+    _, sym_state = symmetrize_amplitudes(state)
+    assert report.qfi_state == pytest.approx(qfi(state, probe), rel=1e-12)
+    assert report.qfi_sym == pytest.approx(qfi(sym_state, probe), rel=1e-12)

@@ -11,7 +11,6 @@ from qfiwb.graphs import (
     chain_graph,
     complete_graph,
     degree_vector,
-    kbody_census,
     preset_census,
     preset_graph,
     product_qfi_at,
@@ -86,7 +85,7 @@ def test_frozen_census_n5():
 
 def test_frozen_kbody_census_n8():
     for shape, want in FROZEN_3BODY_N8.items():
-        got = kbody_census(preset_graph(shape, 8, 3))
+        got = census_bruteforce(preset_graph(shape, 8, 3))
         assert (got.s, got.disjoint, got.connected, got.all) == want, shape
         assert preset_census(shape, 8, 3) == got
 
@@ -211,7 +210,8 @@ def test_witness_max_all_achieved_by_some_state():
 
 def test_product_qfi_at_matches_scan_value():
     g = ring_graph(5)
-    scan = max_qfi_symmetric_product(to_hamiltonian(g, 0.5, 1.5))
+    census = census_bruteforce(g)
+    scan = max_qfi_symmetric_product(census.s, census.connected, 0.5, 1.5)
     assert product_qfi_at(g, 0.5, 1.5, scan.p) == pytest.approx(scan.value, abs=1e-12)
 
 
@@ -234,6 +234,13 @@ def test_graph_from_text_guards():
         graph_from_text("3\n1 2\n")
     with pytest.raises(ValueError):
         graph_from_text("3 2\n1 2 3\n")
+
+
+def test_graph_from_text_skips_comments_and_blank_lines():
+    from qfiwb.graphs import graph_from_text
+
+    g = graph_from_text("# c\n3 2\n\n1 2  # e\n# trailing\n2 3\n")
+    assert g.n == 3 and g.edges == ((1, 2), (2, 3))
 
 
 # --- sampler -----------------------------------------------------------------------

@@ -86,6 +86,17 @@ def test_qfi_gauge_invariances():
     assert qfi(psi, shifted) == pytest.approx(qfi(psi, h), abs=1e-9)
 
 
+def test_qfi_batch_edges():
+    h = random_hermitian(4, Rng(5))
+    assert qfi_batch(h, np.empty((0, 4), dtype=complex)).shape == (0,)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        qfi_batch(h, np.eye(8, dtype=complex)[:2])
+    rows = np.eye(4, dtype=complex)[:2].copy()
+    rows[1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="norm"):
+        qfi_batch(h, rows)
+
+
 def test_qfi_batch_matches_loop():
     r = Rng(4)
     h = random_hermitian(8, r)
@@ -211,6 +222,12 @@ def test_lipschitz_constant_frozen():
     assert lipschitz_constant(h) == pytest.approx(8.0 + 8.0 * math.sqrt(2.0), abs=1e-12)
 
 
+def test_levy_bound_zero_hamiltonian_has_zero_tails():
+    bound = levy_bound(np.zeros((2, 2)), 16, 0.1)
+    assert bound.lipschitz == 0.0
+    assert bound.two_sided == 0.0 and bound.one_sided == 0.0
+
+
 def test_levy_bound_monotonicity_and_vacuity():
     h = np.diag([0.0, 1.0]).astype(complex)
     loose = levy_bound(h, 4, 0.1)
@@ -310,10 +327,30 @@ def test_product_closed_form_matches_dense():
 
 def test_product_scan_finds_the_dense_maximum():
     h = _ring4()
-    scan = max_qfi_symmetric_product(h)
+    scan = max_qfi_symmetric_product(4, 8, 0.5, 1.5)
     ps = np.linspace(0.0, 1.0, 2001)
     dense_best = max(qfi(symmetric_product_state(h, p), h) for p in ps)
     assert scan.value == pytest.approx(dense_best, abs=1e-6)
     assert 0.0 <= scan.p <= 1.0
     at_scan = product_qfi_closed_form(scan.s, scan.connected, 0.5, 1.5, scan.p)
     assert scan.value == pytest.approx(at_scan, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(1, 40),
+    frac=st.floats(0.0, 1.0),
+    lam0=st.floats(0.01, 5.0),
+    gap=st.floats(1e-3, 5.0),
+)
+def test_exact_product_optimum_beats_the_grid(s, frac, lam0, gap):
+    connected = int(frac * (s * s - s))
+    lam1 = lam0 + gap
+    best = max_qfi_symmetric_product(s, connected, lam0, lam1)
+    grid = max(
+        product_qfi_closed_form(s, connected, lam0, lam1, p)
+        for p in np.linspace(0.0, 1.0, 2001)
+    )
+    assert 0.0 <= best.p <= 1.0
+    assert best.value == product_qfi_closed_form(s, connected, lam0, lam1, best.p)
+    assert best.value >= grid - 1e-12 * max(1.0, best.value)
