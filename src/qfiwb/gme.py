@@ -32,7 +32,7 @@ def _qubit_tensor(state: PureState) -> np.ndarray:
 
 
 def _partial_contraction(tensor: np.ndarray, alphas: list[np.ndarray], skip: int) -> np.ndarray:
-    """Contract conj(alpha_j) into every axis except `skip`.
+    """Contract conj(alpha_j) into every axis except `skip` (-1: every axis).
 
     Contracting from the highest axis down keeps the remaining axis indices
     stable, so axis j is still at position j when its turn comes.
@@ -45,10 +45,7 @@ def _partial_contraction(tensor: np.ndarray, alphas: list[np.ndarray], skip: int
 
 
 def _full_overlap(tensor: np.ndarray, alphas: list[np.ndarray]) -> complex:
-    t = tensor
-    for j in reversed(range(tensor.ndim)):
-        t = np.tensordot(t, np.conj(alphas[j]), axes=(j, 0))
-    return complex(t)
+    return complex(_partial_contraction(tensor, alphas, skip=-1))
 
 
 def _marginal_start(tensor: np.ndarray) -> list[np.ndarray]:
@@ -186,17 +183,19 @@ def _phase_fixed_grid(delta: float) -> np.ndarray:
     return np.concatenate(rows, axis=0)
 
 
-_ORACLE_DELTAS = {2: 0.01, 3: 0.03, 4: 0.15}
+ORACLE_MAX_SITES = 4
+_ORACLE_DELTAS = {3: 0.03, 4: 0.15}
 
 
 @dataclass(frozen=True)
 class GmeBracket:
     """Certified two-sided bracket from the exhaustive grid search.
 
-    The grid maximum lower-bounds the true sup-overlap while the inflated
-    value (grid max plus one covering radius per gridded site, the overlap
-    being 1-Lipschitz in each site vector) upper-bounds it, so the true E_g
-    lies in [gme_lower, gme_upper].
+    Sites 3..n run over `points_per_site` grid vectors of covering radius
+    `delta` (both 0 at n <= 2, where the bracket is exact). The grid maximum
+    lower-bounds the true sup-overlap while the inflated value (grid max
+    plus `delta` per gridded site, the overlap being 1-Lipschitz in each
+    site vector) upper-bounds it, so the true E_g lies in [gme_lower, gme_upper].
     """
 
     n: int
@@ -214,45 +213,31 @@ class GmeBracket:
         return -math.log2(max(self.best_overlap_sq, 1e-300))
 
 
-def gme_grid_oracle(
-    state: PureState, delta: float | None = None, chunk: int = 256
-) -> GmeBracket:
-    """Exhaustive Bloch-grid bracket of E_g for up to four qubits.
+def gme_grid_oracle(state: PureState, delta: float | None = None) -> GmeBracket:
+    """Exhaustive Bloch-grid bracket of E_g for up to ORACLE_MAX_SITES qubits.
 
-    All sites but the first run over the grid; the first site is optimized
-    in closed form (the norm of the partial contraction), so it adds no
-    covering error.
+    Sites 3..n run over the grid (spacing `delta`, default per n). Given
+    them, the best vectors on sites 1 and 2 are the top singular pair of a
+    2x2 matrix, so those two sites are exact and add no covering error.
     """
     n = state.n
     tensor = _qubit_tensor(state)
     if n == 1:
         return GmeBracket(1, 0.0, 0, 1.0, 1.0)
-    if n > 4:
-        raise ValueError("the exhaustive oracle is limited to four sites")
+    if n > ORACLE_MAX_SITES:
+        raise ValueError(f"the exhaustive oracle is limited to {ORACLE_MAX_SITES} sites")
+    if n == 2:
+        best = float(np.linalg.svd(tensor, compute_uv=False)[0] ** 2)
+        return GmeBracket(2, 0.0, 0, best, best)
     if delta is None:
         delta = _ORACLE_DELTAS[n]
-    grid = _phase_fixed_grid(delta)
-    gc = np.conj(grid)
-    m = grid.shape[0]
-    best = 0.0
-    if n == 2:
-        w = np.tensordot(gc, tensor, axes=(1, 1))
-        best = float(np.max(np.einsum("ma,ma->m", w, w.conj()).real))
-    elif n == 3:
-        a3 = np.tensordot(tensor, gc, axes=(2, 1))
-        for lo in range(0, m, chunk):
-            w = np.einsum("kb,abm->kma", gc[lo : lo + chunk], a3)
-            vals = np.einsum("kma,kma->km", w, w.conj()).real
-            best = max(best, float(np.max(vals)))
-    else:
-        a4 = np.tensordot(tensor, gc, axes=(3, 1))
-        a34 = np.einsum("jc,abcm->jabm", gc, a4)
-        for lo in range(0, m, chunk):
-            w = np.einsum("kb,jabm->kjma", gc[lo : lo + chunk], a34)
-            vals = np.einsum("kjma,kjma->kjm", w, w.conj()).real
-            best = max(best, float(np.max(vals)))
-    inflated = min(1.0, math.sqrt(best) + (n - 1) * delta) ** 2
-    return GmeBracket(n, delta, m, best, inflated)
+    gc = np.conj(_phase_fixed_grid(delta))
+    t = tensor
+    for _ in range(n - 2):  # eats the last site axis, prepends a grid axis
+        t = np.tensordot(gc, t, axes=(1, n - 1))
+    best = float(np.max(np.linalg.svd(t.reshape(-1, 2, 2), compute_uv=False)[:, 0] ** 2))
+    inflated = min(1.0, math.sqrt(best) + (n - 2) * delta) ** 2
+    return GmeBracket(n, delta, gc.shape[0], best, inflated)
 
 
 # --- weight symmetrization -------------------------------------------------------
@@ -468,7 +453,7 @@ def verify_result2(
     cap = qfi_cap(n, c, delta)
     certified = 0.0
     oracle_used = False
-    if n <= 4 and threshold >= 0.0:
+    if n <= ORACLE_MAX_SITES and threshold >= 0.0:
         certified = max(0.0, gme_grid_oracle(state, delta=oracle_delta).gme_lower)
         oracle_used = True
     established = certified > threshold

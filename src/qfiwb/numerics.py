@@ -114,15 +114,22 @@ def ensure_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _hermitian_defect(a: np.ndarray, atol: float) -> float:
+    """max |a - a^dag| if above atol * max(1, max |a|), else 0.
+
+    max |a| is computed only when the absolute test fails.
+    """
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    return 0.0 if dev <= atol or dev <= atol * float(np.max(np.abs(a))) else dev
+
+
 def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    a = ensure_square(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return _hermitian_defect(ensure_square(a), atol) == 0.0
 
 
 def ensure_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     a = ensure_square(a)
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > atol:
+    if dev := _hermitian_defect(a, atol):
         raise ValueError(f"matrix is not Hermitian: max |a - a^dag| = {dev:.3e}")
     return a
 

@@ -150,8 +150,9 @@ def expected_qfi_symmetric_linear(site: SingleSiteOperator, n: int) -> float:
 
 def lipschitz_constant(h) -> float:
     """2 ||H^2|| + 2 sqrt(2) ||H||^2, the Levy-function Lipschitz scale."""
-    hm = _dense(h)
-    return 2.0 * spectral_norm(hm @ hm) + 2.0 * math.sqrt(2.0) * spectral_norm(hm) ** 2
+    # For Hermitian H, ||H^2|| = ||H||^2, so one norm gives both terms.
+    norm = spectral_norm(_dense(h))
+    return 2.0 * norm**2 + 2.0 * math.sqrt(2.0) * norm**2
 
 
 @dataclass(frozen=True)
@@ -316,13 +317,13 @@ def product_qfi_closed_form(
 
     `s` is the edge count and `connected` the ordered count of distinct
     overlapping edge pairs. The relative phase of the site state provably
-    drops out, so only p enters.
+    drops out, so only p enters. m2 - mu^2 is factored as gap^2 p (1 - p),
+    which does not cancel when lam0 >> gap.
     """
     m2 = (lam0**2 - lam1**2) * p + lam1**2
     mu = (lam0 - lam1) * p + lam1
-    same = s * (m2**2 - mu**4)
-    conn = connected * mu**2 * (m2 - mu**2)
-    return 4.0 * (same + conn)
+    var = (lam0 - lam1) ** 2 * p * (1.0 - p)
+    return 4.0 * var * (s * (m2 + mu**2) + connected * mu**2)
 
 
 @dataclass(frozen=True)
@@ -346,11 +347,12 @@ def max_qfi_symmetric_product(
     at most 4 and its maximum sits at p = 0, p = 1 or a real root of the
     cubic derivative. Real parts of every root are clipped into [0, 1] and
     tried, so a double root that rounding splits into a complex pair still
-    counts; each candidate is valued by the closed form itself.
+    counts; each candidate is valued by the closed form itself. The
+    polynomial is the closed form's factored shape over 4 gap^2.
     """
     mu = np.poly1d([lam0 - lam1, lam1])
     m2 = np.poly1d([lam0**2 - lam1**2, lam1**2])
-    quartic = s * (m2**2 - mu**4) + connected * mu**2 * (m2 - mu**2)
+    quartic = np.poly1d([-1.0, 1.0, 0.0]) * (s * (m2 + mu**2) + connected * mu**2)
     roots = np.clip(np.real(quartic.deriv().roots), 0.0, 1.0)
     candidates = [0.0, 1.0, *(float(r) for r in roots)]
     values = [product_qfi_closed_form(s, connected, lam0, lam1, p) for p in candidates]

@@ -123,7 +123,7 @@ def product_overlap_scan(amplitudes: np.ndarray, n: int, points: int = 10) -> fl
     if n == 2:
         m = np.einsum("ai,bj,ij->ab", g, g, amplitudes.reshape(2, 2))
     elif n == 3:
-        m = np.einsum("ai,bj,ck,ijk->abc", g, g, g, amplitudes.reshape(2, 2, 2))
+        m = np.einsum("ai,bj,ck,ijk->abc", g, g, g, amplitudes.reshape(2, 2, 2), optimize=True)
     else:
         raise ValueError("scan oracle covers n = 2 and n = 3 only")
     return float(np.max(np.abs(m) ** 2))

@@ -185,6 +185,14 @@ def test_main_concentration_with_zero_hamiltonian(tmp_path: Path):
     assert summary["bound_two_sided"] == 0.0
 
 
+def test_main_large_hamiltonian_scale_is_not_a_config_error(tmp_path: Path):
+    # Entries near 1e7 carry round-off asymmetry far above the absolute
+    # tolerance; the Hermitian check scales with the matrix and accepts them.
+    cfg = cfg_file(tmp_path, "low = -1e7\nhigh = 1e7\ntrials = 50\n")
+    rc = main(["lemma1-montecarlo", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+
+
 def test_main_internal_error_exit(tmp_path: Path, capsys, monkeypatch):
     def crash(cfg, rng, threads):
         raise ArithmeticError("boom")

@@ -20,7 +20,7 @@ from qfiwb.gme import (
     weight_distribution,
 )
 from qfiwb.hamiltonians import LinearHamiltonian, SingleSiteOperator
-from qfiwb.numerics import Rng
+from qfiwb.numerics import Rng, haar_unitary, kron_all
 from qfiwb.qfi import qfi
 from qfiwb.states import PureState, ghz, normalized_state, plus_vector, product_state, sample_haar
 
@@ -92,6 +92,46 @@ def test_grid_oracle_brackets_ghz3():
     bracket = gme_grid_oracle(ghz(3))
     assert bracket.gme_lower <= 1.0 <= bracket.gme_upper
     assert bracket.gme_upper - bracket.gme_lower < 0.5
+
+
+def locally_rotated(state: PureState, rng: Rng) -> PureState:
+    local = kron_all([haar_unitary(2, rng.substream(i)) for i in range(state.n)])
+    return normalized_state(state.n, 2, local @ state.amplitudes)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    kind=st.sampled_from(["ghz", "w", "product"]),
+    seed=st.integers(0, 10**6),
+)
+def test_grid_oracle_brackets_known_values_under_local_unitaries(n, kind, seed):
+    # E_g is invariant under local unitaries, so the known values must stay
+    # inside the bracket of every rotated copy.
+    known = {
+        "ghz": (ghz(n), 1.0),
+        "w": (w_state(n), -math.log2((1.0 - 1.0 / n) ** (n - 1))),
+        "product": (product_state([plus_vector()] * n), 0.0),
+    }
+    state, truth = known[kind]
+    psi = locally_rotated(state, Rng(seed))
+    bracket = gme_grid_oracle(psi)
+    assert bracket.gme_lower - 1e-12 <= truth <= bracket.gme_upper + 1e-12
+    if n == 2:
+        # Nothing is gridded at two sites, so the bracket is exact.
+        assert bracket.best_overlap_sq == bracket.overlap_sq_upper
+        exact = -math.log2(oracles.schmidt_max_overlap(psi.amplitudes, 2))
+        assert bracket.gme_lower == pytest.approx(exact, abs=1e-12)
+        assert bracket.gme_upper == pytest.approx(exact, abs=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_grid_oracle_upper_bound_dominates_ascent_and_scan(seed):
+    psi = sample_haar(3, 2, Rng(seed))
+    upper = gme_grid_oracle(psi).overlap_sq_upper
+    assert upper >= gme(psi, rng=Rng(seed)).overlap_sq - 1e-12
+    assert upper >= oracles.product_overlap_scan(psi.amplitudes, 3) - 1e-12
 
 
 def test_grid_oracle_site_cap():

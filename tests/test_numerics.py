@@ -6,8 +6,10 @@ from qfiwb.numerics import (
     MAX_DIM,
     Rng,
     basis_digits,
+    ensure_hermitian,
     haar_unitary,
     hermitian_eig,
+    is_hermitian,
     kron_all,
     random_hermitian,
     spectral_norm,
@@ -67,6 +69,19 @@ def test_hermitian_eig_random_reconstruction():
     assert np.all(np.diff(w) >= 0)
     assert np.allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-9)
     assert np.allclose(v.conj().T @ v, np.eye(9), atol=1e-10)
+
+
+def test_hermitian_tolerance_scales_with_the_entries():
+    # Round-off on 1e7-sized entries passes; a 1e-6 relative asymmetry fails.
+    near = np.array([[1e7, 1e7 + 1e-4], [1e7, -1e7]], dtype=complex)
+    assert is_hermitian(near)
+    ensure_hermitian(near)
+    far = np.array([[1e7, 1e7 * (1.0 + 1e-6)], [1e7, -1e7]], dtype=complex)
+    assert not is_hermitian(far)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ensure_hermitian(far)
+    # Below unit scale the tolerance stays absolute.
+    assert not is_hermitian(np.array([[0.0, 1e-9], [0.0, 0.0]], dtype=complex))
 
 
 def test_spectral_norm_and_spread():
