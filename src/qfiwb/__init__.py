@@ -7,6 +7,8 @@ lifting lives in the submodules; this package root re-exports the
 entry points most callers need.
 """
 
+import types
+
 from .gme import (
     cap_state,
     gme,
@@ -73,7 +75,6 @@ from .qfi import (
     product_qfi_closed_form,
     qfi,
     qfi_batch,
-    qfi_report,
     symmetric_product_state,
 )
 from .states import (
@@ -92,74 +93,8 @@ from .states import (
 
 __version__ = "0.1.0"
 
+# Every public name bound above except the submodules themselves.
 __all__ = [
-    "Rng",
-    "haar_unitary",
-    "hermitian_eig",
-    "kron_all",
-    "random_hermitian",
-    "spectral_norm",
-    "spectral_spread",
-    "DickeBasis",
-    "PureState",
-    "dicke_basis",
-    "ghz",
-    "normalized_state",
-    "product_state",
-    "read_state",
-    "sample_symmetric",
-    "superposition_state",
-    "symmetric_projector",
-    "write_state",
-    "GraphHamiltonian",
-    "LinearHamiltonian",
-    "ProductDiagonalHamiltonian",
-    "SingleSiteOperator",
-    "from_spec_text",
-    "named_basis",
-    "read_spec",
-    "sample_linear",
-    "sample_product_diagonal",
-    "to_spec_text",
-    "write_spec",
-    "ConcentrationBound",
-    "expected_qfi_haar",
-    "expected_qfi_haar_linear",
-    "expected_qfi_symmetric",
-    "expected_qfi_symmetric_linear",
-    "global_unitary_transport",
-    "levy_bound",
-    "max_qfi_symmetric_product",
-    "optimal_separable_reference",
-    "product_qfi_closed_form",
-    "qfi",
-    "qfi_batch",
-    "qfi_report",
-    "symmetric_product_state",
-    "cap_state",
-    "gme",
-    "gme_threshold",
-    "qfi_cap",
-    "symmetric_weight_qfi",
-    "symmetrize_amplitudes",
-    "verify_result2",
-    "InteractionGraph",
-    "census_bruteforce",
-    "census_by_degrees",
-    "preset_graph",
-    "product_qfi_at",
-    "qfi_witnesses",
-    "sample_graph",
-    "scaling_report",
-    "to_hamiltonian",
-    "BoundParams",
-    "build_linear_net",
-    "coefficient_grid",
-    "epsilon_choices",
-    "net_cover_audit",
-    "net_size_bound",
-    "property_audit",
-    "pure_state_net_qubit",
-    "theorem_bound",
-    "__version__",
-]
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + ["__version__"]

@@ -2,7 +2,7 @@
 
 Every experiment is a named driver over the library modules.  A run is
 pinned by (experiment, config, seed): trial t always draws from the seed's
-substream t, so re-runs give byte-identical CSV bodies whether trials are
+stream (1, t), so re-runs give byte-identical CSV bodies whether trials are
 executed serially or across a thread pool.
 
 Exit codes: 0 all asserted invariants held, 1 an invariant was violated,
@@ -58,9 +58,10 @@ from .qfi import (
     global_unitary_transport,
     levy_bound,
     optimal_separable_reference,
-    qfi,
+    qfi_batch,
 )
 from .states import (
+    PureState,
     dicke_basis,
     ghz,
     plus_vector,
@@ -176,12 +177,48 @@ def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _map_trials(worker: Callable[[int], tuple], trials: int, threads: int) -> list[tuple]:
-    """Evaluate trials 0..trials-1, results in trial order regardless of threads."""
+# State rows per qfi_batch block are capped at this many amplitudes (16 MiB).
+_BLOCK_AMPLITUDES = 2**20
+
+
+def _trials(rng: Rng, trials: range, threads: int, draw: Callable[[int, Rng], object]) -> list:
+    """draw(t, stream) for every trial t, in trial order for any thread count.
+
+    Trial t always draws from the seed's stream (1, t), so its draw does not
+    depend on which thread runs it or on which other trials run.
+    """
+    streams = rng.substream(1)
+
+    def one(t: int):
+        return draw(t, streams.substream(t))
+
     if threads <= 1:
-        return [worker(t) for t in range(trials)]
+        return [one(t) for t in trials]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
+        return list(pool.map(one, trials))
+
+
+def _state_qfis(
+    rng: Rng,
+    trials: range,
+    threads: int,
+    sample: Callable[[Rng], PureState],
+    hms: list[np.ndarray],
+) -> np.ndarray:
+    """QFI of each trial's state `sample(stream)` under every operator in `hms`.
+
+    States are drawn through _trials in blocks of at most _BLOCK_AMPLITUDES
+    amplitudes, and each block is one qfi_batch call per operator, so an
+    operator is validated once per block. Returns shape (len(hms), len(trials)).
+    """
+    step = max(1, _BLOCK_AMPLITUDES // hms[0].shape[0])
+    out = np.empty((len(hms), len(trials)))
+    for start in range(0, len(trials), step):
+        block = trials[start:start + step]
+        amplitudes = np.stack(_trials(rng, block, threads, lambda t, r: sample(r).amplitudes))
+        for k, hm in enumerate(hms):
+            out[k, start:start + len(block)] = qfi_batch(hm, amplitudes)
+    return out
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -203,13 +240,13 @@ def run_ghz_baseline(cfg, rng: Rng, threads: int) -> ExperimentResult:
     rows = []
     worst = 0.0
     for n in range(n_min, n_max + 1):
-        state = ghz(n)
+        probe = ghz(n).amplitudes[None, :]
         for family, site, closed in (
             ("computational", SingleSiteOperator.computational((lam0, lam1)), n * n * gap2),
             ("plus_minus", SingleSiteOperator.plus_minus((lam0, lam1)), n * gap2),
         ):
             h = LinearHamiltonian.from_site(n, site)
-            value = qfi(state, h)
+            value = float(qfi_batch(h, probe)[0])
             dev = abs(value - closed)
             worst = max(worst, dev)
             rows.append((n, family, lam0, lam1, value, closed, dev, dev <= tol))
@@ -223,11 +260,26 @@ def run_ghz_baseline(cfg, rng: Rng, threads: int) -> ExperimentResult:
 
 
 def _montecarlo_result(
-    cfg, rows: list[tuple], values: list[float], closed: float
+    cfg, family: str, values: np.ndarray, closed: float
 ) -> ExperimentResult:
+    """Rows and the 3-sigma verdict of a Monte Carlo mean against its closed form.
+
+    With zero spread the verdict is exact equality, and z_score is 0.0 when
+    it holds and None (JSON null) when it does not.
+    """
+    n, d, seed = cfg["n"], cfg["d"], cfg["seed"]
+    values = values.tolist()
+    rows = [
+        (seed, t, n, d, family, value, closed, abs(value - closed))
+        for t, value in enumerate(values)
+    ]
     mean, se = _mean_se(values)
-    z = abs(mean - closed) / se if se > 0.0 else math.inf
-    passed = z <= 3.0
+    if se > 0.0:
+        z = abs(mean - closed) / se
+        passed = z <= 3.0
+    else:
+        passed = mean == closed
+        z = 0.0 if passed else None
     return ExperimentResult(
         ("seed", "trial", "n", "d", "family", "qfi", "closed_form", "abs_dev"),
         rows,
@@ -255,16 +307,8 @@ def run_lemma1_montecarlo(cfg, rng: Rng, threads: int) -> ExperimentResult:
         raise ConfigError(f"family must be linear or product, got {family!r}")
     hm = h.dense()
     closed = expected_qfi_haar(hm)
-    seed = rng.seed
-    draw = rng.substream(1)
-
-    def worker(t: int) -> tuple:
-        psi = sample_haar(n, d, draw.substream(t))
-        value = qfi(psi, hm)
-        return (seed, t, n, d, family, value, closed, abs(value - closed))
-
-    rows = _map_trials(worker, trials, threads)
-    return _montecarlo_result(cfg, rows, [r[5] for r in rows], closed)
+    values = _state_qfis(rng, range(trials), threads, lambda r: sample_haar(n, d, r), [hm])[0]
+    return _montecarlo_result(cfg, family, values, closed)
 
 
 def run_lemma3_montecarlo(cfg, rng: Rng, threads: int) -> ExperimentResult:
@@ -275,16 +319,10 @@ def run_lemma3_montecarlo(cfg, rng: Rng, threads: int) -> ExperimentResult:
     hm = LinearHamiltonian.from_site(n, site).dense()
     closed = expected_qfi_symmetric_linear(site, n)
     basis = dicke_basis(n, d)
-    seed = rng.seed
-    draw = rng.substream(1)
-
-    def worker(t: int) -> tuple:
-        psi = sample_symmetric(n, d, draw.substream(t), basis)
-        value = qfi(psi, hm)
-        return (seed, t, n, d, "equal-row", value, closed, abs(value - closed))
-
-    rows = _map_trials(worker, trials, threads)
-    return _montecarlo_result(cfg, rows, [r[5] for r in rows], closed)
+    values = _state_qfis(
+        rng, range(trials), threads, lambda r: sample_symmetric(n, d, r, basis), [hm]
+    )[0]
+    return _montecarlo_result(cfg, "equal-row", values, closed)
 
 
 def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
@@ -305,10 +343,9 @@ def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
     hnorm = float(np.max(np.abs(diag)))
     surrogate = np.diag([hnorm, -hnorm])
     bound = levy_bound(surrogate, dim, eps)
-    draw = rng.substream(1)
 
-    def worker(t: int) -> tuple:
-        v = draw.substream(t).complex_normal(dim)
+    def draw(t: int, r: Rng) -> tuple:
+        v = r.complex_normal(dim)
         w = np.abs(v) ** 2
         w = w / w.sum()
         m1 = float(w @ diag)
@@ -317,7 +354,7 @@ def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
         dev = f - f_mean
         return (t, f, f_mean, dev, abs(dev) > eps, dev < -eps)
 
-    rows = _map_trials(worker, trials, threads)
+    rows = _trials(rng, range(trials), threads, draw)
     freq_two = sum(1 for r in rows if r[4]) / trials
     freq_one = sum(1 for r in rows if r[5]) / trials
     checks = []
@@ -346,16 +383,15 @@ def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
 def run_prop4_audit(cfg, rng: Rng, threads: int) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
-    draw = rng.substream(1)
 
-    def worker(t: int) -> tuple:
-        h = sample_product_diagonal(n, d, draw.substream(t), cfg["low"], cfg["high"])
+    def draw(t: int, r: Rng) -> tuple:
+        h = sample_product_diagonal(n, d, r, cfg["low"], cfg["high"])
         haar_mean = expected_qfi_haar(h)
         reference = optimal_separable_reference(h)
         margin = reference - haar_mean
         return (t, n, d, haar_mean, reference, margin, margin >= -tol)
 
-    rows = _map_trials(worker, trials, threads)
+    rows = _trials(rng, range(trials), threads, draw)
     violations = sum(1 for r in rows if not r[6])
     return ExperimentResult(
         ("trial", "n", "d", "haar_mean", "separable_reference", "margin", "pass"),
@@ -369,16 +405,15 @@ def run_prop5_audit(cfg, rng: Rng, threads: int) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
     basis = dicke_basis(n, d)
-    draw = rng.substream(1)
 
-    def worker(t: int) -> tuple:
-        h = sample_linear(n, d, draw.substream(t), cfg["low"], cfg["high"], basis="haar")
+    def draw(t: int, r: Rng) -> tuple:
+        h = sample_linear(n, d, r, cfg["low"], cfg["high"], basis="haar")
         e_linear = expected_qfi_symmetric(h.dense(), n, d, basis)
         e_averaged = expected_qfi_symmetric_linear(h.symmetrized().site_operator(0), n)
         margin = e_linear - e_averaged
         return (t, n, d, e_linear, e_averaged, margin, margin >= -tol)
 
-    rows = _map_trials(worker, trials, threads)
+    rows = _trials(rng, range(trials), threads, draw)
     violations = sum(1 for r in rows if not r[6])
     return ExperimentResult(
         ("trial", "n", "d", "e_sym_linear", "e_sym_averaged", "margin", "pass"),
@@ -400,16 +435,17 @@ def run_result1_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
         expected_qfi_symmetric_linear(h.symmetrized().site_operator(0), n) for h in hams
     ]
     basis = dicke_basis(n, d)
-    draw = rng.substream(1)
-
-    def worker(t: int) -> tuple:
-        i, j = divmod(t, n_s)
-        psi = sample_symmetric(n, d, draw.substream(t), basis)
-        value = qfi(psi, dense[i])
+    rows = []
+    for i in range(n_h):
+        trials = range(i * n_s, (i + 1) * n_s)
+        values = _state_qfis(
+            rng, trials, threads, lambda r: sample_symmetric(n, d, r, basis), [dense[i]]
+        )[0].tolist()
         threshold = sym_means[i] - c
-        return (t, i, j, value, sym_means[i], threshold, value < threshold)
-
-    rows = _map_trials(worker, n_h * n_s, threads)
+        rows += [
+            (t, i, j, value, sym_means[i], threshold, value < threshold)
+            for j, (t, value) in enumerate(zip(trials, values))
+        ]
     below = sum(1 for r in rows if r[6])
     fraction = below / len(rows)
     params = BoundParams(
@@ -447,15 +483,10 @@ def run_result3_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
         signs = np.where(r.random(h.coeffs.size) < 0.5, -1.0, 1.0)
         hams.append(ProductDiagonalHamiltonian(h.coeffs * signs, h.site_bases))
     dense = [h.dense() for h in hams]
-    refs = [optimal_separable_reference(h) for h in hams]
-    draw = rng.substream(1)
-
-    def worker(t: int) -> tuple:
-        psi = sample_haar(n, d, draw.substream(t))
-        gap = max(qfi(psi, dense[i]) - refs[i] for i in range(n_h))
-        return (t, gap, c, gap > c)
-
-    rows = _map_trials(worker, n_s, threads)
+    refs = np.array([optimal_separable_reference(h) for h in hams])
+    qfis = _state_qfis(rng, range(n_s), threads, lambda r: sample_haar(n, d, r), dense)
+    gaps = (qfis - refs[:, None]).max(axis=0).tolist()
+    rows = [(t, gap, c, gap > c) for t, gap in enumerate(gaps)]
     exceed = sum(1 for r in rows if r[3])
     rate = exceed / n_s
     params = BoundParams(
@@ -483,17 +514,15 @@ def run_thm11_check(cfg, rng: Rng, threads: int) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
     dim = d**n
-    draw = rng.substream(1)
 
-    def worker(t: int) -> tuple:
-        r = draw.substream(t)
+    def draw(t: int, r: Rng) -> tuple:
         h = random_hermitian(dim, r)
         psi = sample_haar(n, d, r)
         res = global_unitary_transport(psi, h)
         dev = abs(res.check - res.target)
         return (t, n, d, res.target, res.check, dev, res.degenerate, dev <= tol)
 
-    rows = _map_trials(worker, trials, threads)
+    rows = _trials(rng, range(trials), threads, draw)
     violations = sum(1 for r in rows if not r[7])
     return ExperimentResult(
         ("trial", "n", "d", "target", "achieved", "abs_dev", "degenerate", "pass"),
@@ -887,7 +916,9 @@ def main(argv: list[str] | None = None) -> int:
             "passed": result.passed,
             **result.summary,
         }
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        summary_path.write_text(
+            json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        )
     except OSError as exc:
         print(f"qfiwb: config error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG

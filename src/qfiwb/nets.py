@@ -22,7 +22,7 @@ import numpy as np
 from .hamiltonians import LinearHamiltonian, to_spec_text
 from .numerics import Rng, haar_unitary, spectral_norm
 from .qfi import expected_qfi_symmetric_linear, max_separable_linear, qfi
-from .states import PureState, sample_haar, sample_symmetric
+from .states import PureState, dicke_basis, sample_haar, sample_symmetric
 
 PROP6_C = 18.0
 SQRT2 = math.sqrt(2.0)
@@ -534,12 +534,13 @@ def property_audit(
     rows = []
     counterexamples = []
     worst = 0.0
+    basis = dicke_basis(net.n, net.d) if which == "prop8" else None
     for t in range(trials):
         r = rng.substream(t)
         h = sample_linear_banded(net.n, net.d, r, net.grid.A, net.grid.B)
         rep, _ = net.nearest(h)
         if which == "prop8":
-            psi = sample_symmetric(net.n, net.d, r)
+            psi = sample_symmetric(net.n, net.d, r, basis)
             deviation = abs(_symmetric_mean_gap(psi, h) - _symmetric_mean_gap(psi, rep))
         else:
             psi = sample_haar(net.n, net.d, r)

@@ -41,40 +41,6 @@ def _dense(h) -> np.ndarray:
     raise TypeError(f"cannot interpret {type(h).__name__} as a Hamiltonian")
 
 
-@dataclass(frozen=True)
-class QfiReport:
-    """QFI value together with the two moments behind it.
-
-    `value` is 4 (mean_H2 - mean_H^2) with tiny negative round-off (within
-    QFI_CLIP_ATOL) clipped to zero. Construction fails if the variance is
-    more negative than the clip tolerance.
-    """
-
-    value: float
-    mean_H: float
-    mean_H2: float
-
-
-def qfi_report(state: PureState, h) -> QfiReport:
-    hm = _dense(h)
-    psi = state.amplitudes
-    if hm.shape[0] != psi.shape[0]:
-        raise ValueError(f"dimension mismatch: state {psi.shape[0]}, operator {hm.shape[0]}")
-    hpsi = hm @ psi
-    second = float(np.real(np.vdot(hpsi, hpsi)))
-    mean = float(np.real(np.vdot(psi, hpsi)))
-    raw = 4.0 * (second - mean * mean)
-    if raw < -QFI_CLIP_ATOL:
-        raise ArithmeticError(
-            f"negative variance {raw} exceeds the numerical-consistency tolerance"
-        )
-    return QfiReport(max(raw, 0.0), mean, second)
-
-
-def qfi(state: PureState, h) -> float:
-    return qfi_report(state, h).value
-
-
 def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
     """QFI of many states at once; rows of `amplitudes` are unit state vectors.
 
@@ -91,8 +57,15 @@ def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
     mean = np.real(np.sum(np.conjugate(a) * y, axis=1))
     raw = 4.0 * (second - mean**2)
     if np.any(raw < -QFI_CLIP_ATOL):
-        raise ArithmeticError("negative variance beyond the numerical-consistency tolerance")
+        raise ArithmeticError(
+            f"negative variance {raw.min()} exceeds the numerical-consistency tolerance"
+        )
     return np.maximum(raw, 0.0)
+
+
+def qfi(state: PureState, h) -> float:
+    """QFI of one state: the one-row case of qfi_batch, validating H per call."""
+    return float(qfi_batch(h, state.amplitudes[None, :])[0])
 
 
 # --- ensemble expectations ---------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qfiwb.cli as cli
 from qfiwb.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -18,12 +19,16 @@ from qfiwb.cli import (
     ConfigError,
     _cell,
     _coerce,
-    _map_trials,
+    _state_qfis,
+    _trials,
     build_config,
     main,
     parse_config_text,
     write_csv,
 )
+from qfiwb.numerics import Rng, random_hermitian
+from qfiwb.qfi import qfi
+from qfiwb.states import sample_haar
 
 
 def cfg_file(tmp_path: Path, text: str, name: str = "run.cfg") -> str:
@@ -108,14 +113,38 @@ def test_write_csv(tmp_path: Path):
 
 
 def test_map_trials_preserves_order():
-    def worker(t: int) -> tuple:
+    def draw(t: int, r: Rng) -> tuple:
         if t < 10:
             time.sleep(0.002 * (10 - t))  # finish later trials first
-        return (t, t * t)
+        return (t, t * t, r.seed, r.path)
 
-    expected = [(t, t * t) for t in range(20)]
-    assert _map_trials(worker, 20, 1) == expected
-    assert _map_trials(worker, 20, 4) == expected
+    expected = [(t, t * t, 5, (1, t)) for t in range(20)]
+    assert _trials(Rng(5), range(20), 1, draw) == expected
+    assert _trials(Rng(5), range(20), 4, draw) == expected
+
+
+def test_state_qfis_blocks_match_rowwise_qfi(monkeypatch):
+    # Three dimension-1024 rows per block: eight trials take three blocks.
+    monkeypatch.setattr(cli, "_BLOCK_AMPLITUDES", 3 * 2**10)
+    batch = cli.qfi_batch
+    calls = []
+
+    def counted(h, amplitudes):
+        calls.append(len(amplitudes))
+        return batch(h, amplitudes)
+
+    monkeypatch.setattr(cli, "qfi_batch", counted)
+    n = 10
+    hms = [random_hermitian(2**n, Rng(7).substream(k)) for k in range(2)]
+    trials = range(4, 12)
+    got = _state_qfis(Rng(9), trials, 1, lambda r: sample_haar(n, 2, r), hms)
+    assert got.shape == (2, 8)
+    assert calls == [3, 3, 3, 3, 2, 2]
+    streams = Rng(9).substream(1)
+    for k, hm in enumerate(hms):
+        for col, t in enumerate(trials):
+            want = qfi(sample_haar(n, 2, streams.substream(t)), hm)
+            assert got[k, col] == pytest.approx(want, rel=1e-12)
 
 
 # --- end-to-end runs ----------------------------------------------------------
@@ -217,8 +246,22 @@ def test_main_violation_exit(tmp_path: Path):
     assert summary["turned_over"] is False
 
 
-def test_main_threads_do_not_change_output(tmp_path: Path, monkeypatch):
-    cfg = cfg_file(tmp_path, "trials = 2000\n")
+# Small configs for every experiment that runs independent trials.
+TRIAL_CONFIGS = {
+    "lemma1-montecarlo": "trials = 2000\n",
+    "lemma3-montecarlo": "trials = 300\n",
+    "concentration": "n = 4\ntrials = 100\n",
+    "prop4-audit": "trials = 20\n",
+    "prop5-audit": "n = 3\ntrials = 10\n",
+    "result1-demo": "hamiltonians = 3\nstates = 20\n",
+    "result3-demo": "hamiltonians = 3\nstates = 30\n",
+    "thm11-check": "trials = 10\n",
+}
+
+
+@pytest.mark.parametrize("experiment", TRIAL_CONFIGS)
+def test_main_threads_do_not_change_output(tmp_path: Path, monkeypatch, experiment):
+    cfg = cfg_file(tmp_path, TRIAL_CONFIGS[experiment])
     monkeypatch.delenv(THREADS_ENV, raising=False)
     for args, sub in (
         (["--threads", "1"], "t1"),
@@ -227,12 +270,31 @@ def test_main_threads_do_not_change_output(tmp_path: Path, monkeypatch):
     ):
         if sub == "env":
             monkeypatch.setenv(THREADS_ENV, "3")
-        rc = main(["lemma1-montecarlo", "--config", cfg,
+        rc = main([experiment, "--config", cfg,
                    "--out", str(tmp_path / sub), *args])
         assert rc == EXIT_PASS
-    body = (tmp_path / "t1" / "lemma1-montecarlo.csv").read_bytes()
-    assert (tmp_path / "t3" / "lemma1-montecarlo.csv").read_bytes() == body
-    assert (tmp_path / "env" / "lemma1-montecarlo.csv").read_bytes() == body
+    body = (tmp_path / "t1" / f"{experiment}.csv").read_bytes()
+    assert (tmp_path / "t3" / f"{experiment}.csv").read_bytes() == body
+    assert (tmp_path / "env" / f"{experiment}.csv").read_bytes() == body
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("lemma1-montecarlo", "low = 0\nhigh = 0\ntrials = 20\n"),
+    ("lemma3-montecarlo", "lam0 = 0\nlam1 = 0\ntrials = 20\n"),
+])
+def test_main_montecarlo_with_zero_spread(tmp_path: Path, experiment, config):
+    # H = 0: every QFI and the closed form are exactly 0, so the standard
+    # error is 0 and the verdict is exact equality, written as valid JSON.
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    rc = main([experiment, "--config", cfg_file(tmp_path, config), "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    text = (tmp_path / f"{experiment}.summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["standard_error"] == 0.0
+    assert summary["z_score"] == 0.0
+    assert summary["passed"] is True
 
 
 def test_main_seed_override(tmp_path: Path):

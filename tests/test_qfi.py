@@ -28,7 +28,6 @@ from qfiwb.qfi import (
     product_qfi_closed_form,
     qfi,
     qfi_batch,
-    qfi_report,
     site_variance_term,
     symmetric_product_state,
     uniform_superposition_product,
@@ -60,14 +59,6 @@ def test_qfi_matches_fidelity_drop():
     assert qfi(psi, h) == pytest.approx(
         oracles.qfi_fidelity(psi.amplitudes, h), rel=1e-4
     )
-
-
-def test_qfi_report_moments():
-    r = Rng(2)
-    h = random_hermitian(4, r)
-    psi = sample_haar(2, 2, r)
-    rep = qfi_report(psi, h)
-    assert rep.value == pytest.approx(4.0 * (rep.mean_H2 - rep.mean_H**2))
 
 
 def test_qfi_gauge_invariances():
