@@ -3,7 +3,11 @@
 Every experiment is a named driver over the library modules.  A run is
 pinned by (experiment, config, seed): trial t always draws from the seed's
 stream (1, t), so re-runs give byte-identical CSV bodies whether trials are
-executed serially or across a thread pool.
+executed serially or across a thread pool. The thread pool serves the
+per-trial drivers (concentration, prop4-audit, prop5-audit, thm11-check).
+The four state-sampling experiments (lemma1-montecarlo, lemma3-montecarlo,
+result1-demo, result3-demo) draw each block of trial states in one
+vectorised pass, bit for bit the per-trial streams, and do not use it.
 
 Exit codes: 0 all asserted invariants held, 1 an invariant was violated,
 2 the invocation or config was invalid, 3 an internal error (an unexpected
@@ -61,13 +65,12 @@ from .qfi import (
     qfi_batch,
 )
 from .states import (
-    PureState,
+    DickeBasis,
     dicke_basis,
     ghz,
     plus_vector,
     product_state,
     sample_haar,
-    sample_symmetric,
     superposition_state,
 )
 
@@ -199,23 +202,29 @@ def _trials(rng: Rng, trials: range, threads: int, draw: Callable[[int, Rng], ob
 
 
 def _state_qfis(
-    rng: Rng,
-    trials: range,
-    threads: int,
-    sample: Callable[[Rng], PureState],
-    hms: list[np.ndarray],
+    rng: Rng, trials: range, hms: list[np.ndarray], basis: DickeBasis | None = None
 ) -> np.ndarray:
-    """QFI of each trial's state `sample(stream)` under every operator in `hms`.
+    """QFI of each trial's random state under every operator in `hms`.
 
-    States are drawn through _trials in blocks of at most _BLOCK_AMPLITUDES
-    amplitudes, and each block is one qfi_batch call per operator, so an
-    operator is validated once per block. Returns shape (len(hms), len(trials)).
+    Trial t's state is the normalised complex Gaussian of the seed's stream
+    (1, t): the state sample_haar draws, or with `basis` the state
+    sample_symmetric draws in that Dicke frame. Blocks of at most
+    _BLOCK_AMPLITUDES amplitudes are drawn in one vectorised pass, and each
+    block is one qfi_batch call per operator, so an operator is validated
+    once per block. Returns shape (len(hms), len(trials)).
     """
-    step = max(1, _BLOCK_AMPLITUDES // hms[0].shape[0])
+    streams = rng.substream(1)
+    dim = hms[0].shape[0]
+    step = max(1, _BLOCK_AMPLITUDES // dim)
     out = np.empty((len(hms), len(trials)))
     for start in range(0, len(trials), step):
         block = trials[start:start + step]
-        amplitudes = np.stack(_trials(rng, block, threads, lambda t, r: sample(r).amplitudes))
+        if basis is None:
+            amplitudes = streams.substream_normals(block, dim)
+        else:
+            # each frame row has one nonzero entry, so the lift is exact
+            amplitudes = streams.substream_normals(block, basis.size) @ basis.matrix.T
+        amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
         for k, hm in enumerate(hms):
             out[k, start:start + len(block)] = qfi_batch(hm, amplitudes)
     return out
@@ -307,7 +316,7 @@ def run_lemma1_montecarlo(cfg, rng: Rng, threads: int) -> ExperimentResult:
         raise ConfigError(f"family must be linear or product, got {family!r}")
     hm = h.dense()
     closed = expected_qfi_haar(hm)
-    values = _state_qfis(rng, range(trials), threads, lambda r: sample_haar(n, d, r), [hm])[0]
+    values = _state_qfis(rng, range(trials), [hm])[0]
     return _montecarlo_result(cfg, family, values, closed)
 
 
@@ -318,10 +327,7 @@ def run_lemma3_montecarlo(cfg, rng: Rng, threads: int) -> ExperimentResult:
     site = SingleSiteOperator.computational(tuple(levels))
     hm = LinearHamiltonian.from_site(n, site).dense()
     closed = expected_qfi_symmetric_linear(site, n)
-    basis = dicke_basis(n, d)
-    values = _state_qfis(
-        rng, range(trials), threads, lambda r: sample_symmetric(n, d, r, basis), [hm]
-    )[0]
+    values = _state_qfis(rng, range(trials), [hm], dicke_basis(n, d))[0]
     return _montecarlo_result(cfg, "equal-row", values, closed)
 
 
@@ -336,7 +342,8 @@ def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
     diag = levels[basis_digits(n, d)].sum(axis=1)
     dim = diag.size
     tr1 = float(diag.sum())
-    tr2 = float((diag**2).sum())
+    diag_sq = diag**2
+    tr2 = float(diag_sq.sum())
     f_mean = tr2 / (dim + 1) - tr1**2 / (dim * (dim + 1))
     # Tiny surrogate with the same |H| and |H^2| (for diagonal H both are set
     # by max|diag|); the tail bound depends on H only through those two norms.
@@ -349,7 +356,7 @@ def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
         w = np.abs(v) ** 2
         w = w / w.sum()
         m1 = float(w @ diag)
-        m2 = float(w @ (diag**2))
+        m2 = float(w @ diag_sq)
         f = m2 - m1 * m1
         dev = f - f_mean
         return (t, f, f_mean, dev, abs(dev) > eps, dev < -eps)
@@ -438,9 +445,7 @@ def run_result1_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
     rows = []
     for i in range(n_h):
         trials = range(i * n_s, (i + 1) * n_s)
-        values = _state_qfis(
-            rng, trials, threads, lambda r: sample_symmetric(n, d, r, basis), [dense[i]]
-        )[0].tolist()
+        values = _state_qfis(rng, trials, [dense[i]], basis)[0].tolist()
         threshold = sym_means[i] - c
         rows += [
             (t, i, j, value, sym_means[i], threshold, value < threshold)
@@ -484,7 +489,7 @@ def run_result3_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
         hams.append(ProductDiagonalHamiltonian(h.coeffs * signs, h.site_bases))
     dense = [h.dense() for h in hams]
     refs = np.array([optimal_separable_reference(h) for h in hams])
-    qfis = _state_qfis(rng, range(n_s), threads, lambda r: sample_haar(n, d, r), dense)
+    qfis = _state_qfis(rng, range(n_s), dense)
     gaps = (qfis - refs[:, None]).max(axis=0).tolist()
     rows = [(t, gap, c, gap > c) for t, gap in enumerate(gaps)]
     exceed = sum(1 for r in rows if r[3])

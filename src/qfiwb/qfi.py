@@ -75,7 +75,7 @@ def expected_qfi_haar(h) -> float:
     hm = _dense(h)
     dim = hm.shape[0]
     tr1 = float(np.real(np.trace(hm)))
-    tr2 = float(np.real(np.trace(hm @ hm)))
+    tr2 = float(np.vdot(hm, hm).real)  # Tr H^2 = sum |h_ij|^2 for Hermitian H
     return 4.0 * (tr2 / (dim + 1) - tr1 * tr1 / (dim * (dim + 1)))
 
 

@@ -28,7 +28,7 @@ from qfiwb.cli import (
 )
 from qfiwb.numerics import Rng, random_hermitian
 from qfiwb.qfi import qfi
-from qfiwb.states import sample_haar
+from qfiwb.states import dicke_basis, sample_haar, sample_symmetric
 
 
 def cfg_file(tmp_path: Path, text: str, name: str = "run.cfg") -> str:
@@ -137,13 +137,29 @@ def test_state_qfis_blocks_match_rowwise_qfi(monkeypatch):
     n = 10
     hms = [random_hermitian(2**n, Rng(7).substream(k)) for k in range(2)]
     trials = range(4, 12)
-    got = _state_qfis(Rng(9), trials, 1, lambda r: sample_haar(n, 2, r), hms)
+    got = _state_qfis(Rng(9), trials, hms)
     assert got.shape == (2, 8)
     assert calls == [3, 3, 3, 3, 2, 2]
     streams = Rng(9).substream(1)
     for k, hm in enumerate(hms):
         for col, t in enumerate(trials):
             want = qfi(sample_haar(n, 2, streams.substream(t)), hm)
+            assert got[k, col] == pytest.approx(want, rel=1e-12)
+
+
+def test_state_qfis_symmetric_blocks_match_rowwise_sample_symmetric(monkeypatch):
+    # Dimension-64 rows, 5 to a block; Gaussians drawn in the 7-dim Dicke frame.
+    monkeypatch.setattr(cli, "_BLOCK_AMPLITUDES", 5 * 2**6)
+    n = 6
+    basis = dicke_basis(n, 2)
+    hms = [random_hermitian(2**n, Rng(3).substream(k)) for k in range(2)]
+    trials = range(2, 14)
+    got = _state_qfis(Rng(9), trials, hms, basis)
+    assert got.shape == (2, 12)
+    streams = Rng(9).substream(1)
+    for k, hm in enumerate(hms):
+        for col, t in enumerate(trials):
+            want = qfi(sample_symmetric(n, 2, streams.substream(t), basis), hm)
             assert got[k, col] == pytest.approx(want, rel=1e-12)
 
 

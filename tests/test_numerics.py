@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfiwb.numerics import (
     MAX_DIM,
     Rng,
+    _philox_words,
+    _seed_keys,
     basis_digits,
     ensure_hermitian,
     haar_unitary,
@@ -47,6 +49,93 @@ def test_complex_normal_shape_and_moments():
     assert z.dtype == complex
     assert abs(z.mean()) < 0.05
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.05
+
+
+# --- block draws against numpy's own SeedSequence and Philox -------------------
+
+U32 = 2**32 - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**160),
+    path=st.lists(st.integers(min_value=0, max_value=2**70), max_size=3),
+    last=st.lists(st.integers(min_value=0, max_value=U32), min_size=1, max_size=4),
+)
+@example(seed=0, path=[], last=[0, U32])
+@example(seed=1, path=[1], last=[0, U32])
+@example(seed=2**32 + 5, path=[0, 2**32], last=[U32, 0])
+# 2**130 is five entropy words, more than the four-word pool holds
+@example(seed=2**130, path=[3, 0, 2**64], last=[0, U32])
+def test_seed_keys_match_seed_sequence(seed, path, last):
+    k0, k1 = _seed_keys(seed, tuple(path), np.array(last))
+    for i, t in enumerate(last):
+        ss = np.random.SeedSequence(seed, spawn_key=(*path, t))
+        assert [k0[i], k1[i]] == ss.generate_state(2, np.uint64).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.lists(
+        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        min_size=1, max_size=3,
+    ),
+    count=st.integers(min_value=0, max_value=41),
+)
+@example(keys=[(0, 0)], count=1)
+@example(keys=[(2**64 - 1, 2**64 - 1), (5, 7)], count=7)
+@example(keys=[(123, 456)], count=18)
+def test_philox_words_match_numpy_philox(keys, count):
+    k0, k1 = (np.array(k, dtype=np.uint64) for k in zip(*keys))
+    words = _philox_words(k0, k1, count)
+    assert words.shape == (len(keys), count)
+    for row, key in zip(words, keys):
+        want = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(count)
+        assert np.array_equal(row, want)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**70),
+    path=st.lists(st.integers(min_value=0, max_value=2**40), max_size=2),
+    start=st.integers(min_value=0, max_value=U32 - 20),
+    count=st.integers(min_value=0, max_value=5),
+    step=st.integers(min_value=1, max_value=4),
+    dim=st.integers(min_value=0, max_value=37),
+)
+@example(seed=0, path=[1], start=0, count=3, step=1, dim=1)
+@example(seed=1, path=[1], start=4, count=5, step=1, dim=4)
+@example(seed=9, path=[], start=U32 - 20, count=5, step=5, dim=5)
+@example(seed=2**64, path=[2, 0], start=7, count=2, step=3, dim=33)
+def test_substream_normals_match_per_stream_draws(seed, path, start, count, step, dim):
+    rng = Rng(seed, path)
+    trials = range(start, start + count * step, step)
+    got = rng.substream_normals(trials, dim)
+    assert got.shape == (count, dim)
+    for row, t in zip(got, trials):
+        assert _same_bits(row, rng.substream(t).complex_normal(dim))
+
+
+def test_substream_normals_span_several_passes():
+    # 6000 words a trial: ten trials fill a pass, so 14 trials take two.
+    rng = Rng(4).substream(1)
+    trials = range(3, 45, 3)
+    got = rng.substream_normals(trials, 3000)
+    for row, t in zip(got, trials):
+        assert _same_bits(row, rng.substream(t).complex_normal(3000))
+
+
+def test_substream_normals_reject_indices_outside_32_bits():
+    rng = Rng(0)
+    assert rng.substream_normals(range(U32, U32 + 1), 2).shape == (1, 2)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        rng.substream_normals(range(U32, U32 + 2), 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        rng.substream_normals(range(-1, 2), 2)
 
 
 def test_hermitian_eig_diagonal():
