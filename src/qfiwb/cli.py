@@ -2,12 +2,11 @@
 
 Every experiment is a named driver over the library modules.  A run is
 pinned by (experiment, config, seed): trial t always draws from the seed's
-stream (1, t), so re-runs give byte-identical CSV bodies whether trials are
-executed serially or across a thread pool. The thread pool serves the
-per-trial drivers (concentration, prop4-audit, prop5-audit, thm11-check).
-The four state-sampling experiments (lemma1-montecarlo, lemma3-montecarlo,
+stream (1, t), and trials run serially in trial order.  The four
+state-sampling experiments (lemma1-montecarlo, lemma3-montecarlo,
 result1-demo, result3-demo) draw each block of trial states in one
-vectorised pass, bit for bit the per-trial streams, and do not use it.
+vectorised pass, bit for bit the per-trial streams.  `--threads` and
+QFIWB_THREADS are accepted and validated but have no effect.
 
 Exit codes: 0 all asserted invariants held, 1 an invariant was violated,
 2 the invocation or config was invalid, 3 an internal error (an unexpected
@@ -21,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -184,21 +182,14 @@ def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
 _BLOCK_AMPLITUDES = 2**20
 
 
-def _trials(rng: Rng, trials: range, threads: int, draw: Callable[[int, Rng], object]) -> list:
-    """draw(t, stream) for every trial t, in trial order for any thread count.
+def _trials(rng: Rng, trials: range, draw: Callable[[int, Rng], object]) -> list:
+    """draw(t, stream) for every trial t, in trial order.
 
     Trial t always draws from the seed's stream (1, t), so its draw does not
-    depend on which thread runs it or on which other trials run.
+    depend on which other trials run.
     """
     streams = rng.substream(1)
-
-    def one(t: int):
-        return draw(t, streams.substream(t))
-
-    if threads <= 1:
-        return [one(t) for t in trials]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, trials))
+    return [draw(t, streams.substream(t)) for t in trials]
 
 
 def _state_qfis(
@@ -241,7 +232,7 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 
 # --- experiment drivers -------------------------------------------------------
 
-def run_ghz_baseline(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_ghz_baseline(cfg, rng: Rng) -> ExperimentResult:
     n_min, n_max = cfg["n_min"], cfg["n_max"]
     _require(3 <= n_min <= n_max, "need 3 <= n_min <= n_max (the shifted-basis formula starts at n=3)")
     lam0, lam1, tol = cfg["lam0"], cfg["lam1"], cfg["tol"]
@@ -303,7 +294,7 @@ def _montecarlo_result(
     )
 
 
-def run_lemma1_montecarlo(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_lemma1_montecarlo(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials = cfg["n"], cfg["d"], cfg["trials"]
     _require(n >= 1 and d >= 2 and trials >= 2, "need n >= 1, d >= 2, trials >= 2")
     family = cfg["family"]
@@ -320,7 +311,7 @@ def run_lemma1_montecarlo(cfg, rng: Rng, threads: int) -> ExperimentResult:
     return _montecarlo_result(cfg, family, values, closed)
 
 
-def run_lemma3_montecarlo(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_lemma3_montecarlo(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials = cfg["n"], cfg["d"], cfg["trials"]
     _require(n >= 1 and d >= 2 and trials >= 2, "need n >= 1, d >= 2, trials >= 2")
     levels = np.linspace(cfg["lam0"], cfg["lam1"], d)
@@ -331,7 +322,7 @@ def run_lemma3_montecarlo(cfg, rng: Rng, threads: int) -> ExperimentResult:
     return _montecarlo_result(cfg, "equal-row", values, closed)
 
 
-def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, eps = cfg["n"], cfg["d"], cfg["trials"], cfg["epsilon"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
     _require(eps > 0.0, "epsilon must be positive")
@@ -352,8 +343,10 @@ def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
     bound = levy_bound(surrogate, dim, eps)
 
     def draw(t: int, r: Rng) -> tuple:
-        v = r.complex_normal(dim)
-        w = np.abs(v) ** 2
+        # |z_k|^2 of the state complex_normal(dim) would draw: Box-Muller
+        # reads the first dim words as u1 and |z_k|^2 = r_k^2 / 2 =
+        # -log(1 - u1_k), so the angles (the next dim words) never matter.
+        w = -np.log(1.0 - r.random(dim))
         w = w / w.sum()
         m1 = float(w @ diag)
         m2 = float(w @ diag_sq)
@@ -361,7 +354,7 @@ def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
         dev = f - f_mean
         return (t, f, f_mean, dev, abs(dev) > eps, dev < -eps)
 
-    rows = _trials(rng, range(trials), threads, draw)
+    rows = _trials(rng, range(trials), draw)
     freq_two = sum(1 for r in rows if r[4]) / trials
     freq_one = sum(1 for r in rows if r[5]) / trials
     checks = []
@@ -387,7 +380,7 @@ def run_concentration(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_prop4_audit(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_prop4_audit(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
 
@@ -398,7 +391,7 @@ def run_prop4_audit(cfg, rng: Rng, threads: int) -> ExperimentResult:
         margin = reference - haar_mean
         return (t, n, d, haar_mean, reference, margin, margin >= -tol)
 
-    rows = _trials(rng, range(trials), threads, draw)
+    rows = _trials(rng, range(trials), draw)
     violations = sum(1 for r in rows if not r[6])
     return ExperimentResult(
         ("trial", "n", "d", "haar_mean", "separable_reference", "margin", "pass"),
@@ -408,19 +401,18 @@ def run_prop4_audit(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_prop5_audit(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_prop5_audit(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
-    basis = dicke_basis(n, d)
 
     def draw(t: int, r: Rng) -> tuple:
         h = sample_linear(n, d, r, cfg["low"], cfg["high"], basis="haar")
-        e_linear = expected_qfi_symmetric(h.dense(), n, d, basis)
+        e_linear = expected_qfi_symmetric(h, n, d)
         e_averaged = expected_qfi_symmetric_linear(h.symmetrized().site_operator(0), n)
         margin = e_linear - e_averaged
         return (t, n, d, e_linear, e_averaged, margin, margin >= -tol)
 
-    rows = _trials(rng, range(trials), threads, draw)
+    rows = _trials(rng, range(trials), draw)
     violations = sum(1 for r in rows if not r[6])
     return ExperimentResult(
         ("trial", "n", "d", "e_sym_linear", "e_sym_averaged", "margin", "pass"),
@@ -430,7 +422,7 @@ def run_prop5_audit(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_result1_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     n, d = cfg["n"], cfg["d"]
     n_h, n_s = cfg["hamiltonians"], cfg["states"]
     c, eps, a_lo, a_hi = cfg["c"], cfg["eps"], cfg["A"], cfg["B"]
@@ -474,7 +466,7 @@ def run_result1_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_result3_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
     n, d = cfg["n"], cfg["d"]
     n_h, n_s = cfg["hamiltonians"], cfg["states"]
     c, eps, a_lo, a_hi = cfg["c"], cfg["eps"], cfg["A"], cfg["B"]
@@ -515,7 +507,7 @@ def run_result3_demo(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_thm11_check(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_thm11_check(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
     dim = d**n
@@ -527,7 +519,7 @@ def run_thm11_check(cfg, rng: Rng, threads: int) -> ExperimentResult:
         dev = abs(res.check - res.target)
         return (t, n, d, res.target, res.check, dev, res.degenerate, dev <= tol)
 
-    rows = _trials(rng, range(trials), threads, draw)
+    rows = _trials(rng, range(trials), draw)
     violations = sum(1 for r in rows if not r[7])
     return ExperimentResult(
         ("trial", "n", "d", "target", "achieved", "abs_dev", "degenerate", "pass"),
@@ -570,7 +562,7 @@ def _run_result2(cfg, rng: Rng) -> tuple[Result2Report, str]:
     return report, cfg["state"]
 
 
-def run_gme_scan(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_gme_scan(cfg, rng: Rng) -> ExperimentResult:
     report, _ = _run_result2(cfg, rng)
     row = (
         rng.seed, report.n, report.c, report.gme_estimate.value, report.threshold,
@@ -589,7 +581,7 @@ def run_gme_scan(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_result2_verify(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_result2_verify(cfg, rng: Rng) -> ExperimentResult:
     report, state_name = _run_result2(cfg, rng)
     implication = "none" if report.implication_holds is None else (
         "true" if report.implication_holds else "false"
@@ -610,7 +602,7 @@ def run_result2_verify(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_table_census(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_table_census(cfg, rng: Rng) -> ExperimentResult:
     n, k = cfg["n"], cfg["k"]
     _require(n >= 2 and k >= 2, "need n >= 2 and k >= 2")
     rows = []
@@ -644,7 +636,7 @@ def run_table_census(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_scaling_report(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_scaling_report(cfg, rng: Rng) -> ExperimentResult:
     shapes = [s.strip() for s in cfg["shapes"].split(",") if s.strip()]
     for s in shapes:
         _require(s in GRAPH_SHAPES, f"unknown shape {s!r}; options: {GRAPH_SHAPES}")
@@ -671,7 +663,7 @@ def run_scaling_report(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_net_audit(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_net_audit(cfg, rng: Rng) -> ExperimentResult:
     audit = cfg["audit"]
     n, d, trials, eps = cfg["n"], cfg["d"], cfg["trials"], cfg["eps"]
     _require(audit in ("cover", "prop8", "prop9"),
@@ -710,7 +702,7 @@ def run_net_audit(cfg, rng: Rng, threads: int) -> ExperimentResult:
     )
 
 
-def run_bound_sweep(cfg, rng: Rng, threads: int) -> ExperimentResult:
+def run_bound_sweep(cfg, rng: Rng) -> ExperimentResult:
     which = cfg["which"]
     _require(which in ("thm7", "thm9"), f"which must be thm7 or thm9, got {which!r}")
     n_min, n_max, step = cfg["n_min"], cfg["n_max"], cfg["n_step"]
@@ -842,20 +834,20 @@ EXPERIMENTS: dict[str, tuple[dict[str, tuple[str, object]], Callable]] = {
 
 # --- entry point ---------------------------------------------------------------
 
-def _resolve_threads(arg: int | None) -> int:
+def _check_threads(arg: int | None) -> None:
+    """Validate --threads, or QFIWB_THREADS when the flag is absent; no effect."""
     if arg is not None:
         value = arg
     else:
         env = os.environ.get(THREADS_ENV, "").strip()
         if not env:
-            return 1
+            return
         try:
             value = int(env)
         except ValueError:
             raise ConfigError(f"{THREADS_ENV}={env!r} is not an integer")
     if value < 1:
         raise ConfigError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _internal_error(exc: Exception) -> int:
@@ -874,7 +866,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory (default: cwd)")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default: ${THREADS_ENV} or 1)")
+                        help=f"accepted and validated (>= 1; default: ${THREADS_ENV}) "
+                             "but without effect: trials run serially")
     args = parser.parse_args(argv)
 
     try:
@@ -889,7 +882,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(args.experiment, fields, parse_config_text(text))
         if args.seed is not None:
             cfg["seed"] = args.seed
-        threads = _resolve_threads(args.threads)
+        _check_threads(args.threads)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -900,7 +893,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        result = runner(cfg, Rng(cfg["seed"]), threads)
+        result = runner(cfg, Rng(cfg["seed"]))
     except (ConfigError, ValueError) as exc:
         # Library code raises ValueError only for arguments outside a
         # documented domain, so it maps to the config exit, not a crash.

@@ -145,17 +145,6 @@ def gme(
     return GmeEstimate(value, tuple(best_alphas), overlap_sq, restarts, best_conv)
 
 
-def gme_exact_two_sites(state: PureState) -> GmeEstimate:
-    """Exact two-site value: the largest squared Schmidt coefficient."""
-    if state.n != 2:
-        raise ValueError("the exact route applies to two sites only")
-    m = state.amplitudes.reshape(state.d, state.d)
-    u, s, vh = np.linalg.svd(m)
-    overlap_sq = float(s[0]) ** 2
-    witness = (u[:, 0].copy(), vh[0, :].conj().copy())
-    return GmeEstimate(-math.log2(overlap_sq), witness, overlap_sq, 1, True)
-
-
 # --- certified grid bracket ----------------------------------------------------
 
 def _phase_fixed_grid(delta: float) -> np.ndarray:

@@ -178,7 +178,7 @@ class Rng:
 
     Built on Philox, so every (seed, path) pair is an independent stream and
     trial i can always draw from substream(i) regardless of execution order.
-    That property is what makes threaded experiments byte-reproducible.
+    That property is what makes every experiment byte-reproducible.
 
     Complex and real Gaussians are produced by an explicit Box-Muller
     transform on Philox uniforms (with u1 = 1 - u to avoid log(0)) rather

@@ -50,7 +50,8 @@ def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
     a = np.asarray(amplitudes, dtype=np.complex128)
     if a.ndim != 2 or a.shape[1] != hm.shape[0]:
         raise ValueError(f"dimension mismatch: state rows {a.shape}, operator {hm.shape[0]}")
-    if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > NORM_ATOL):
+    # `not <=` so that a NaN norm is rejected too
+    if not np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= NORM_ATOL):
         raise ValueError(f"a state row's norm deviates from 1 by more than {NORM_ATOL}")
     y = a @ hm.T
     second = np.sum(np.abs(y) ** 2, axis=1)
@@ -70,32 +71,48 @@ def qfi(state: PureState, h) -> float:
 
 # --- ensemble expectations ---------------------------------------------------
 
-def expected_qfi_haar(h) -> float:
-    """Haar mean of the QFI over the full space, exact for any Hermitian H."""
-    hm = _dense(h)
-    dim = hm.shape[0]
-    tr1 = float(np.real(np.trace(hm)))
-    tr2 = float(np.vdot(hm, hm).real)  # Tr H^2 = sum |h_ij|^2 for Hermitian H
+def _sphere_mean(tr1: float, tr2: float, dim: int) -> float:
+    """Mean QFI over the unit sphere of a dim-dimensional space, from Tr H, Tr H^2."""
     return 4.0 * (tr2 / (dim + 1) - tr1 * tr1 / (dim * (dim + 1)))
 
 
-def expected_qfi_symmetric(h, n: int, d: int, basis: DickeBasis | None = None) -> float:
-    """Symmetric-subspace mean of the QFI via Dicke-frame compression.
+def expected_qfi_haar(h) -> float:
+    """Haar mean of the QFI over the full space, exact for any Hermitian H."""
+    hm = _dense(h)
+    tr1 = float(np.real(np.trace(hm)))
+    tr2 = float(np.vdot(hm, hm).real)  # Tr H^2 = sum |h_ij|^2 for Hermitian H
+    return _sphere_mean(tr1, tr2, hm.shape[0])
 
-    Uses the compressed blocks M1 = D* H D and M2 = D* H^2 D, whose traces
-    equal Tr[P H P] and Tr[P H^2 P].
+
+def expected_qfi_symmetric(h, n: int, d: int, basis: DickeBasis | None = None) -> float:
+    """Symmetric-subspace mean of the QFI from Tr[P H P] and Tr[P H^2 P].
+
+    A LinearHamiltonian on (n, d) sites takes both traces in closed form
+    from its level table. P commutes with the shared basis rotation, and
+    every Dicke state has the same one- and two-site marginals, so the
+    traces are C times moments of a uniform composition m of n into d
+    parts: E m_a = n/d, E m_a m_b = n(n-1)/(d(d+1)) for a != b and
+    E m_a^2 = n(2n+d-1)/(d(d+1)), which collapse the pair sum onto the
+    table's row and column sums. Any other H goes through the Dicke frame
+    D, whose compressed blocks D* H D and D* H^2 D have those traces.
     """
+    if isinstance(h, LinearHamiltonian) and (h.n, h.d) == (n, d):
+        lam = h.table
+        total, sq = float(lam.sum()), float((lam**2).sum())
+        rows, cols = lam.sum(axis=1), lam.sum(axis=0)
+        pairs = total**2 - float(rows @ rows) + float(cols @ cols) - sq
+        c = dim_symmetric(n, d)
+        return _sphere_mean(c * total / d, c * (sq / d + pairs / (d * (d + 1))), c)
     hm = _dense(h)
     if hm.shape[0] != check_power_dim(d, n):
         raise ValueError("operator dimension does not match (n, d)")
     if basis is None:
         basis = dicke_basis(n, d)
     dm = basis.matrix
-    c = basis.size
     hd = hm @ dm
     tr1 = float(np.real(np.einsum("ic,ic->", dm.conj(), hd)))
     tr2 = float(np.real(np.einsum("ic,ic->", hd.conj(), hd)))
-    return 4.0 * (tr2 / (c + 1) - tr1 * tr1 / (c * (c + 1)))
+    return _sphere_mean(tr1, tr2, basis.size)
 
 
 def site_variance_term(site: SingleSiteOperator) -> float:

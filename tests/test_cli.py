@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -119,8 +120,7 @@ def test_map_trials_preserves_order():
         return (t, t * t, r.seed, r.path)
 
     expected = [(t, t * t, 5, (1, t)) for t in range(20)]
-    assert _trials(Rng(5), range(20), 1, draw) == expected
-    assert _trials(Rng(5), range(20), 4, draw) == expected
+    assert _trials(Rng(5), range(20), draw) == expected
 
 
 def test_state_qfis_blocks_match_rowwise_qfi(monkeypatch):
@@ -239,7 +239,7 @@ def test_main_large_hamiltonian_scale_is_not_a_config_error(tmp_path: Path):
 
 
 def test_main_internal_error_exit(tmp_path: Path, capsys, monkeypatch):
-    def crash(cfg, rng, threads):
+    def crash(cfg, rng):
         raise ArithmeticError("boom")
 
     fields, _ = EXPERIMENTS["ghz-baseline"]
@@ -348,6 +348,14 @@ def test_main_net_audit_header_quirk(tmp_path: Path):
     lines = (tmp_path / "net-audit.csv").read_text().splitlines()
     assert lines[0] == "trial,distance_to_net,eps,pass"
     assert len(lines) == 21
+
+
+def test_readme_experiment_table_matches_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Experiments", 1)[1].split("\n\n")[1]
+    names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+    assert len(names) == len(set(names))
+    assert set(names) == set(EXPERIMENTS)
 
 
 def test_registry_fields_are_well_formed():

@@ -9,7 +9,6 @@ from qfiwb.gme import (
     amplitude_cap,
     cap_state,
     gme,
-    gme_exact_two_sites,
     gme_grid_oracle,
     gme_threshold,
     gme_threshold_cap_form,
@@ -58,8 +57,7 @@ def test_gme_two_sites_matches_schmidt():
     for seed in range(10):
         psi = sample_haar(2, 2, Rng(seed))
         exact = oracles.schmidt_max_overlap(psi.amplitudes, 2)
-        est = gme_exact_two_sites(psi)
-        assert est.overlap_sq == pytest.approx(exact, abs=1e-12)
+        assert gme_grid_oracle(psi).best_overlap_sq == pytest.approx(exact, abs=1e-12)
         als = gme(psi, rng=Rng(seed))
         assert als.overlap_sq == pytest.approx(exact, abs=1e-8)
 

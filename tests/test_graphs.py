@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from formats import commented
 from qfiwb.graphs import (
     GAP_RATIO,
     InteractionGraph,
@@ -11,6 +12,8 @@ from qfiwb.graphs import (
     chain_graph,
     complete_graph,
     degree_vector,
+    graph_from_text,
+    graph_to_text,
     preset_census,
     preset_graph,
     product_qfi_at,
@@ -222,6 +225,14 @@ def test_graph_file_roundtrip(tmp_path):
     path = tmp_path / "g.txt"
     write_graph(path, g)
     back = read_graph(path)
+    assert back.n == g.n and back.edges == g.edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(2, 3), data=st.data())
+def test_graph_text_roundtrip_through_comments_and_blank_lines(seed, k, data):
+    g = sample_graph(6, 5, Rng(seed), k)
+    back = graph_from_text(data.draw(commented(graph_to_text(g))))
     assert back.n == g.n and back.edges == g.edges
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from formats import commented
 from qfiwb.hamiltonians import (
     GraphHamiltonian,
     LinearHamiltonian,
@@ -190,6 +191,21 @@ def test_graph_spec_file_roundtrip(tmp_path):
     back = read_spec(str(path))
     assert isinstance(back, GraphHamiltonian)
     assert np.allclose(back.dense(), g.dense())
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["linear", "product", "graph"]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_spec_text_roundtrip_through_comments_and_blank_lines(family, seed, data):
+    r = Rng(seed)
+    if family == "linear":
+        h = sample_linear(3, 2, r, basis="haar")
+    elif family == "product":
+        h = sample_product_diagonal(2, 3, r)
+    else:
+        h = GraphHamiltonian.shared(n=4, hyperedges=[(1, 2), (2, 3), (3, 4)], levels=(0.0, 1.0))
+    text = to_spec_text(h)
+    assert to_spec_text(from_spec_text(data.draw(commented(text)))) == text
 
 
 def test_from_spec_text_rejects_garbage():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from qfiwb.hamiltonians import (
@@ -12,7 +12,7 @@ from qfiwb.hamiltonians import (
     sample_linear,
     sample_product_diagonal,
 )
-from qfiwb.numerics import Rng, haar_unitary, random_hermitian, spectral_spread
+from qfiwb.numerics import Rng, haar_unitary, random_hermitian, spectral_norm, spectral_spread
 from qfiwb.qfi import (
     expected_qfi_haar,
     expected_qfi_haar_linear,
@@ -86,6 +86,11 @@ def test_qfi_batch_edges():
     rows[1] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match="norm"):
         qfi_batch(h, rows)
+
+
+def test_qfi_batch_rejects_nan_rows():
+    with pytest.raises(ValueError, match="norm"):
+        qfi_batch(np.diag([0.0, 1.0]), np.full((1, 2), np.nan + 0j))
 
 
 def test_qfi_batch_matches_loop():
@@ -190,6 +195,32 @@ def test_symmetric_mean_matches_monte_carlo_for_equal_rows():
     vals = [qfi(sample_symmetric(n, 2, r.substream(t)), h) for t in range(4000)]
     mean, se = oracles.mc_mean(vals)
     assert abs(mean - closed) < 4 * se
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    d=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.floats(-50.0, 50.0),
+    width=st.floats(0.0, 20.0),
+    equal_rows=st.booleans(),
+)
+def test_symmetric_mean_linear_closed_form_matches_dicke_route(n, d, seed, low, width, equal_rows):
+    # The dense Dicke route needs d^n x d^n operators; (n, d) = (6, 4) would
+    # take about 1 GB, so the dense side stops at dimension 1024.
+    assume(d**n <= 1024)
+    h = sample_linear(n, d, Rng(seed), low, low + width)
+    if equal_rows:
+        h = LinearHamiltonian.from_site(n, h.site_operator(0))
+    hm = h.dense()
+    tol = 1e-12 * max(1.0, spectral_norm(hm) ** 2)
+    closed = expected_qfi_symmetric(h, n, d)
+    assert abs(closed - expected_qfi_symmetric(hm, n, d)) <= tol
+    if equal_rows:
+        assert abs(closed - expected_qfi_symmetric_linear(h.site_operator(0), n)) <= tol
+    with pytest.raises(ValueError, match="does not match"):
+        expected_qfi_symmetric(h, n + 1, d)
 
 
 def test_symmetric_linear_two_routes_agree():

@@ -1,10 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from formats import commented
 from qfiwb.numerics import Rng
 from qfiwb.states import (
     MAX_PROJECTOR_SITES,
@@ -162,6 +165,20 @@ def test_sample_symmetric_prebuilt_basis_matches():
     a = sample_symmetric(3, 2, Rng(6), b)
     c = sample_symmetric(3, 2, Rng(6))
     assert np.allclose(a.amplitudes, c.amplitudes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_state_file_roundtrip_through_comments_and_blank_lines(seed, data):
+    st_ = sample_haar(2, 3, Rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "state.txt")
+        write_state(st_, path)
+        text = Path(path).read_text(encoding="utf-8")
+        Path(path).write_text(data.draw(commented(text)), encoding="utf-8")
+        back = read_state(path)
+    assert (back.n, back.d) == (st_.n, st_.d)
+    assert np.array_equal(back.amplitudes, st_.amplitudes)
 
 
 def test_state_file_roundtrip(tmp_path):
