@@ -52,7 +52,7 @@ from .nets import (
     sample_linear_banded,
     theorem_bound,
 )
-from .numerics import Rng, basis_digits, random_hermitian
+from .numerics import Rng, random_hermitian
 from .qfi import (
     expected_qfi_haar,
     expected_qfi_symmetric,
@@ -192,22 +192,22 @@ def _trials(rng: Rng, trials: range, draw: Callable[[int, Rng], object]) -> list
     return [draw(t, streams.substream(t)) for t in trials]
 
 
-def _state_qfis(
-    rng: Rng, trials: range, hms: list[np.ndarray], basis: DickeBasis | None = None
-) -> np.ndarray:
-    """QFI of each trial's random state under every operator in `hms`.
+def _state_qfis(rng: Rng, trials: range, hs: list, basis: DickeBasis | None = None) -> np.ndarray:
+    """QFI of each trial's random state under every operator in `hs`.
 
-    Trial t's state is the normalised complex Gaussian of the seed's stream
-    (1, t): the state sample_haar draws, or with `basis` the state
-    sample_symmetric draws in that Dicke frame. Blocks of at most
-    _BLOCK_AMPLITUDES amplitudes are drawn in one vectorised pass, and each
-    block is one qfi_batch call per operator, so an operator is validated
-    once per block. Returns shape (len(hms), len(trials)).
+    The operators are typed Hamiltonians, evaluated in their product
+    eigenframes, or bare arrays. Trial t's state is the normalised complex
+    Gaussian of the seed's stream (1, t): the state sample_haar draws, or
+    with `basis` the state sample_symmetric draws in that Dicke frame.
+    Blocks of at most _BLOCK_AMPLITUDES amplitudes are drawn in one
+    vectorised pass, and each block is one qfi_batch call per operator.
+    Returns shape (len(hs), len(trials)).
     """
     streams = rng.substream(1)
-    dim = hms[0].shape[0]
+    first = hs[0]
+    dim = first.shape[0] if isinstance(first, np.ndarray) else first.d**first.n
     step = max(1, _BLOCK_AMPLITUDES // dim)
-    out = np.empty((len(hms), len(trials)))
+    out = np.empty((len(hs), len(trials)))
     for start in range(0, len(trials), step):
         block = trials[start:start + step]
         if basis is None:
@@ -216,8 +216,8 @@ def _state_qfis(
             # each frame row has one nonzero entry, so the lift is exact
             amplitudes = streams.substream_normals(block, basis.size) @ basis.matrix.T
         amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
-        for k, hm in enumerate(hms):
-            out[k, start:start + len(block)] = qfi_batch(hm, amplitudes)
+        for k, h in enumerate(hs):
+            out[k, start:start + len(block)] = qfi_batch(h, amplitudes)
     return out
 
 
@@ -305,9 +305,8 @@ def run_lemma1_montecarlo(cfg, rng: Rng) -> ExperimentResult:
         h = sample_product_diagonal(n, d, h_rng, cfg["low"], cfg["high"])
     else:
         raise ConfigError(f"family must be linear or product, got {family!r}")
-    hm = h.dense()
-    closed = expected_qfi_haar(hm)
-    values = _state_qfis(rng, range(trials), [hm])[0]
+    closed = expected_qfi_haar(h)
+    values = _state_qfis(rng, range(trials), [h])[0]
     return _montecarlo_result(cfg, family, values, closed)
 
 
@@ -316,9 +315,9 @@ def run_lemma3_montecarlo(cfg, rng: Rng) -> ExperimentResult:
     _require(n >= 1 and d >= 2 and trials >= 2, "need n >= 1, d >= 2, trials >= 2")
     levels = np.linspace(cfg["lam0"], cfg["lam1"], d)
     site = SingleSiteOperator.computational(tuple(levels))
-    hm = LinearHamiltonian.from_site(n, site).dense()
+    h = LinearHamiltonian.from_site(n, site)
     closed = expected_qfi_symmetric_linear(site, n)
-    values = _state_qfis(rng, range(trials), [hm], dicke_basis(n, d))[0]
+    values = _state_qfis(rng, range(trials), [h], dicke_basis(n, d))[0]
     return _montecarlo_result(cfg, "equal-row", values, closed)
 
 
@@ -327,20 +326,14 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
     _require(eps > 0.0, "epsilon must be positive")
     levels = np.linspace(cfg["lam0"], cfg["lam1"], d)
-    # The equal-row Hamiltonian is diagonal here, so work with its diagonal
-    # only; a dense matrix at the dimensions this experiment needs for a
-    # non-vacuous tail (d^n ~ 4096) would be hundreds of megabytes.
-    diag = levels[basis_digits(n, d)].sum(axis=1)
+    # The equal-row Hamiltonian is computational, so its eigenframe diagonal
+    # is its spectrum and each trial needs only |z_k|^2.
+    h = LinearHamiltonian.from_site(n, SingleSiteOperator.computational(tuple(levels)))
+    diag = h.diagonal()
     dim = diag.size
-    tr1 = float(diag.sum())
     diag_sq = diag**2
-    tr2 = float(diag_sq.sum())
-    f_mean = tr2 / (dim + 1) - tr1**2 / (dim * (dim + 1))
-    # Tiny surrogate with the same |H| and |H^2| (for diagonal H both are set
-    # by max|diag|); the tail bound depends on H only through those two norms.
-    hnorm = float(np.max(np.abs(diag)))
-    surrogate = np.diag([hnorm, -hnorm])
-    bound = levy_bound(surrogate, dim, eps)
+    f_mean = expected_qfi_haar(h) / 4.0
+    bound = levy_bound(h, dim, eps)
 
     def draw(t: int, r: Rng) -> tuple:
         # |z_k|^2 of the state complex_normal(dim) would draw: Box-Muller
@@ -429,7 +422,6 @@ def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     _require(n >= 1 and d >= 2 and n_h >= 1 and n_s >= 1, "counts must be positive")
     h_rng = rng.substream(0)
     hams = [sample_linear_banded(n, d, h_rng.substream(i), a_lo, a_hi) for i in range(n_h)]
-    dense = [h.dense() for h in hams]
     sym_means = [
         expected_qfi_symmetric_linear(h.symmetrized().site_operator(0), n) for h in hams
     ]
@@ -437,7 +429,7 @@ def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     rows = []
     for i in range(n_h):
         trials = range(i * n_s, (i + 1) * n_s)
-        values = _state_qfis(rng, trials, [dense[i]], basis)[0].tolist()
+        values = _state_qfis(rng, trials, [hams[i]], basis)[0].tolist()
         threshold = sym_means[i] - c
         rows += [
             (t, i, j, value, sym_means[i], threshold, value < threshold)
@@ -479,9 +471,8 @@ def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
         h = sample_product_diagonal(n, d, r, a_lo, a_hi)
         signs = np.where(r.random(h.coeffs.size) < 0.5, -1.0, 1.0)
         hams.append(ProductDiagonalHamiltonian(h.coeffs * signs, h.site_bases))
-    dense = [h.dense() for h in hams]
     refs = np.array([optimal_separable_reference(h) for h in hams])
-    qfis = _state_qfis(rng, range(n_s), dense)
+    qfis = _state_qfis(rng, range(n_s), hams)
     gaps = (qfis - refs[:, None]).max(axis=0).tolist()
     rows = [(t, gap, c, gap > c) for t, gap in enumerate(gaps)]
     exceed = sum(1 for r in rows if r[3])

@@ -1,5 +1,9 @@
 """Hamiltonian families: linear, product-diagonal, and k-body graph forms.
 
+Every family has product eigenvectors: H = W diag(D) W^dag with
+W = B_1 (x) ... (x) B_n. `site_bases` holds the B_s and `diagonal()` the
+real D in kron order, so spectra, traces and QFIs need no dense matrix.
+
 Site labels in hyperedges and file formats are 1-based (site 1 is the
 leftmost tensor factor, i.e. the most significant digit of a basis index).
 Level/basis-column indices are 0-based. All arrays are immutable by
@@ -20,7 +24,6 @@ from .numerics import (
     as_complex,
     basis_digits,
     check_power_dim,
-    ensure_hermitian,
     kron_all,
 )
 
@@ -163,6 +166,14 @@ class LinearHamiltonian:
         """Equal-row Hamiltonian with the same operator at every site."""
         return cls(np.tile(np.asarray(site.levels), (n, 1)), np.array(site.basis))
 
+    @property
+    def site_bases(self) -> tuple[np.ndarray, ...]:
+        return (self.basis,) * self.n
+
+    def diagonal(self) -> np.ndarray:
+        """D[sigma] = sum_i table[i, sigma_i], the spectrum in kron order."""
+        return self.table[np.arange(self.n), basis_digits(self.n, self.d)].sum(axis=1)
+
     def dense(self) -> np.ndarray:
         dim = check_power_dim(self.d, self.n)
         out = np.zeros((dim, dim), dtype=np.complex128)
@@ -236,20 +247,13 @@ class ProductDiagonalHamiltonian:
         eye = np.eye(d, dtype=np.complex128)
         return cls(np.asarray(coeffs, dtype=float), tuple(eye for _ in range(n)))
 
-    def frame(self) -> np.ndarray:
-        """The product-basis unitary W = B_1 (x) ... (x) B_n."""
-        return kron_all(self.site_bases)
+    def diagonal(self) -> np.ndarray:
+        """The coeffs: the spectrum in kron order."""
+        return self.coeffs
 
     def dense(self) -> np.ndarray:
-        w = self.frame()
+        w = kron_all(self.site_bases)  # the product-basis unitary W
         return (w * self.coeffs) @ w.conj().T
-
-
-def linear_to_product_diagonal(h: LinearHamiltonian) -> ProductDiagonalHamiltonian:
-    """Re-express a linear Hamiltonian as a product-diagonal one (exact)."""
-    digits = basis_digits(h.n, h.d)
-    coeffs = h.table[np.arange(h.n)[None, :], digits].sum(axis=1)
-    return ProductDiagonalHamiltonian(coeffs, tuple(np.array(h.basis) for _ in range(h.n)))
 
 
 def _normalize_hyperedges(hyperedges: Iterable[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -347,6 +351,10 @@ class GraphHamiltonian:
         op = SingleSiteOperator(tuple(levels), np.array(basis))
         return cls(n, tuple(hyperedges), tuple(op for _ in range(n)), positive_levels)
 
+    @property
+    def site_bases(self) -> tuple[np.ndarray, ...]:
+        return tuple(op.basis for op in self.site_ops)
+
     def dense(self) -> np.ndarray:
         dim = check_power_dim(2, self.n)
         out = np.zeros((dim, dim), dtype=np.complex128)
@@ -359,13 +367,12 @@ class GraphHamiltonian:
         return out
 
     def diagonal(self) -> np.ndarray:
-        """Spectrum-carrying diagonal for all-computational site bases.
+        """D[sigma] = sum over hyperedges of prod_{s in edge} levels_s[sigma_s].
 
-        Entry sigma is sum over hyperedges of prod_{s in edge} levels_s[sigma_s];
-        with computational bases the dense matrix is exactly diag of this.
+        Each site carries one operator in every edge and I = B_s B_s^dag, so
+        H = W diag(D) W^dag for any site bases; with computational bases the
+        dense matrix is exactly diag(D).
         """
-        if not self.is_computational:
-            raise ValueError("diagonal() requires computational site bases")
         digits = basis_digits(self.n, 2)
         levels = np.array([op.levels for op in self.site_ops])
         out = np.zeros(digits.shape[0])

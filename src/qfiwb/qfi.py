@@ -5,6 +5,13 @@ expectations come in two flavors: the full-space Haar mean and the
 symmetric-subspace mean, the latter evaluated through the Dicke frame in the
 form 4 (Tr[P H^2 P]/(C + 1) - Tr[P H P]^2 / (C (C + 1))) with P the symmetric
 projector and C the subspace dimension.
+
+A typed Hamiltonian (linear, product-diagonal or graph) is Hermitian by
+construction and is evaluated in its product eigenframe H = W diag(D) W^dag:
+the QFI is 4 Var of D under p = |W^dag psi|^2, with psi rotated one site at a
+time, and the Haar mean and operator norm come from D alone. qfi_batch,
+expected_qfi_haar and lipschitz_constant never make a typed operator dense;
+only a bare array is checked for Hermiticity, once per call.
 """
 
 from __future__ import annotations
@@ -26,36 +33,70 @@ from .hamiltonians import (
     LinearHamiltonian,
     ProductDiagonalHamiltonian,
     SingleSiteOperator,
-    linear_to_product_diagonal,
 )
 from .states import NORM_ATOL, DickeBasis, PureState, dicke_basis, dim_symmetric, product_state
 
 QFI_CLIP_ATOL = 1e-9
 
+_TYPED = (LinearHamiltonian, ProductDiagonalHamiltonian, GraphHamiltonian)
+
 
 def _dense(h) -> np.ndarray:
     if isinstance(h, np.ndarray):
         return ensure_hermitian(h)
-    if hasattr(h, "dense"):
-        return ensure_hermitian(h.dense())
+    if isinstance(h, _TYPED):
+        return h.dense()  # Hermitian by construction
     raise TypeError(f"cannot interpret {type(h).__name__} as a Hamiltonian")
+
+
+def _eigenframe(h) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(site bases, real diagonal D) of a typed Hamiltonian: H = W diag(D) W^dag."""
+    if isinstance(h, _TYPED):
+        return h.site_bases, h.diagonal()
+    raise TypeError(f"{type(h).__name__} is not a typed Hamiltonian with a product eigenframe")
+
+
+def _frame_rows(a: np.ndarray, bases: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each row psi of `a` as W^dag psi, W = B_1 (x) ... (x) B_n, one site at a time.
+
+    Each step rotates the last site with one (rows d^(n-1), d) x (d, d)
+    product and cycles that site to the front, so after n steps the sites
+    are back in kron order.
+    """
+    rows, dim = a.shape
+    for b in reversed(bases):
+        d = b.shape[0]
+        a = (a.reshape(-1, d) @ b.conj()).reshape(rows, dim // d, d).transpose(0, 2, 1)
+    return a.reshape(rows, dim)
 
 
 def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
     """QFI of many states at once; rows of `amplitudes` are unit state vectors.
 
-    An empty (0, dim) batch gives an empty result.
+    A typed H is evaluated in its eigenframe as 4 (p.D^2 - (p.D)^2) with
+    p = |W^dag psi|^2; a bare array is checked for Hermiticity and applied
+    as a matrix. An empty (0, dim) batch gives an empty result.
     """
-    hm = _dense(h)
+    bare = isinstance(h, np.ndarray)
+    if bare:
+        hm = _dense(h)
+        dim = hm.shape[0]
+    else:
+        bases, diag = _eigenframe(h)
+        dim = diag.size
     a = np.asarray(amplitudes, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[1] != hm.shape[0]:
-        raise ValueError(f"dimension mismatch: state rows {a.shape}, operator {hm.shape[0]}")
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: state rows {a.shape}, operator {dim}")
     # `not <=` so that a NaN norm is rejected too
     if not np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= NORM_ATOL):
         raise ValueError(f"a state row's norm deviates from 1 by more than {NORM_ATOL}")
-    y = a @ hm.T
-    second = np.sum(np.abs(y) ** 2, axis=1)
-    mean = np.real(np.sum(np.conjugate(a) * y, axis=1))
+    if bare:
+        y = a @ hm.T
+        second = np.sum(np.abs(y) ** 2, axis=1)
+        mean = np.real(np.sum(np.conjugate(a) * y, axis=1))
+    else:
+        p = np.abs(_frame_rows(a, bases)) ** 2
+        second, mean = p @ diag**2, p @ diag
     raw = 4.0 * (second - mean**2)
     if np.any(raw < -QFI_CLIP_ATOL):
         raise ArithmeticError(
@@ -65,7 +106,7 @@ def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
 
 
 def qfi(state: PureState, h) -> float:
-    """QFI of one state: the one-row case of qfi_batch, validating H per call."""
+    """QFI of one state: the one-row case of qfi_batch."""
     return float(qfi_batch(h, state.amplitudes[None, :])[0])
 
 
@@ -78,6 +119,9 @@ def _sphere_mean(tr1: float, tr2: float, dim: int) -> float:
 
 def expected_qfi_haar(h) -> float:
     """Haar mean of the QFI over the full space, exact for any Hermitian H."""
+    if not isinstance(h, np.ndarray):
+        _, diag = _eigenframe(h)
+        return _sphere_mean(float(diag.sum()), float((diag**2).sum()), diag.size)
     hm = _dense(h)
     tr1 = float(np.real(np.trace(hm)))
     tr2 = float(np.vdot(hm, hm).real)  # Tr H^2 = sum |h_ij|^2 for Hermitian H
@@ -141,7 +185,10 @@ def expected_qfi_symmetric_linear(site: SingleSiteOperator, n: int) -> float:
 def lipschitz_constant(h) -> float:
     """2 ||H^2|| + 2 sqrt(2) ||H||^2, the Levy-function Lipschitz scale."""
     # For Hermitian H, ||H^2|| = ||H||^2, so one norm gives both terms.
-    norm = spectral_norm(_dense(h))
+    if isinstance(h, np.ndarray):
+        norm = spectral_norm(_dense(h))
+    else:
+        norm = float(np.max(np.abs(_eigenframe(h)[1])))
     return 2.0 * norm**2 + 2.0 * math.sqrt(2.0) * norm**2
 
 
@@ -256,31 +303,26 @@ def global_unitary_transport(state: PureState, h, degeneracy_atol: float = 1e-12
 
 # --- separable references ----------------------------------------------------
 
-def _as_product_diagonal(h) -> ProductDiagonalHamiltonian:
-    if isinstance(h, LinearHamiltonian):
-        return linear_to_product_diagonal(h)
-    if isinstance(h, ProductDiagonalHamiltonian):
-        return h
-    raise TypeError("this operation needs a product-diagonal (or linear) Hamiltonian")
-
-
 def uniform_superposition_product(h) -> PureState:
     """Product state with each site in the uniform superposition of its basis."""
-    pd = _as_product_diagonal(h)
-    uniform = np.ones(pd.d, dtype=np.complex128) / math.sqrt(pd.d)
-    return product_state([b @ uniform for b in pd.site_bases])
+    bases, _ = _eigenframe(h)
+    d = bases[0].shape[0]
+    uniform = np.ones(d, dtype=np.complex128) / math.sqrt(d)
+    return product_state([b @ uniform for b in bases])
 
 
 def optimal_separable_reference(h) -> float:
     """QFI of the uniform-superposition product state, by trace arithmetic.
 
-    Equals 4 (Tr[H^2]/d^n - Tr[H]^2/d^(2n)); for any product-diagonal H this
-    witnesses that the Haar expectation is attainable by a separable state.
+    The state is uniform in the eigenframe, so its QFI is 4 Var of D under
+    p = 1/d^n: 4 (Tr[H^2]/d^n - Tr[H]^2/d^(2n)). For any product-diagonal H
+    this witnesses that the Haar expectation is attainable by a separable
+    state.
     """
-    pd = _as_product_diagonal(h)
-    dim = pd.coeffs.shape[0]
-    tr1 = float(np.sum(pd.coeffs))
-    tr2 = float(np.sum(pd.coeffs**2))
+    _, diag = _eigenframe(h)
+    dim = diag.shape[0]
+    tr1 = float(np.sum(diag))
+    tr2 = float(np.sum(diag**2))
     return 4.0 * (tr2 / dim - (tr1 / dim) ** 2)
 
 

@@ -3,7 +3,7 @@
 import json
 import math
 import re
-import time
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -115,8 +115,6 @@ def test_write_csv(tmp_path: Path):
 
 def test_map_trials_preserves_order():
     def draw(t: int, r: Rng) -> tuple:
-        if t < 10:
-            time.sleep(0.002 * (10 - t))  # finish later trials first
         return (t, t * t, r.seed, r.path)
 
     expected = [(t, t * t, 5, (1, t)) for t in range(20)]
@@ -164,6 +162,25 @@ def test_state_qfis_symmetric_blocks_match_rowwise_sample_symmetric(monkeypatch)
 
 
 # --- end-to-end runs ----------------------------------------------------------
+
+@pytest.mark.parametrize("experiment, text", [
+    ("lemma1-montecarlo", "n = 3\ntrials = 50\nfamily = linear\n"),
+    ("lemma1-montecarlo", "n = 3\ntrials = 50\nfamily = product\n"),
+    ("lemma3-montecarlo", "n = 3\nd = 3\ntrials = 50\n"),
+    ("result1-demo", "n = 3\nhamiltonians = 3\nstates = 20\n"),
+    ("result3-demo", "n = 3\nhamiltonians = 3\nstates = 20\n"),
+])
+def test_state_sampling_drivers_build_no_dense_operator(tmp_path: Path, monkeypatch, experiment, text):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense operator was built or validated")
+
+    # Every Hamiltonian's dense() goes through kron_all; the package imports by name.
+    for module in ("qfiwb.numerics", "qfiwb.hamiltonians"):
+        monkeypatch.setattr(sys.modules[module], "kron_all", forbidden)
+    monkeypatch.setattr(sys.modules["qfiwb.qfi"], "ensure_hermitian", forbidden)
+    rc = main([experiment, "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PASS
+
 
 def test_main_ghz_baseline(tmp_path: Path, capsys):
     cfg = cfg_file(tmp_path, "n_min = 3\nn_max = 4\n")

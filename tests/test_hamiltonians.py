@@ -12,7 +12,6 @@ from qfiwb.hamiltonians import (
     ProductDiagonalHamiltonian,
     SingleSiteOperator,
     from_spec_text,
-    linear_to_product_diagonal,
     permutation_matrix,
     read_spec,
     sample_linear,
@@ -103,7 +102,7 @@ def test_product_diagonal_dense_matches_oracle():
 def test_linear_embeds_into_product_diagonal():
     rng = Rng(6)
     h = sample_linear(3, 2, rng, basis="haar")
-    pd = linear_to_product_diagonal(h)
+    pd = ProductDiagonalHamiltonian(h.diagonal(), h.site_bases)
     assert np.allclose(pd.dense(), h.dense(), atol=1e-12)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -102,6 +103,55 @@ def test_qfi_batch_matches_loop():
 
     singles = [qfi(s, h) for s in states]
     assert np.allclose(batch, singles, atol=1e-10)
+
+
+def _random_typed_hamiltonian(family: str, n: int, d: int, r: Rng):
+    """A typed Hamiltonian with random, non-computational site bases."""
+    if family == "linear":
+        return sample_linear(n, d, r, -3.0, 3.0, basis="haar")
+    if family == "product":
+        return sample_product_diagonal(n, d, r, -3.0, 3.0)
+    combos = [
+        e for k in range(2, n + 1) for e in itertools.combinations(range(1, n + 1), k)
+    ]
+    arity = len(combos[int(r.random() * len(combos))])
+    pool = [e for e in combos if len(e) == arity]
+    edges = [e for e, keep in zip(pool, r.random(len(pool)) < 0.5) if keep] or pool[:1]
+    ops = tuple(
+        SingleSiteOperator(tuple(r.uniform(-3.0, 3.0, 2)), haar_unitary(2, r.substream(i)))
+        for i in range(n)
+    )
+    return GraphHamiltonian(n, edges, ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["linear", "product", "graph"]),
+    n=st.integers(1, 6),
+    d=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigenframe_matches_dense_oracles(family, n, d, seed):
+    if family == "graph":
+        n, d = max(n, 2), 2
+    r = Rng(seed)
+    h = _random_typed_hamiltonian(family, n, d, r)
+    hm = h.dense()
+    w = np.linalg.eigvalsh(hm)
+    norm = float(np.max(np.abs(w)))
+    tol = 1e-12 * max(1.0, norm**2)
+    rows = np.stack([sample_haar(n, d, r.substream(100 + j)).amplitudes for j in range(3)])
+    want = [oracles.qfi_eigen(row, hm) for row in rows]
+    assert np.all(np.abs(qfi_batch(h, rows) - want) <= tol)
+    dim = d**n
+    haar = 4.0 * (np.sum(w**2) / (dim + 1) - np.sum(w) ** 2 / (dim * (dim + 1)))
+    assert abs(expected_qfi_haar(h) - haar) <= tol
+    assert abs(lipschitz_constant(h) - (2.0 + 2.0 * math.sqrt(2.0)) * norm**2) <= tol
+    # The uniform superposition of every site basis is uniform in the eigenframe.
+    uniform = 4.0 * (np.sum(w**2) / dim - (np.sum(w) / dim) ** 2)
+    assert abs(optimal_separable_reference(h) - uniform) <= tol
+    psi = uniform_superposition_product(h)
+    assert abs(oracles.qfi_eigen(psi.amplitudes, hm) - uniform) <= tol
 
 
 @settings(max_examples=40, deadline=None)
