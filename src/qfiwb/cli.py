@@ -47,7 +47,6 @@ from .hamiltonians import (
 from .nets import (
     BoundParams,
     build_linear_net,
-    net_cover_audit,
     property_audit,
     sample_linear_banded,
     theorem_bound,
@@ -657,35 +656,22 @@ def run_scaling_report(cfg, rng: Rng) -> ExperimentResult:
 def run_net_audit(cfg, rng: Rng) -> ExperimentResult:
     audit = cfg["audit"]
     n, d, trials, eps = cfg["n"], cfg["d"], cfg["trials"], cfg["eps"]
-    _require(audit in ("cover", "prop8", "prop9"),
-             f"audit must be cover, prop8, or prop9, got {audit!r}")
+    net_modes = {"cover": "prop7", "prop8": "result1", "prop9": "result3"}
+    _require(audit in net_modes, f"audit must be cover, prop8, or prop9, got {audit!r}")
     _require(d == 2, "constructive nets are qubit-only (d = 2)")
     _require(trials >= 1, "trials must be positive")
     params = BoundParams(
         n=n, d=d, s_coff=float(d * n), s_basis=1.0, A=cfg["A"], B=cfg["B"],
         a=1.0, norm_A0=0.0, c=1.0, eps=eps,
     )
-    draw = rng.substream(1)
-    if audit == "cover":
-        net = build_linear_net(params, "prop7", cfg["prop6_c"])
-        report = net_cover_audit(
-            lambda r: sample_linear_banded(n, d, r, cfg["A"], cfg["B"]),
-            net, eps, trials, draw,
-        )
-        rows = [(r.trial, r.distance, r.eps, r.passed) for r in report.rows]
-        worst = report.max_distance
-    else:
-        mode = "result1" if audit == "prop8" else "result3"
-        net = build_linear_net(params, mode, cfg["prop6_c"])
-        report = property_audit(net, eps, trials, audit, draw)
-        rows = [(r.trial, r.deviation, r.eps, r.passed) for r in report.rows]
-        worst = report.max_deviation
+    net = build_linear_net(params, net_modes[audit], cfg["prop6_c"])
+    report = property_audit(net, eps, trials, audit, rng.substream(1))
     return ExperimentResult(
         ("trial", "distance_to_net", "eps", "pass"),
-        rows,
+        [(r.trial, r.value, r.eps, r.passed) for r in report.rows],
         {
             "audit": audit,
-            "max_distance_to_net": worst,
+            "max_distance_to_net": report.max_value,
             "violations": report.violations,
             "counterexamples": list(report.counterexamples),
         },

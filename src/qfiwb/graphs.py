@@ -301,12 +301,9 @@ def qfi_witnesses(g: InteractionGraph, lam0: float, lam1: float) -> WitnessRepor
         raise ValueError(f"levels must satisfy 0 < lam0 < lam1, got ({lam0}, {lam1})")
     if g.k != 2:
         raise ValueError("witness evaluation covers 2-body graphs")
-    if g.n > 10:
-        raise ValueError("the dense cross-check path is limited to n <= 10")
-    h = to_hamiltonian(g, lam0, lam1)
-    diag = h.diagonal()
-    spread = float(np.max(diag) - np.min(diag))
-    max_all = spread**2
+    # With 0 < lam0 < lam1, the all-lam1 and all-lam0 level strings maximise
+    # and minimise every edge term lam_a * lam_b at once.
+    max_all = (g.s * (lam1**2 - lam0**2)) ** 2
     census = census_bruteforce(g)
     scan = max_qfi_symmetric_product(census.s, census.connected, lam0, lam1)
     all_count, prod_count = census.witness_counts

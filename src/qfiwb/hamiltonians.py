@@ -574,7 +574,7 @@ def _complex_col(tokens: list[str], d: int) -> np.ndarray:
 def from_spec_text(text: str):
     """Parse the flat key-value Hamiltonian format. Unknown keys are errors."""
     rows = _parse_lines(text)
-    if not rows or rows[0][0] != "family":
+    if not rows or rows[0][0] != "family" or not rows[0][1]:
         raise ValueError("first non-comment line must be 'family <name>'")
     family = rows[0][1][0]
     fields: dict[str, list[list[str]]] = {}
@@ -588,6 +588,8 @@ def from_spec_text(text: str):
             raise ValueError(f"missing required key {key!r}")
         if len(fields[key]) != 1:
             raise ValueError(f"key {key!r} given more than once")
+        if not fields[key][0]:
+            raise ValueError(f"key {key!r} needs a value")
         return fields[key][0]
 
     allowed = {
@@ -604,6 +606,8 @@ def from_spec_text(text: str):
     if family == "linear":
         n = int(one("n")[0])
         d = int(one("d")[0])
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
         basis_name = one("basis")[0]
         if basis_name == "explicit":
             basis = _explicit_basis(fields.get("basis_col", []), d)
@@ -644,6 +648,8 @@ def from_spec_text(text: str):
     else:
         got: dict[int, tuple[float, float]] = {}
         for row in fields.get("site_eigs", []):
+            if len(row) != 3:
+                raise ValueError("site_eigs lines must be 'site_eigs <site> <eig0> <eig1>'")
             i = int(row[0])
             got[i] = (float(row[1]), float(row[2]))
         if sorted(got) != list(range(1, n + 1)):
@@ -665,6 +671,8 @@ def from_spec_text(text: str):
 def _explicit_basis(rows: list[list[str]], d: int) -> np.ndarray:
     cols: dict[int, np.ndarray] = {}
     for row in rows:
+        if not row:
+            raise ValueError("basis_col lines must start with a column index")
         j = int(row[0])
         cols[j] = _complex_col(row[1:], d)
     if sorted(cols) != list(range(d)):
@@ -675,6 +683,8 @@ def _explicit_basis(rows: list[list[str]], d: int) -> np.ndarray:
 def _site_bases(rows: list[list[str]], n: int, d: int) -> tuple[np.ndarray, ...]:
     cols: dict[tuple[int, int], np.ndarray] = {}
     for row in rows:
+        if len(row) < 2:
+            raise ValueError("site_basis_col lines must start with a site and a column index")
         i, j = int(row[0]), int(row[1])
         cols[(i, j)] = _complex_col(row[2:], d)
     bases = []

@@ -34,7 +34,6 @@ from qfiwb.nets import (
     epsilon_choices,
     net_cover_audit,
     property_audit,
-    sample_linear_banded,
     theorem_bound,
 )
 from qfiwb.numerics import (
@@ -372,18 +371,15 @@ def test_criterion_9_net_audits():
     grid_ok = grid_radius <= eps_c + 1e-12
 
     net = build_linear_net(params(0.5), "prop7")
-    cover = net_cover_audit(
-        lambda r: sample_linear_banded(2, 2, r, 1.0, 2.0),
-        net, 0.5, 200, Rng(49_000),
-    )
-    cover_ok = cover.violations == 0 and cover.max_distance <= 0.5
+    cover = net_cover_audit(net, 0.5, 200, Rng(49_000))
+    cover_ok = cover.violations == 0 and cover.max_value <= 0.5
 
     worst_dev = {}
     dev_ok = True
     for which, mode in (("prop8", "result1"), ("prop9", "result3")):
         audit_net = build_linear_net(params(1.0), mode)
         rep = property_audit(audit_net, 1.0, 100, which, Rng(49_001))
-        worst_dev[which] = rep.max_deviation
+        worst_dev[which] = rep.max_value
         dev_ok = dev_ok and rep.violations == 0
 
     elapsed = time.monotonic() - t0
@@ -392,7 +388,7 @@ def test_criterion_9_net_audits():
         9,
         ok,
         f"grid radius {grid_radius:.4f} <= eps_c {eps_c:.4f}; cover audit "
-        f"200 trials max {cover.max_distance:.3f} <= 0.5, "
+        f"200 trials max {cover.max_value:.3f} <= 0.5, "
         f"{cover.violations} violations; deviation audits at eps=1.0, "
         f"100 trials: prop8 max {worst_dev['prop8']:.2e}, prop9 max "
         f"{worst_dev['prop9']:.2e}, all passing; {elapsed:.0f}s (< 300s)",

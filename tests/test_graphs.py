@@ -177,11 +177,12 @@ def test_scaling_rejects_kbody():
 # --- witnesses against dense computation -------------------------------------------
 
 def test_witness_max_all_formula():
-    g = ring_graph(5)
-    rep = qfi_witnesses(g, 0.5, 1.5)
-    spread = g.s * (1.5**2 - 0.5**2)
-    assert rep.max_all == pytest.approx(spread**2, abs=1e-9)
-    assert rep.all_constant == pytest.approx(rep.max_all / rep.all_count)
+    for n in (5, 40):
+        g = ring_graph(n)
+        rep = qfi_witnesses(g, 0.5, 1.5)
+        spread = g.s * (1.5**2 - 0.5**2)
+        assert rep.max_all == pytest.approx(spread**2, abs=1e-9)
+        assert rep.all_constant == pytest.approx(rep.max_all / rep.all_count)
 
 
 def test_witness_sandwich_contains_product_max():

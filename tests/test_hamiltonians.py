@@ -210,3 +210,20 @@ def test_spec_text_roundtrip_through_comments_and_blank_lines(family, seed, data
 def test_from_spec_text_rejects_garbage():
     with pytest.raises(ValueError):
         from_spec_text("family = nonsense\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "family\n",
+        "family linear\nn\nd 2\nbasis computational\nlambda 0 1\n",
+        "family graph\nn 2\nk\nedge 1 2\n",
+        "family graph\nn 1\nk 1\nsite_eigs 1 0.5\nedge 1\n",
+        "family linear\nn 1\nd 2\nbasis explicit\nlambda 0 1\nbasis_col\n",
+        "family product_diagonal\nn 1\nd 2\nbasis explicit\nsite_basis_col\ncoeffs 0 1\n",
+        "family linear\nn 0\nd 2\nbasis computational\n",
+    ],
+)
+def test_from_spec_text_rejects_truncated_lines(text):
+    with pytest.raises(ValueError):
+        from_spec_text(text)

@@ -1,10 +1,14 @@
 """Covering-net constructions, parameter choices, and tail-bound calculator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from qfiwb import numerics
 from qfiwb.hamiltonians import LinearHamiltonian, from_spec_text
 from qfiwb.nets import (
     MAX_MATERIALIZED_FRAMES,
@@ -117,6 +121,7 @@ def test_net_probe_covering_radius():
     net = pure_state_net_qubit(0.5)
     worst = net_probe(net, 2000, Rng(7))
     assert 0.15 < worst <= 0.5
+    assert worst == 0.3083320943320933  # the per-stream draw's value, bit for bit
     assert net_probe(net, 2000, Rng(7)) == worst
 
 
@@ -318,6 +323,26 @@ def test_linear_net_nearest_is_exact_on_elements():
         net.nearest(sample_linear_banded(3, 2, Rng(0), 1.0, 2.0))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    eps_p=st.sampled_from([0.05, 0.2, 0.5]),
+    eps_c=st.sampled_from([0.05, 0.3, 1.0]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_linear_net_nearest_distance_matches_dense_oracle(n, eps_p, eps_c, seed):
+    net = LinearFamilyNet(
+        n, 2, coefficient_grid(1.0, 2.0, eps_c), pure_state_net_qubit(eps_p)
+    )
+    h = sample_linear_banded(n, 2, Rng(seed), 1.0, 2.0)
+    rep, dist = net.nearest(h)
+    diff = oracles.linear_dense(h.table, h.basis) - oracles.linear_dense(
+        rep.table, rep.basis
+    )
+    exact = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+    assert dist == pytest.approx(exact, rel=1e-12)
+
+
 def test_sample_linear_banded():
     h = sample_linear_banded(3, 2, Rng(5), 1.0, 2.0)
     assert h.table.shape == (3, 2)
@@ -335,38 +360,30 @@ def test_sample_linear_banded():
 def test_net_cover_audit_at_printed_choices():
     params = audit_params(0.5)
     net = build_linear_net(params, "prop7")
-
-    def sampler(r: Rng) -> LinearHamiltonian:
-        return sample_linear_banded(2, 2, r, 1.0, 2.0)
-
-    report = net_cover_audit(sampler, net, 0.5, 200, Rng(11))
+    report = net_cover_audit(net, 0.5, 200, Rng(11))
     assert report.trials == 200
     assert report.violations == 0
     assert report.counterexamples == ()
-    assert report.max_distance <= 0.5
+    assert report.max_value <= 0.5
     assert [r.trial for r in report.rows] == list(range(200))
     assert all(r.passed for r in report.rows)
-    repeat = net_cover_audit(sampler, net, 0.5, 200, Rng(11))
-    assert repeat.max_distance == report.max_distance
+    repeat = net_cover_audit(net, 0.5, 200, Rng(11))
+    assert repeat.max_value == report.max_value
 
 
 def test_net_cover_audit_flags_a_coarse_net():
     coarse = LinearFamilyNet(
         2, 2, coefficient_grid(1.0, 2.0, 0.5), pure_state_net_qubit(0.3)
     )
-
-    def sampler(r: Rng) -> LinearHamiltonian:
-        return sample_linear_banded(2, 2, r, 1.0, 2.0)
-
-    report = net_cover_audit(sampler, coarse, 0.5, 200, Rng(11))
+    report = net_cover_audit(coarse, 0.5, 200, Rng(11))
     assert report.violations > 100
-    assert report.max_distance > 0.5
+    assert report.max_value > 0.5
     assert len(report.counterexamples) == report.violations
     # Counterexamples are serialized in the interchange format.
     h = from_spec_text(report.counterexamples[0])
     assert isinstance(h, LinearHamiltonian)
     with pytest.raises(ValueError):
-        net_cover_audit(sampler, coarse, 0.0, 10, Rng(0))
+        net_cover_audit(coarse, 0.0, 10, Rng(0))
 
 
 def test_property_audits_at_unit_budget():
@@ -376,7 +393,7 @@ def test_property_audits_at_unit_budget():
         assert report.which == which
         assert report.trials == 100
         assert report.violations == 0
-        assert report.max_deviation <= 1.0
+        assert report.max_value <= 1.0
         assert report.counterexamples == ()
 
 
@@ -386,7 +403,7 @@ def test_property_audit_deviation_shrinks_with_budget():
         for eps in (8.0, 2.0, 0.5):
             net = build_linear_net(audit_params(eps), mode)
             report = property_audit(net, eps, 100, which, Rng(9))
-            means.append(math.fsum(r.deviation for r in report.rows) / 100.0)
+            means.append(math.fsum(r.value for r in report.rows) / 100.0)
         assert means[0] > means[1] > means[2]
 
 
@@ -396,3 +413,22 @@ def test_property_audit_validation():
         property_audit(net, 1.0, 10, "prop6", Rng(0))
     with pytest.raises(ValueError):
         property_audit(net, -1.0, 10, "prop8", Rng(0))
+
+
+def test_audits_build_no_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a net audit built a dense operator")
+
+    monkeypatch.setattr(LinearHamiltonian, "dense", refuse)
+    # Patch every qfiwb namespace that binds these, as `from ... import` copies them.
+    for original in (numerics.spectral_norm, numerics.kron_all):
+        for name, module in list(sys.modules.items()):
+            if module is None or not (name == "qfiwb" or name.startswith("qfiwb.")):
+                continue
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+    for which, mode in (("prop8", "result1"), ("prop9", "result3"), ("cover", "prop7")):
+        net = build_linear_net(audit_params(1.0), mode)
+        report = property_audit(net, 1.0, 20, which, Rng(3))
+        assert report.which == which and report.violations == 0
