@@ -5,8 +5,15 @@ pinned by (experiment, config, seed): trial t always draws from the seed's
 stream (1, t), and trials run serially in trial order.  The four
 state-sampling experiments (lemma1-montecarlo, lemma3-montecarlo,
 result1-demo, result3-demo) draw each block of trial states in one
-vectorised pass, bit for bit the per-trial streams.  `--threads` and
-QFIWB_THREADS are accepted and validated but have no effect.
+vectorised pass, bit for bit the per-trial streams.  The other per-trial
+drivers (concentration, prop4-audit, prop5-audit, thm11-check) take their
+streams from `Rng.substreams`, which hashes every trial's key in one pass
+and rekeys one generator per trial.  `--threads` and QFIWB_THREADS are
+accepted and validated but have no effect.
+
+The CSV writer checks each column once and formats every row with one
+printf string: floats as %.17g (the same bytes as format(v, ".17g")),
+ints as %d, and bool, str and mixed columns cell by cell.
 
 Exit codes: 0 all asserted invariants held, 1 an invariant was violated,
 2 the invocation or config was invalid, 3 an internal error (an unexpected
@@ -151,6 +158,17 @@ class ExperimentResult:
     passed: bool
 
 
+# Floats are written with 17 significant digits, which round-trip every
+# double; "%.17g" % v and format(v, ".17g") give the same bytes.
+_FLOAT_SPEC = ".17g"
+_FLOAT_TYPES = frozenset((float, np.float64))
+_INT_TYPES = frozenset((int, np.int64))
+
+
+def _non_finite(value: float) -> ArithmeticError:
+    return ArithmeticError(f"non-finite value {value!r} in CSV output")
+
+
 def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -159,8 +177,8 @@ def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         v = float(value)
         if not math.isfinite(v):
-            raise ArithmeticError(f"non-finite value {v!r} in CSV output")
-        return format(v, ".17g")
+            raise _non_finite(v)
+        return format(v, _FLOAT_SPEC)
     if isinstance(value, str):
         if "," in value or "\n" in value:
             raise ValueError(f"string cell {value!r} would break the CSV")
@@ -168,12 +186,38 @@ def _cell(value) -> str:
     raise TypeError(f"unsupported CSV cell type {type(value).__name__}")
 
 
+def _column_spec(column: tuple) -> tuple[str, tuple]:
+    """One printf spec for a whole column, and the values it formats.
+
+    All-float columns are checked for finiteness in one pass, all-int
+    columns need no check, and bool, str and mixed columns are formatted
+    cell by cell with `_cell`.
+    """
+    types = set(map(type, column))
+    if types <= _FLOAT_TYPES:
+        finite = np.isfinite(np.array(column, dtype=np.float64))
+        if not finite.all():
+            raise _non_finite(float(column[int(np.argmin(finite))]))
+        return "%" + _FLOAT_SPEC, column
+    if types <= _INT_TYPES:
+        return "%d", column
+    return "%s", tuple(map(_cell, column))
+
+
 def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """Header line, then one line per row; every column is checked before writing.
+
+    Raises ArithmeticError for a non-finite float, ValueError for a row of
+    the wrong width or a string that would break the CSV, and TypeError for
+    any other cell type; with several bad cells, the first bad column wins.
+    """
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("row width does not match header")
     lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError("row width does not match header")
-        lines.append(",".join(_cell(v) for v in row))
+    if rows:
+        specs, columns = zip(*map(_column_spec, zip(*rows)))
+        line = ",".join(specs)
+        lines += [line % row for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -187,8 +231,7 @@ def _trials(rng: Rng, trials: range, draw: Callable[[int, Rng], object]) -> list
     Trial t always draws from the seed's stream (1, t), so its draw does not
     depend on which other trials run.
     """
-    streams = rng.substream(1)
-    return [draw(t, streams.substream(t)) for t in trials]
+    return [draw(t, r) for t, r in rng.substream(1).substreams(trials)]
 
 
 def _state_qfis(rng: Rng, trials: range, hs: list, basis: DickeBasis | None = None) -> np.ndarray:
@@ -420,7 +463,7 @@ def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     c, eps, a_lo, a_hi = cfg["c"], cfg["eps"], cfg["A"], cfg["B"]
     _require(n >= 1 and d >= 2 and n_h >= 1 and n_s >= 1, "counts must be positive")
     h_rng = rng.substream(0)
-    hams = [sample_linear_banded(n, d, h_rng.substream(i), a_lo, a_hi) for i in range(n_h)]
+    hams = [sample_linear_banded(n, d, r, a_lo, a_hi) for _, r in h_rng.substreams(range(n_h))]
     sym_means = [
         expected_qfi_symmetric_linear(h.symmetrized().site_operator(0), n) for h in hams
     ]
@@ -464,9 +507,8 @@ def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
     _require(n >= 1 and d >= 2 and n_h >= 1 and n_s >= 1, "counts must be positive")
     h_rng = rng.substream(0)
     hams = []
-    for i in range(n_h):
+    for _, r in h_rng.substreams(range(n_h)):
         # |coefficients| uniform in [A, B], then an independent random sign each.
-        r = h_rng.substream(i)
         h = sample_product_diagonal(n, d, r, a_lo, a_hi)
         signs = np.where(r.random(h.coeffs.size) < 0.5, -1.0, 1.0)
         hams.append(ProductDiagonalHamiltonian(h.coeffs * signs, h.site_bases))

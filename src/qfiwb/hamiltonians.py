@@ -572,9 +572,13 @@ def _complex_col(tokens: list[str], d: int) -> np.ndarray:
 
 
 def from_spec_text(text: str):
-    """Parse the flat key-value Hamiltonian format. Unknown keys are errors."""
+    """Parse the flat key-value Hamiltonian format. Unknown keys are errors.
+
+    The scalar keys (family, n, d, k, basis, positivity) take exactly one
+    value; a trailing token is an error, not ignored.
+    """
     rows = _parse_lines(text)
-    if not rows or rows[0][0] != "family" or not rows[0][1]:
+    if not rows or rows[0][0] != "family" or len(rows[0][1]) != 1:
         raise ValueError("first non-comment line must be 'family <name>'")
     family = rows[0][1][0]
     fields: dict[str, list[list[str]]] = {}
@@ -592,6 +596,12 @@ def from_spec_text(text: str):
             raise ValueError(f"key {key!r} needs a value")
         return fields[key][0]
 
+    def scalar(key: str, default: str | None = None) -> str:
+        value = one(key, None if default is None else [default])
+        if len(value) != 1:
+            raise ValueError(f"key {key!r} takes one value, got {len(value)}")
+        return value[0]
+
     allowed = {
         "linear": {"n", "d", "basis", "lambda", "basis_col"},
         "product_diagonal": {"n", "d", "basis", "coeffs", "site_basis_col"},
@@ -604,11 +614,11 @@ def from_spec_text(text: str):
         raise ValueError(f"unknown keys for family {family}: {sorted(unknown)}")
 
     if family == "linear":
-        n = int(one("n")[0])
-        d = int(one("d")[0])
+        n = int(scalar("n"))
+        d = int(scalar("d"))
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
-        basis_name = one("basis")[0]
+        basis_name = scalar("basis")
         if basis_name == "explicit":
             basis = _explicit_basis(fields.get("basis_col", []), d)
         else:
@@ -622,9 +632,9 @@ def from_spec_text(text: str):
         return LinearHamiltonian(table, basis)
 
     if family == "product_diagonal":
-        n = int(one("n")[0])
-        d = int(one("d")[0])
-        basis_name = one("basis")[0]
+        n = int(scalar("n"))
+        d = int(scalar("d"))
+        basis_name = scalar("basis")
         if basis_name == "computational":
             bases = tuple(np.eye(d, dtype=np.complex128) for _ in range(n))
         elif basis_name == "explicit":
@@ -636,10 +646,10 @@ def from_spec_text(text: str):
             coeffs.extend(float(x) for x in chunk)
         return ProductDiagonalHamiltonian(np.array(coeffs), bases)
 
-    n = int(one("n")[0])
-    k = int(one("k")[0])
-    basis_name = one("basis", ["computational"])[0]
-    positivity = bool(int(one("positivity", ["0"])[0]))
+    n = int(scalar("n"))
+    k = int(scalar("k"))
+    basis_name = scalar("basis", "computational")
+    positivity = bool(int(scalar("positivity", "0")))
     if "eigs" in fields and "site_eigs" in fields:
         raise ValueError("give either eigs or site_eigs, not both")
     if "eigs" in fields:

@@ -503,8 +503,7 @@ def property_audit(
     rows = []
     counterexamples = []
     basis = dicke_basis(net.n, net.d) if which == "prop8" else None
-    for t in range(trials):
-        r = rng.substream(t)
+    for t, r in rng.substreams(range(trials)):
         h = sample_linear_banded(net.n, net.d, r, net.grid.A, net.grid.B)
         rep, value = net.nearest(h)
         if which == "prop8":

@@ -8,7 +8,7 @@ a clear error instead of exhausting memory.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -191,6 +191,13 @@ class Rng:
     words directly from (key, counter); both are frozen by numpy's
     stream-compatibility policy (NEP 19), so the contract holds across numpy
     versions and tests pin it to numpy's own generators.
+
+    `substreams(trials)` yields (t, substream(t)) for a block of trials
+    without building a SeedSequence and a Generator per trial: the keys are
+    hashed in one vectorised pass and one Philox generator is rekeyed per
+    trial through its `state` setter. The generator is shared, so each
+    yielded stream is valid only until the next one is yielded; its
+    `substream(i)` children are ordinary streams.
     """
 
     def __init__(self, seed: int, path: Sequence[int] = ()):
@@ -204,6 +211,36 @@ class Rng:
         if index < 0:
             raise ValueError("substream index must be non-negative")
         return Rng(self.seed, self.path + (int(index),))
+
+    def substreams(self, trials: range) -> Iterator[tuple[int, "Rng"]]:
+        """(t, stream) for every t in `trials`; stream draws what substream(t) draws.
+
+        Each stream is valid only until the next one is yielded (see the
+        class docstring). Every index must lie in [0, 2**32).
+        """
+        if not trials:
+            return
+        _check_indices(trials)
+        k0, k1 = _seed_keys(
+            self.seed, self.path, np.arange(trials.start, trials.stop, trials.step)
+        )
+        # Seeded, so it reads no OS entropy; every trial overwrites its key.
+        gen = np.random.Generator(np.random.Philox(0))
+        # The state of a freshly seeded Philox: counter zero, empty buffer.
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": None},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for t, key in zip(trials, zip(k0.tolist(), k1.tolist())):
+            state["state"]["key"] = key
+            gen.bit_generator.state = state
+            stream = Rng.__new__(Rng)
+            stream.seed, stream.path, stream._gen = self.seed, self.path + (t,), gen
+            yield t, stream
 
     def random(self, size: int | tuple[int, ...] | None = None) -> np.ndarray:
         """Uniforms in [0, 1)."""
@@ -241,10 +278,7 @@ class Rng:
         out = np.empty((len(trials), dim), dtype=np.complex128)
         if not trials:
             return out
-        if min(trials[0], trials[-1]) < 0:
-            raise ValueError("substream index must be non-negative")
-        if max(trials[0], trials[-1]) > _MASK32:
-            raise ValueError("a block draw needs substream indices below 2**32")
+        _check_indices(trials)
         # complex_normal(dim) is normal(2 dim): dim words for u1, then dim for u2
         words = 2 * dim
         step = max(1, _PHILOX_PASS_WORDS // max(1, words))
@@ -258,6 +292,14 @@ class Rng:
             cos_part, sin_part = _box_muller(u[:, :dim], u[:, dim:])
             out[start:start + len(block)] = (cos_part + 1j * sin_part) / math.sqrt(2.0)
         return out
+
+
+def _check_indices(trials: range) -> None:
+    """A block of substream indices must lie in [0, 2**32)."""
+    if min(trials[0], trials[-1]) < 0:
+        raise ValueError("substream index must be non-negative")
+    if max(trials[0], trials[-1]) > _MASK32:
+        raise ValueError("a block of substreams needs indices below 2**32")
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qfiwb.cli as cli
 from qfiwb.cli import (
@@ -18,6 +19,7 @@ from qfiwb.cli import (
     EXPERIMENTS,
     THREADS_ENV,
     ConfigError,
+    ExperimentResult,
     _cell,
     _coerce,
     _state_qfis,
@@ -111,6 +113,79 @@ def test_write_csv(tmp_path: Path):
     assert path.read_text() == "a,b\n1,true\n2,false\n"
     with pytest.raises(ValueError, match="row width"):
         write_csv(path, ("a", "b"), [(1,)])
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e308, -1e308, 0.1]),
+)
+_FLOAT_CELLS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_INT_CELLS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+)
+_CELLS = st.one_of(
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    _INT_CELLS,
+    _FLOAT_CELLS,
+    st.text(st.characters(blacklist_characters=",\n", blacklist_categories=("Cs",))),
+)
+
+
+@st.composite
+def _csv_rows(draw):
+    """Rows whose columns are all-float, all-int or mixed cells of every kind."""
+    count = draw(st.integers(min_value=0, max_value=6))
+    cells = st.sampled_from([_FLOAT_CELLS, _INT_CELLS, _CELLS])
+    columns = [
+        draw(st.lists(draw(cells), min_size=count, max_size=count))
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    return list(zip(*columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_csv_rows())
+def test_write_csv_matches_per_cell_reference(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    header = tuple(f"c{j}" for j in range(len(rows[0]))) if rows else ("c0",)
+    write_csv(path, header, rows)
+    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([(1.0, 1), (math.nan, 2)], ArithmeticError),
+        ([(np.float64(math.inf), 1)], ArithmeticError),
+        ([(1, -math.inf)], ArithmeticError),
+        ([(1.0, "a,b")], ValueError),
+        ([("ok", 1), ("a\nb", 2)], ValueError),
+        ([(1, [1])], TypeError),
+        # the first bad column wins, not the first bad cell in row order
+        ([(1.0, "a,b"), (math.nan, "x")], ArithmeticError),
+    ],
+)
+def test_write_csv_rejects_bad_cells(tmp_path: Path, rows, error):
+    path = tmp_path / "out.csv"
+    with pytest.raises(error):
+        write_csv(path, ("a", "b"), rows)
+    assert not path.exists()
+
+
+def test_main_non_finite_cell_is_internal_error(tmp_path: Path, capsys, monkeypatch):
+    def non_finite(cfg, rng):
+        return ExperimentResult(("x",), [(1.0,), (math.nan,)], {}, True)
+
+    fields, _ = EXPERIMENTS["ghz-baseline"]
+    monkeypatch.setitem(EXPERIMENTS, "ghz-baseline", (fields, non_finite))
+    rc = main(["ghz-baseline", "--config", cfg_file(tmp_path, ""), "--out", str(tmp_path)])
+    assert rc == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "qfiwb: internal error: ArithmeticError: non-finite value nan in CSV output\n"
+    )
 
 
 def test_map_trials_preserves_order():

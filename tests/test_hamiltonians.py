@@ -227,3 +227,26 @@ def test_from_spec_text_rejects_garbage():
 def test_from_spec_text_rejects_truncated_lines(text):
     with pytest.raises(ValueError):
         from_spec_text(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "family linear extra\nn 1\nd 2\nbasis computational\nlambda 0 1\n",
+        "family linear\nn 1 7\nd 2\nbasis computational\nlambda 0 1\n",
+        "family linear\nn 1\nd 2 3\nbasis computational\nlambda 0 1\n",
+        "family product_diagonal\nn 1\nd 2\nbasis computational x\ncoeffs 0 1\n",
+        "family graph\nn 2\nk 2 2\neigs 0 1\nedge 1 2\n",
+        "family graph\nn 2\nk 2\neigs 0.5 1\npositivity 1 0\nedge 1 2\n",
+    ],
+)
+def test_from_spec_text_rejects_trailing_tokens_on_scalar_keys(text):
+    with pytest.raises(ValueError):
+        from_spec_text(text)
+    # the same text without the extra token parses
+    fixed = "\n".join(
+        " ".join(line.split()[:2]) if line.split()[0] in
+        ("family", "n", "d", "k", "basis", "positivity") else line
+        for line in text.splitlines()
+    )
+    from_spec_text(fixed)

@@ -232,3 +232,41 @@ def test_unitary_with_first_column():
 def test_dimension_guard():
     with pytest.raises(ValueError):
         kron_all([np.eye(MAX_DIM // 2 + 1, dtype=complex)] * 2)
+
+
+def _draws(r: Rng) -> list[np.ndarray]:
+    return [
+        r.random(3), r.uniform(-2.0, 5.0, 2), r.normal(5), r.complex_normal((2, 3)),
+        r.substream(4).complex_normal(3),
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**70),
+    path=st.lists(st.integers(min_value=0, max_value=2**40), max_size=2),
+    start=st.integers(min_value=0, max_value=U32 - 20),
+    count=st.integers(min_value=0, max_value=5),
+    step=st.integers(min_value=1, max_value=4),
+)
+@example(seed=0, path=[1], start=0, count=3, step=1)
+@example(seed=5, path=[], start=U32 - 2, count=3, step=1)
+def test_substreams_match_substream_bit_for_bit(seed, path, start, count, step):
+    rng = Rng(seed, path)
+    trials = range(start, start + count * step, step)
+    got = [(t, r.path, _draws(r)) for t, r in rng.substreams(trials)]
+    assert [t for t, _, _ in got] == list(trials)
+    for t, stream_path, draws in got:
+        want = rng.substream(t)
+        assert stream_path == want.path
+        for a, b in zip(draws, _draws(want)):
+            assert _same_bits(a, b)
+
+
+def test_substreams_reject_indices_outside_32_bits():
+    rng = Rng(0)
+    assert [t for t, _ in rng.substreams(range(U32, U32 + 1))] == [U32]
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        list(rng.substreams(range(U32, U32 + 2)))
+    with pytest.raises(ValueError, match="non-negative"):
+        list(rng.substreams(range(-1, 2)))
