@@ -163,6 +163,8 @@ class ExperimentResult:
 _FLOAT_SPEC = ".17g"
 _FLOAT_TYPES = frozenset((float, np.float64))
 _INT_TYPES = frozenset((int, np.int64))
+_BOOL_TYPES = frozenset((bool, np.bool_))
+_STR_TYPES = frozenset((str,))
 
 
 def _non_finite(value: float) -> ArithmeticError:
@@ -190,8 +192,10 @@ def _column_spec(column: tuple) -> tuple[str, tuple]:
     """One printf spec for a whole column, and the values it formats.
 
     All-float columns are checked for finiteness in one pass, all-int
-    columns need no check, and bool, str and mixed columns are formatted
-    cell by cell with `_cell`.
+    columns need no check, all-bool and all-str columns go through `_cell`
+    once per distinct value, in first-seen order so the first bad value is
+    the one reported, and mixed columns cell by cell (1, 1.0 and True hash
+    alike, so their values cannot be shared).
     """
     types = set(map(type, column))
     if types <= _FLOAT_TYPES:
@@ -201,6 +205,9 @@ def _column_spec(column: tuple) -> tuple[str, tuple]:
         return "%" + _FLOAT_SPEC, column
     if types <= _INT_TYPES:
         return "%d", column
+    if types <= _BOOL_TYPES or types <= _STR_TYPES:
+        cells = {v: _cell(v) for v in dict.fromkeys(column)}
+        return "%s", tuple(map(cells.__getitem__, column))
     return "%s", tuple(map(_cell, column))
 
 

@@ -31,41 +31,33 @@ def _qubit_tensor(state: PureState) -> np.ndarray:
     return state.amplitudes.reshape((2,) * state.n)
 
 
-def _partial_contraction(tensor: np.ndarray, alphas: list[np.ndarray], skip: int) -> np.ndarray:
-    """Contract conj(alpha_j) into every axis except `skip` (-1: every axis).
-
-    Contracting from the highest axis down keeps the remaining axis indices
-    stable, so axis j is still at position j when its turn comes.
-    """
-    t = tensor
-    for j in reversed(range(tensor.ndim)):
-        if j != skip:
-            t = np.tensordot(t, np.conj(alphas[j]), axes=(j, 0))
-    return t
+def _right_environments(alphas: np.ndarray) -> list[np.ndarray]:
+    """E_i = conj(a_{i+1} x ... x a_{n-1}), shape (R, 2^(n-1-i)), for R restarts' (R, n, 2) vectors."""
+    out = [np.ones((len(alphas), 1), dtype=np.complex128)]
+    for j in reversed(range(1, alphas.shape[1])):
+        out.append((np.conj(alphas[:, j, :, None]) * out[-1][:, None, :]).reshape(len(alphas), -1))
+    return out[::-1]
 
 
-def _full_overlap(tensor: np.ndarray, alphas: list[np.ndarray]) -> complex:
-    return complex(_partial_contraction(tensor, alphas, skip=-1))
+def _full_overlap(tensor: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """<a|Psi> for every restart: conj(a_i) contracted into the tensor site by site."""
+    left = tensor.reshape(1, -1)
+    for i in range(alphas.shape[1]):
+        left = (np.conj(alphas[:, i, None, :]) @ left.reshape(len(left), 2, -1))[:, 0]
+    return left[:, 0]
 
 
 def _marginal_start(tensor: np.ndarray) -> list[np.ndarray]:
     """Dominant eigenvector of each one-site reduced density matrix."""
-    n = tensor.ndim
     out = []
-    for i in range(n):
+    for i in range(tensor.ndim):
         a = np.moveaxis(tensor, i, 0).reshape(2, -1)
-        rho = a @ a.conj().T
-        _, v = np.linalg.eigh(rho)
-        out.append(v[:, -1].copy())
+        out.append(np.linalg.eigh(a @ a.conj().T)[1][:, -1])
     return out
 
 
 def _random_start(n: int, rng: Rng) -> list[np.ndarray]:
-    out = []
-    for _ in range(n):
-        z = rng.complex_normal(2)
-        out.append(z / np.linalg.norm(z))
-    return out
+    return [z / np.linalg.norm(z) for z in (rng.complex_normal(2) for _ in range(n))]
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,8 @@ class GmeEstimate:
 
     `overlap_sq` is |<witness|Psi>|^2 for the reported product witness and
     lower-bounds the true supremum, so `value` = -log2(overlap_sq) is an
-    upper estimate of E_g that tightens with restarts.
+    upper estimate of E_g that tightens with restarts. `converged` is the
+    winner's flag; `unconverged` counts restarts that never met `tol`.
     """
 
     value: float
@@ -82,28 +75,46 @@ class GmeEstimate:
     overlap_sq: float
     restarts: int
     converged: bool
+    unconverged: int
 
 
-def _ascend(
-    tensor: np.ndarray, alphas: list[np.ndarray], max_iters: int, tol: float
-) -> tuple[list[np.ndarray], float, bool]:
-    n = tensor.ndim
-    prev = abs(_full_overlap(tensor, alphas))
-    converged = False
+def _ascend_batch(
+    tensor: np.ndarray, alphas: np.ndarray, max_iters: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Seidel sweeps of R restarts' (R, n, 2) `alphas` at once, in place.
+
+    A sweep takes the right environments E_i of the old vectors and carries
+    the left contraction L_i of the new ones: w_i = L_i . E_i. A restart
+    leaves after its first sweep that gains less than `tol`. Every operation
+    acts on each restart's row alone, so no result depends on the batch.
+    Returns the overlaps |<a|Psi>| and the restarts that never met `tol`.
+    """
+    overlap = np.abs(_full_overlap(tensor, alphas))
+    active = np.arange(len(alphas))
     for _ in range(max_iters):
-        sweep_start = prev
-        for i in range(n):
-            w = _partial_contraction(tensor, alphas, i)
-            nrm = float(np.linalg.norm(w))
-            if nrm > 0.0:
-                alphas[i] = w / nrm
-                if nrm < prev - MONOTONE_SLACK:
-                    raise AssertionError("coordinate ascent decreased the overlap")
-                prev = nrm
-        if prev - sweep_start < tol:
-            converged = True
+        a, prev = alphas[active], overlap[active]
+        right = _right_environments(a)
+        left = tensor.reshape(1, -1)
+        for i in range(a.shape[1]):
+            t = left.reshape(len(left), 2, -1)
+            w = (t @ right[i][:, :, None])[:, :, 0]
+            nrm = np.sqrt((w.conj() * w).real.sum(axis=1))
+            up = nrm > 0.0
+            if (up & (nrm < prev - MONOTONE_SLACK)).any():
+                raise AssertionError("coordinate ascent decreased the overlap")
+            np.divide(w, nrm[:, None], out=a[:, i], where=up[:, None])
+            prev = np.where(up, nrm, prev)
+            left = (np.conj(a[:, i, None, :]) @ t)[:, 0]
+        done = prev - overlap[active] < tol
+        alphas[active] = a
+        overlap[active] = prev
+        active = active[~done]
+        if not active.size:
             break
-    return alphas, prev, converged
+    return overlap, active
+
+
+_BLOCK_AMPLITUDES = 2**20  # of work per block of restarts (16 MiB)
 
 
 def gme(
@@ -116,33 +127,32 @@ def gme(
     """Alternating rank-1 optimization of the product overlap.
 
     Restart 0 starts from the per-site marginal eigenvectors; the rest start
-    from independent random product states on sub-streams of `rng`. The best
-    restart wins (highest overlap, ties to the lowest restart index), and a
-    run that never meets `tol` is still reported, flagged unconverged.
+    from independent random product states on sub-streams of `rng`. All
+    restarts ascend as one batch, in blocks of at most _BLOCK_AMPLITUDES
+    amplitudes; the highest overlap wins, ties to the lowest restart index.
+    A run that never meets `tol` is still reported, flagged unconverged.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     tensor = _qubit_tensor(state)
-    if rng is None:
-        rng = Rng(0)
-    best: tuple[float, int] | None = None
-    best_alphas: list[np.ndarray] = []
-    best_conv = False
-    for r in range(restarts):
-        if r == 0:
-            alphas = _marginal_start(tensor)
-        else:
-            alphas = _random_start(state.n, rng.substream(r))
-        alphas, overlap, conv = _ascend(tensor, alphas, max_iters, tol)
-        if best is None or overlap > best[0]:
-            best = (overlap, r)
-            best_alphas = alphas
-            best_conv = conv
-    overlap_sq = abs(_full_overlap(tensor, best_alphas)) ** 2
-    value = -math.log2(max(overlap_sq, 1e-300))
-    if value <= 0.0:
-        value = 0.0
-    return GmeEstimate(value, tuple(best_alphas), overlap_sq, restarts, best_conv)
+    rng = Rng(0) if rng is None else rng
+    step = max(1, _BLOCK_AMPLITUDES // tensor.size)
+    best = (-1.0, np.empty(0), False)
+    unconverged = 0
+    for first in range(0, restarts, step):
+        alphas = np.array([
+            _marginal_start(tensor) if r == 0 else _random_start(state.n, rng.substream(r))
+            for r in range(first, min(first + step, restarts))
+        ])
+        overlap, stalled = _ascend_batch(tensor, alphas, max_iters, tol)
+        unconverged += len(stalled)
+        k = int(np.argmax(overlap))
+        if overlap[k] > best[0]:
+            best = (overlap[k], alphas[k].copy(), k not in stalled)
+    _, witness, converged = best
+    overlap_sq = float(abs(_full_overlap(tensor, witness[None])[0])) ** 2
+    value = max(0.0, -math.log2(max(overlap_sq, 1e-300)))  # never -0.0
+    return GmeEstimate(value, tuple(witness), overlap_sq, restarts, converged, unconverged)
 
 
 # --- certified grid bracket ----------------------------------------------------
@@ -450,16 +460,6 @@ def verify_result2(
     if established:
         implication = q_state <= cap + 1e-9 and q_sym <= cap + 1e-9
     return Result2Report(
-        n,
-        c,
-        delta,
-        threshold,
-        estimate,
-        certified,
-        oracle_used,
-        established,
-        q_state,
-        q_sym,
-        cap,
-        implication,
+        n, c, delta, threshold, estimate, certified, oracle_used, established,
+        q_state, q_sym, cap, implication,
     )

@@ -143,3 +143,59 @@ def census_pairs(edges: list[tuple[int, ...]]) -> tuple[int, int, int, int]:
             else:
                 disjoint += 1
     return same, disjoint, connected, s * s
+
+
+def serial_gme(
+    amplitudes: np.ndarray,
+    n: int,
+    random_starts: list[list[np.ndarray]],
+    max_iters: int = 200,
+    tol: float = 1e-12,
+) -> tuple[float, float, bool, list[bool]]:
+    """Alternating product-overlap ascent, one restart and one site at a time.
+
+    Restart 0 starts from the dominant eigenvector of each one-site reduced
+    density matrix, restart r >= 1 from the normalised random_starts[r - 1].
+    Each site update contracts conj of every other site vector into the full
+    tensor afresh. The highest final overlap wins, ties to the lowest
+    restart. Returns the winner's recomputed squared overlap, -log2 of it
+    (0 at most), its converged flag and every restart's converged flag.
+    """
+    tensor = amplitudes.reshape((2,) * n)
+
+    def contract(alphas, skip):
+        t = tensor
+        for j in reversed(range(n)):
+            if j != skip:
+                t = np.tensordot(t, np.conj(alphas[j]), axes=(j, 0))
+        return t
+
+    marginal = []
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        rho = np.tensordot(tensor, tensor.conj(), axes=(rest, rest))
+        marginal.append(np.linalg.eigh(rho)[1][:, -1])
+    starts = [marginal] + [[z / np.linalg.norm(z) for z in s] for s in random_starts]
+    results = []
+    for alphas in starts:
+        alphas = list(alphas)
+        prev = abs(complex(contract(alphas, -1)))
+        converged = False
+        for _ in range(max_iters):
+            sweep_start = prev
+            for i in range(n):
+                w = contract(alphas, i)
+                nrm = float(np.linalg.norm(w))
+                if nrm > 0.0:
+                    alphas[i] = w / nrm
+                    if nrm < prev - 1e-12:
+                        raise AssertionError("coordinate ascent decreased the overlap")
+                    prev = nrm
+            if prev - sweep_start < tol:
+                converged = True
+                break
+        results.append((prev, alphas, converged))
+    best = max(range(len(results)), key=lambda r: (results[r][0], -r))
+    overlap_sq = abs(complex(contract(results[best][1], -1))) ** 2
+    value = max(0.0, -math.log2(max(overlap_sq, 1e-300)))
+    return overlap_sq, value, results[best][2], [conv for _, _, conv in results]

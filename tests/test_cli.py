@@ -124,20 +124,16 @@ _INT_CELLS = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70),
     st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
 )
-_CELLS = st.one_of(
-    st.booleans(),
-    st.booleans().map(np.bool_),
-    _INT_CELLS,
-    _FLOAT_CELLS,
-    st.text(st.characters(blacklist_characters=",\n", blacklist_categories=("Cs",))),
-)
+_BOOL_CELLS = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+_STR_CELLS = st.text(st.characters(blacklist_characters=",\n", blacklist_categories=("Cs",)))
+_CELLS = st.one_of(_BOOL_CELLS, _INT_CELLS, _FLOAT_CELLS, _STR_CELLS)
 
 
 @st.composite
 def _csv_rows(draw):
-    """Rows whose columns are all-float, all-int or mixed cells of every kind."""
+    """Rows whose columns are all-float, all-int, all-bool, all-str or mixed cells."""
     count = draw(st.integers(min_value=0, max_value=6))
-    cells = st.sampled_from([_FLOAT_CELLS, _INT_CELLS, _CELLS])
+    cells = st.sampled_from([_FLOAT_CELLS, _INT_CELLS, _BOOL_CELLS, _STR_CELLS, _CELLS])
     columns = [
         draw(st.lists(draw(cells), min_size=count, max_size=count))
         for _ in range(draw(st.integers(min_value=1, max_value=4)))
@@ -173,6 +169,25 @@ def test_write_csv_rejects_bad_cells(tmp_path: Path, rows, error):
     with pytest.raises(error):
         write_csv(path, ("a", "b"), rows)
     assert not path.exists()
+
+
+def test_write_csv_formats_each_distinct_label_once(tmp_path: Path, monkeypatch):
+    rows = [
+        (("linear", "product")[t % 2], t % 3 == 0, np.bool_(t % 5 == 0), float(t))
+        for t in range(10_000)
+    ]
+    header = ("family", "flag", "np_flag", "x")
+    path = tmp_path / "out.csv"
+    calls = []
+    monkeypatch.setattr(cli, "_cell", lambda v: calls.append(v) or _cell(v))
+    write_csv(path, header, rows)
+    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert len(calls) == 6
+    rows[5000] = ("a,b",) + rows[5000][1:]
+    rows[7000] = ("c,d",) + rows[7000][1:]
+    with pytest.raises(ValueError, match=r"string cell 'a,b' would break the CSV"):
+        write_csv(tmp_path / "bad.csv", header, rows)
 
 
 def test_main_non_finite_cell_is_internal_error(tmp_path: Path, capsys, monkeypatch):

@@ -1,8 +1,9 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from qfiwb.gme import (
@@ -22,6 +23,8 @@ from qfiwb.hamiltonians import LinearHamiltonian, SingleSiteOperator
 from qfiwb.numerics import Rng, haar_unitary, kron_all
 from qfiwb.qfi import qfi
 from qfiwb.states import PureState, ghz, normalized_state, plus_vector, product_state, sample_haar
+
+gme_module = importlib.import_module("qfiwb.gme")
 
 
 def w_state(n: int) -> PureState:
@@ -73,6 +76,71 @@ def test_gme_never_underestimates_scan():
 def test_gme_requires_restarts():
     with pytest.raises(ValueError):
         gme(ghz(2), restarts=0)
+
+
+def serial_reference(state: PureState, restarts: int, seed: int, max_iters: int = 200):
+    """oracles.serial_gme on the starts gme draws: restart r >= 1 on substream r."""
+    rng = Rng(seed)
+    starts = []
+    for r in range(1, restarts):
+        stream = rng.substream(r)
+        starts.append([stream.complex_normal(2) for _ in range(state.n)])
+    return oracles.serial_gme(state.amplitudes, state.n, starts, max_iters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    restarts=st.integers(1, 8),
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["haar", "haar", "ghz", "w", "product"]),
+)
+@example(n=8, restarts=1, seed=68175, kind="haar")
+def test_batched_gme_matches_serial_reference(n, restarts, seed, kind):
+    # A sweep whose gain is within rounding of tol can stop one route and
+    # not the other; the extra sweep gains less than tol, so overlap_sq
+    # agrees to 1e-12 and value to that through the slope of -log2. In the
+    # pinned example the serial route stops after 35 sweeps, the batched
+    # one after 36, and value differs by 5.3e-12.
+    if kind == "haar":
+        state = sample_haar(n, 2, Rng(seed))
+    else:
+        known = {"ghz": ghz, "w": w_state, "product": lambda m: product_state([plus_vector()] * m)}
+        state = locally_rotated(known[kind](n), Rng(seed))
+    est = gme(state, restarts=restarts, rng=Rng(seed))
+    overlap_sq, value, converged, flags = serial_reference(state, restarts, seed)
+    assert est.overlap_sq == pytest.approx(overlap_sq, abs=1e-12)
+    assert est.value == pytest.approx(value, abs=1e-12 / (overlap_sq * math.log(2.0)))
+    assert est.converged == converged
+    assert est.unconverged == flags.count(False)
+
+
+@pytest.mark.parametrize("state", [ghz(4), sample_haar(6, 2, Rng(4))], ids=["ghz4", "haar6"])
+@pytest.mark.parametrize("per_block", [1, 3, 5])
+def test_gme_restart_blocks_match_one_block(monkeypatch, state, per_block):
+    # GHZ restarts 0, 1, 2, 5 and 7 tie exactly at seed 0 with different
+    # witnesses, so the tie rule must hold across block borders too.
+    whole = gme(state, restarts=8, rng=Rng(0))
+    monkeypatch.setattr(gme_module, "_BLOCK_AMPLITUDES", per_block * 2**state.n)
+    split = gme(state, restarts=8, rng=Rng(0))
+    assert split.overlap_sq == whole.overlap_sq
+    assert split.converged == whole.converged
+    assert split.unconverged == whole.unconverged
+    assert all(np.array_equal(a, b) for a, b in zip(split.witness, whole.witness, strict=True))
+
+
+def test_gme_counts_unconverged_restarts():
+    est = gme(sample_haar(6, 2, Rng(2)), max_iters=1, rng=Rng(2))
+    assert est.unconverged == est.restarts == 8
+    est = gme(ghz(5), rng=Rng(0))
+    assert est.unconverged == 0 and est.converged
+
+
+def test_gme_monotone_check_raises(monkeypatch):
+    # A negative slack makes every site update count as a decrease.
+    monkeypatch.setattr(gme_module, "MONOTONE_SLACK", -1.0)
+    with pytest.raises(AssertionError, match="decreased the overlap"):
+        gme(sample_haar(3, 2, Rng(0)), restarts=2, rng=Rng(0))
 
 
 # --- certified bracket -------------------------------------------------------------
