@@ -87,7 +87,6 @@ from .states import (
     read_state,
     sample_symmetric,
     superposition_state,
-    symmetric_projector,
     write_state,
 )
 

@@ -46,7 +46,6 @@ from .graphs import (
 )
 from .hamiltonians import (
     LinearHamiltonian,
-    ProductDiagonalHamiltonian,
     SingleSiteOperator,
     sample_linear,
     sample_product_diagonal,
@@ -56,6 +55,7 @@ from .nets import (
     build_linear_net,
     property_audit,
     sample_linear_banded,
+    sample_product_banded,
     theorem_bound,
 )
 from .numerics import Rng, random_hermitian
@@ -513,12 +513,7 @@ def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
     c, eps, a_lo, a_hi = cfg["c"], cfg["eps"], cfg["A"], cfg["B"]
     _require(n >= 1 and d >= 2 and n_h >= 1 and n_s >= 1, "counts must be positive")
     h_rng = rng.substream(0)
-    hams = []
-    for _, r in h_rng.substreams(range(n_h)):
-        # |coefficients| uniform in [A, B], then an independent random sign each.
-        h = sample_product_diagonal(n, d, r, a_lo, a_hi)
-        signs = np.where(r.random(h.coeffs.size) < 0.5, -1.0, 1.0)
-        hams.append(ProductDiagonalHamiltonian(h.coeffs * signs, h.site_bases))
+    hams = [sample_product_banded(n, d, r, a_lo, a_hi) for _, r in h_rng.substreams(range(n_h))]
     refs = np.array([optimal_separable_reference(h) for h in hams])
     qfis = _state_qfis(rng, range(n_s), hams)
     gaps = (qfis - refs[:, None]).max(axis=0).tolist()

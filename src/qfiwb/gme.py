@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Rng, basis_digits
-from .states import PureState
+from .states import BlochGrid, PureState
 
 OVERLAP_ATOL = 1e-10
 MONOTONE_SLACK = 1e-12
@@ -157,29 +157,17 @@ def gme(
 
 # --- certified grid bracket ----------------------------------------------------
 
-def _phase_fixed_grid(delta: float) -> np.ndarray:
-    """Qubit unit vectors (cos t/2, e^{ip} sin t/2) with covering radius <= delta.
+def _oracle_grid(delta: float) -> BlochGrid:
+    """Bloch grid whose vectors lie within delta of every qubit vector, up to phase.
 
-    Rows of constant t carry phase counts proportional to sin(t/2), which
-    keeps the worst-case snap distance (t term plus phase term) below delta.
+    Row j's azimuth count is proportional to sin(t/2) at the row's far edge,
+    which keeps the worst-case snap (t term plus phase term) below delta.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    n_theta = max(1, math.ceil(math.pi / (2.0 * delta)))
-    dt = math.pi / n_theta
-    rows = []
-    for j in range(n_theta):
-        t = (j + 0.5) * dt
-        s_max = math.sin(min((j + 1) * dt, math.pi) / 2.0)
-        n_phi = max(1, math.ceil(2.0 * math.pi * s_max / delta))
-        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        c = math.cos(t / 2.0)
-        s = math.sin(t / 2.0)
-        block = np.empty((n_phi, 2), dtype=np.complex128)
-        block[:, 0] = c
-        block[:, 1] = s * np.exp(1j * phis)
-        rows.append(block)
-    return np.concatenate(rows, axis=0)
+    rows = max(1, math.ceil(math.pi / (2.0 * delta)))
+    edge = np.minimum((np.arange(rows) + 1) * (math.pi / rows), math.pi)
+    return BlochGrid(np.maximum(1, np.ceil(2.0 * math.pi * np.sin(edge / 2.0) / delta)))
 
 
 ORACLE_MAX_SITES = 4
@@ -230,13 +218,14 @@ def gme_grid_oracle(state: PureState, delta: float | None = None) -> GmeBracket:
         return GmeBracket(2, 0.0, 0, best, best)
     if delta is None:
         delta = _ORACLE_DELTAS[n]
-    gc = np.conj(_phase_fixed_grid(delta))
+    grid = _oracle_grid(delta)
+    gc = np.conj(grid.states(np.arange(grid.count)))
     t = tensor
     for _ in range(n - 2):  # eats the last site axis, prepends a grid axis
         t = np.tensordot(gc, t, axes=(1, n - 1))
     best = float(np.max(np.linalg.svd(t.reshape(-1, 2, 2), compute_uv=False)[:, 0] ** 2))
     inflated = min(1.0, math.sqrt(best) + (n - 2) * delta) ** 2
-    return GmeBracket(n, delta, gc.shape[0], best, inflated)
+    return GmeBracket(n, delta, grid.count, best, inflated)
 
 
 # --- weight symmetrization -------------------------------------------------------

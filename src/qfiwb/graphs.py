@@ -21,6 +21,7 @@ from .qfi import ProductScan, max_qfi_symmetric_product, product_qfi_closed_form
 
 GAP_RATIO = 0.25
 MAX_BRUTEFORCE_PAIRS = 10**8
+_CENSUS_BLOCK_WORDS = 2**20  # per block of pair tests (8 MiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,35 +144,27 @@ def preset_graph(shape: str, n: int, k: int = 2) -> InteractionGraph:
 
 # --- census, three routes ------------------------------------------------------
 
-def _census_from_masks(masks: list[int], s: int) -> PairCensus:
-    disjoint = 0
-    connected = 0
-    for a in range(s):
-        ma = masks[a]
-        for b in range(a + 1, s):
-            if ma & masks[b]:
-                connected += 2
-            else:
-                disjoint += 2
-    return PairCensus(s, disjoint, connected, s**2)
-
-
 def census_bruteforce(g: InteractionGraph) -> PairCensus:
-    """Exact ordered-pair counts by direct intersection tests."""
+    """Exact ordered-pair counts by direct intersection tests.
+
+    Edge bit masks are ceil(n/64) uint64 words, tested in blocks of about
+    _CENSUS_BLOCK_WORDS words."""
     s = g.s
     if s * s > MAX_BRUTEFORCE_PAIRS:
         raise ValueError(f"{s}^2 ordered pairs exceeds the brute-force cap")
-    masks = [sum(1 << (v - 1) for v in e) for e in g.edges]
-    if g.n <= 63 and s > 512:
-        m = np.array(masks, dtype=np.uint64)
-        overlap = 0
-        for lo in range(0, s, 2048):
-            block = m[lo : lo + 2048, None] & m[None, :]
-            overlap += int(np.count_nonzero(block))
-        connected = overlap - s  # the diagonal self-overlaps
-        disjoint = s * s - s - connected
-        return PairCensus(s, disjoint, connected, s**2)
-    return _census_from_masks(masks, s)
+    words = (g.n + 63) // 64
+    vertex = np.array(g.edges, dtype=np.int64) - 1
+    masks = np.zeros((s, words), dtype=np.uint64)
+    rows = np.broadcast_to(np.arange(s)[:, None], vertex.shape)
+    np.bitwise_or.at(masks, (rows, vertex // 64), np.uint64(1) << (vertex % 64).astype(np.uint64))
+    step = max(1, _CENSUS_BLOCK_WORDS // (s * words))
+    overlap = 0
+    for lo in range(0, s, step):
+        block = masks[lo : lo + step, None, :] & masks[None, :, :]
+        overlap += int(np.count_nonzero(block.any(axis=-1)))
+    connected = overlap - s  # the diagonal self-overlaps
+    disjoint = s * s - s - connected
+    return PairCensus(s, disjoint, connected, s**2)
 
 
 def degree_vector(g: InteractionGraph) -> DegreeVector:

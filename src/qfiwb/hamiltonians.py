@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .numerics import (
     as_complex,
     basis_digits,
     check_power_dim,
+    haar_unitary,
     kron_all,
 )
 
@@ -384,36 +385,6 @@ class GraphHamiltonian:
         return out
 
 
-def permutation_index_map(perm: Sequence[int], d: int) -> np.ndarray:
-    """Index permutation of the product basis induced by a site permutation.
-
-    `perm` is 0-based with perm[j] the image of site j. The operator action
-    moves the state at site j to site perm[j]; on basis strings, the digit at
-    slot j of the image is the digit at slot perm^{-1}(j) of the source. The
-    returned array maps source index -> image index.
-    """
-    perm = tuple(int(p) for p in perm)
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    digits = basis_digits(n, d)
-    weights = d ** (n - 1 - np.arange(n))
-    # image digit at slot perm[j] equals source digit at slot j
-    out = np.zeros(digits.shape[0], dtype=np.int64)
-    for j in range(n):
-        out += digits[:, j] * weights[perm[j]]
-    return out
-
-
-def permutation_matrix(perm: Sequence[int], d: int) -> np.ndarray:
-    """Dense unitary permuting tensor factors (see permutation_index_map)."""
-    imap = permutation_index_map(perm, d)
-    dim = imap.shape[0]
-    v = np.zeros((dim, dim), dtype=np.complex128)
-    v[imap, np.arange(dim)] = 1.0
-    return v
-
-
 def sample_linear(
     n: int,
     d: int,
@@ -421,36 +392,16 @@ def sample_linear(
     low: float = -1.0,
     high: float = 1.0,
     basis: str | np.ndarray = "haar",
-    gap: float = 0.0,
-    max_tries: int = 1000,
 ) -> LinearHamiltonian:
     """Random linear Hamiltonian with i.i.d. uniform levels in [low, high].
 
-    `gap` is the minimum pairwise level distance enforced per site by
-    rejection (0 disables enforcement). The shared basis is Haar random,
-    a named basis, or an explicit unitary.
+    The shared basis is Haar random, a named basis, or an explicit unitary.
     """
-    from .numerics import haar_unitary
-
     if isinstance(basis, str):
         b = haar_unitary(d, rng) if basis == "haar" else named_basis(basis, d)
     else:
         b = np.array(basis, dtype=np.complex128)
-    rows = []
-    for _ in range(n):
-        for _try in range(max_tries):
-            row = rng.uniform(low, high, d)
-            ok = all(
-                abs(row[a] - row[bb]) >= gap
-                for a in range(d)
-                for bb in range(a + 1, d)
-            )
-            if ok:
-                rows.append(row)
-                break
-        else:
-            raise ValueError(f"could not achieve level gap {gap} in {max_tries} tries")
-    return LinearHamiltonian(np.array(rows), b)
+    return LinearHamiltonian(rng.uniform(low, high, (n, d)), b)
 
 
 def sample_product_diagonal(
@@ -459,19 +410,11 @@ def sample_product_diagonal(
     rng: Rng,
     low: float = -1.0,
     high: float = 1.0,
-    per_site_bases: bool = True,
 ) -> ProductDiagonalHamiltonian:
     """Random product-diagonal Hamiltonian: Haar product bases, uniform diagonal."""
-    from .numerics import haar_unitary
-
     dim = check_power_dim(d, n)
-    if per_site_bases:
-        bases = tuple(haar_unitary(d, rng) for _ in range(n))
-    else:
-        shared = haar_unitary(d, rng)
-        bases = tuple(np.array(shared) for _ in range(n))
-    coeffs = rng.uniform(low, high, dim)
-    return ProductDiagonalHamiltonian(coeffs, bases)
+    bases = tuple(haar_unitary(d, rng) for _ in range(n))
+    return ProductDiagonalHamiltonian(rng.uniform(low, high, dim), bases)
 
 
 # --- plain-text round trip ---------------------------------------------------

@@ -1,13 +1,14 @@
 """Epsilon-nets over banded linear families and the union-bound calculator.
 
-Coefficient grids and qubit basis nets are constructed concretely, so the
-covering claims can be audited by direct sampling at desk scale: one audit
-loop checks the operator-norm cover ("cover") and the two deviation
-functionals ("prop8", "prop9"), and the distance to the net is evaluated in
-closed form from one-site spectra, with no dense operator.  For local
-dimension above two the module is calculator-only: it evaluates net sizes
-and the two tail-probability bounds in log domain, where the constructions
-themselves would have astronomically many elements.
+Coefficient grids and qubit basis nets (a `states.BlochGrid`) are
+constructed concretely, so the covering claims can be audited by direct
+sampling at desk scale: one audit loop checks the operator-norm cover
+("cover") and the two deviation functionals ("prop8", "prop9"), and the
+distance to the net is evaluated in closed form from one-site spectra, with
+no dense operator.  For local dimension above two the module is
+calculator-only: it evaluates net sizes and the two tail-probability bounds
+in log domain, where the constructions themselves would have astronomically
+many elements.
 
 The proof constant relating a pure-state net's resolution to the operator
 error it induces is never fixed upstream; it enters every parameter choice
@@ -21,17 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import LinearHamiltonian, to_spec_text
-from .numerics import Rng, haar_unitary
+from .hamiltonians import LinearHamiltonian, ProductDiagonalHamiltonian, to_spec_text
+from .numerics import Rng, check_power_dim, haar_unitary
 from .qfi import expected_qfi_symmetric_linear, max_separable_linear, qfi
-from .states import PureState, dicke_basis, sample_haar, sample_symmetric
+from .states import (
+    BlochGrid,
+    PureState,
+    dicke_basis,
+    sample_haar,
+    sample_symmetric,
+    trace_distance_qubit,
+)
 
 PROP6_C = 18.0
 SQRT2 = math.sqrt(2.0)
-
-# Materializing every frame of a fine basis net would need gigabytes; past
-# this count, callers must use the per-index accessors.
-MAX_MATERIALIZED_FRAMES = 200_000
 
 EPSILON_MODES = ("prop7", "result1", "result3")
 SIZE_KINDS = ("result1", "result3")
@@ -93,100 +97,8 @@ def coefficient_grid(A: float, B: float, eps_c: float) -> CoefficientGrid:
 
 # --- qubit pure-state net -----------------------------------------------------
 
-def trace_distance_qubit(u: np.ndarray, v: np.ndarray) -> float:
-    """Trace distance between pure qubit states, sqrt(1 - |<u|v>|^2)."""
-    u = np.asarray(u, dtype=np.complex128).reshape(2)
-    v = np.asarray(v, dtype=np.complex128).reshape(2)
-    ov = abs(np.vdot(u, v)) ** 2
-    return math.sqrt(max(0.0, 1.0 - min(1.0, ov)))
-
-
-@dataclass(frozen=True, eq=False)
-class BasisNet:
-    """Deterministic latitude/longitude net of qubit frames.
-
-    Rows sit at polar angles `thetas`; row j carries `row_counts[j]` equally
-    spaced azimuths.  Element i is the state (cos(t/2), e^{ip} sin(t/2))
-    together with its phase-fixed orthogonal complement, so each index names
-    a full orthonormal frame.  Frames are generated on demand: at the
-    resolutions the parameter choices call for there are millions of
-    elements, and `nearest_index` works by cell lookup, not enumeration.
-    """
-
-    d: int
-    eps_p: float
-    thetas: np.ndarray
-    row_counts: np.ndarray
-    offsets: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.offsets[-1])
-
-    @property
-    def frames(self) -> np.ndarray:
-        if self.count > MAX_MATERIALIZED_FRAMES:
-            raise ValueError(
-                f"net has {self.count} frames; materialization is capped at "
-                f"{MAX_MATERIALIZED_FRAMES}, use frame_at / nearest_index"
-            )
-        return np.stack([self.frame_at(i) for i in range(self.count)])
-
-    def _locate(self, index: int) -> tuple[float, float]:
-        if not (0 <= index < self.count):
-            raise IndexError(f"net index {index} out of range [0, {self.count})")
-        j = int(np.searchsorted(self.offsets, index, side="right")) - 1
-        k = index - int(self.offsets[j])
-        theta = float(self.thetas[j])
-        phi = 2.0 * math.pi * k / int(self.row_counts[j])
-        return theta, phi
-
-    def state_at(self, index: int) -> np.ndarray:
-        theta, phi = self._locate(index)
-        return np.array(
-            [math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)],
-            dtype=np.complex128,
-        )
-
-    def frame_at(self, index: int) -> np.ndarray:
-        theta, phi = self._locate(index)
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        ph = np.exp(1j * phi)
-        return np.array([[c, s], [s * ph, -c * ph]], dtype=np.complex128)
-
-    def nearest_index(self, v: np.ndarray) -> int:
-        """Index of a net state within the covering radius of v.
-
-        Snaps the Bloch angles to the containing cell and compares against
-        the neighboring cells as well, so the returned element is the best
-        of the local patch; the containing cell alone already realizes the
-        covering guarantee.
-        """
-        v = np.asarray(v, dtype=np.complex128).reshape(2)
-        theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
-        rel = v[1] * np.conj(v[0])
-        phi = math.atan2(rel.imag, rel.real) % (2.0 * math.pi)
-        rows = len(self.thetas)
-        dt = math.pi / rows
-        j0 = int(round(theta / dt - 0.5))
-        best, best_dist = -1, math.inf
-        for j in range(max(0, j0 - 1), min(rows, j0 + 2)):
-            m = int(self.row_counts[j])
-            k0 = int(round(phi * m / (2.0 * math.pi)))
-            for dk in (-1, 0, 1):
-                k = (k0 + dk) % m
-                idx = int(self.offsets[j]) + k
-                dist = trace_distance_qubit(v, self.state_at(idx))
-                if dist < best_dist:
-                    best, best_dist = idx, dist
-        return best
-
-    def nearest_frame(self, v: np.ndarray) -> np.ndarray:
-        return self.frame_at(self.nearest_index(v))
-
-
-def pure_state_net_qubit(eps_p: float) -> BasisNet:
-    """Bloch-sphere grid whose trace-distance covering radius is <= eps_p.
+def pure_state_net_qubit(eps_p: float) -> BlochGrid:
+    """Bloch grid whose trace-distance covering radius is <= eps_p.
 
     Arc budget: rows are spaced so the polar move costs at most half the
     2*eps_p chord target and the azimuthal move along the row costs the
@@ -197,19 +109,15 @@ def pure_state_net_qubit(eps_p: float) -> BasisNet:
         raise ValueError(f"eps_p must lie in (0, 1), got {eps_p}")
     delta = 2.0 * eps_p
     rows = math.ceil(math.pi / delta)
-    dt = math.pi / rows
-    thetas = (np.arange(rows) + 0.5) * dt
-    row_counts = np.maximum(
-        1, np.ceil(2.0 * math.pi * np.sin(thetas) / delta)
-    ).astype(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(row_counts)])
-    net = BasisNet(2, eps_p, thetas, row_counts, offsets)
+    thetas = BlochGrid.polar_angle(np.arange(rows), rows)
+    counts = np.maximum(1, np.ceil(2.0 * math.pi * np.sin(thetas) / delta)).astype(np.int64)
+    net = BlochGrid(counts)
     if net.count > (5.0 / eps_p) ** 4:
         raise RuntimeError("constructed net exceeds its cardinality bound")
     return net
 
 
-def net_probe(net: BasisNet, trials: int, rng: Rng) -> float:
+def net_probe(net: BlochGrid, trials: int, rng: Rng) -> float:
     """Worst trace distance from random qubit states to the net.
 
     Probe t is the normalised `rng.substream(t).complex_normal(2)`.
@@ -386,7 +294,7 @@ class LinearFamilyNet:
     n: int
     d: int
     grid: CoefficientGrid
-    basis_net: BasisNet
+    basis_net: BlochGrid
 
     @property
     def log_count(self) -> float:
@@ -408,7 +316,7 @@ class LinearFamilyNet:
                 f"family mismatch: net is ({self.n}, {self.d}), "
                 f"Hamiltonian is ({h.n}, {h.d})"
             )
-        frame = self.basis_net.nearest_frame(h.basis[:, 0])
+        frame = self.basis_net.frame_at(self.basis_net.nearest_index(h.basis[:, 0]))
         rep = LinearHamiltonian(self.grid.nearest(h.table), frame)
         diffs = (h.basis * h.table[:, None, :]) @ h.basis.conj().T
         diffs -= (frame * rep.table[:, None, :]) @ frame.conj().T
@@ -429,15 +337,28 @@ def build_linear_net(
     )
 
 
+def _banded(rng: Rng, A: float, B: float, size) -> np.ndarray:
+    """Magnitudes uniform in [A, B], then an independent random sign each."""
+    if not (B > A > 0.0):
+        raise ValueError(f"need B > A > 0, got A={A}, B={B}")
+    mags = rng.uniform(A, B, size)
+    return mags * np.where(rng.random(size) < 0.5, -1.0, 1.0)
+
+
 def sample_linear_banded(
     n: int, d: int, rng: Rng, A: float, B: float
 ) -> LinearHamiltonian:
-    """Random family member: Haar shared basis, |levels| uniform in [A, B]."""
-    if not (B > A > 0.0):
-        raise ValueError(f"need B > A > 0, got A={A}, B={B}")
-    mags = A + (B - A) * rng.random((n, d))
-    signs = np.where(rng.random((n, d)) < 0.5, -1.0, 1.0)
-    return LinearHamiltonian(mags * signs, haar_unitary(d, rng))
+    """Random family member: |levels| uniform in [A, B], then a Haar shared basis."""
+    return LinearHamiltonian(_banded(rng, A, B, (n, d)), haar_unitary(d, rng))
+
+
+def sample_product_banded(
+    n: int, d: int, rng: Rng, A: float, B: float
+) -> ProductDiagonalHamiltonian:
+    """Haar product bases, then |coefficients| uniform in [A, B] with random signs."""
+    dim = check_power_dim(d, n)
+    bases = tuple(haar_unitary(d, rng) for _ in range(n))
+    return ProductDiagonalHamiltonian(_banded(rng, A, B, dim), bases)
 
 
 # --- audits -------------------------------------------------------------------

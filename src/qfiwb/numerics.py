@@ -401,18 +401,3 @@ def basis_digits(n: int, d: int) -> np.ndarray:
     idx = np.arange(dim)
     cols = [(idx // d ** (n - 1 - j)) % d for j in range(n)]
     return np.stack(cols, axis=1)
-
-
-def unitary_with_first_column(v: np.ndarray) -> np.ndarray:
-    """Deterministic unitary completion whose first column is the unit vector v."""
-    v = as_complex(np.ravel(v))
-    dim = v.shape[0]
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"first column must be a unit vector, got norm {nrm}")
-    m = np.concatenate([v[:, None], np.eye(dim, dtype=np.complex128)], axis=1)
-    q, _ = np.linalg.qr(m)
-    # QR delivers the first column only up to a phase; rotate it back onto v
-    phase = np.vdot(q[:, 0], v)
-    q[:, 0] *= phase / abs(phase)
-    return q

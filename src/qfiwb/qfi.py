@@ -25,8 +25,6 @@ from .numerics import (
     check_power_dim,
     ensure_hermitian,
     spectral_norm,
-    spectral_spread,
-    unitary_with_first_column,
 )
 from .hamiltonians import (
     GraphHamiltonian,
@@ -37,6 +35,7 @@ from .hamiltonians import (
 from .states import NORM_ATOL, DickeBasis, PureState, dicke_basis, dim_symmetric, product_state
 
 QFI_CLIP_ATOL = 1e-9
+DEGENERACY_ATOL = 1e-12
 
 _TYPED = (LinearHamiltonian, ProductDiagonalHamiltonian, GraphHamiltonian)
 
@@ -199,8 +198,7 @@ class ConcentrationBound:
     `two_sided` bounds P(|f - E f| > eps); `one_sided` bounds a single tail
     (the upper tail over the full space, the lower tail over the symmetric
     subspace). Values are stored raw even when they exceed 1; the vacuous
-    flags mark that case. `selected` repeats whichever tail the caller asked
-    levy_bound for.
+    flags mark that case.
     """
 
     epsilon: float
@@ -208,7 +206,6 @@ class ConcentrationBound:
     lipschitz: float
     two_sided: float
     one_sided: float
-    selected: float
 
     @property
     def vacuous_two_sided(self) -> bool:
@@ -219,7 +216,7 @@ class ConcentrationBound:
         return self.one_sided >= 1.0
 
 
-def levy_bound(h, dim: int, epsilon: float, one_sided: bool = False) -> ConcentrationBound:
+def levy_bound(h, dim: int, epsilon: float) -> ConcentrationBound:
     """Concentration bounds at sphere dimension `dim` (full or symmetric)."""
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -230,9 +227,7 @@ def levy_bound(h, dim: int, epsilon: float, one_sided: bool = False) -> Concentr
     x = math.inf if lip == 0.0 else 2.0 * dim * epsilon**2 / (9.0 * math.pi**3 * lip**2)
     two = 2.0 * math.exp(-x)
     one = 2.0 * math.exp(-x / math.log(2.0))
-    return ConcentrationBound(
-        float(epsilon), int(dim), lip, two, one, one if one_sided else two
-    )
+    return ConcentrationBound(float(epsilon), int(dim), lip, two, one)
 
 
 # --- extremal states ---------------------------------------------------------
@@ -266,9 +261,12 @@ def max_qfi_all_states(h) -> tuple[float, PureState]:
 class TransportResult:
     """Unitary that moves a given state onto an extremal-QFI configuration.
 
-    `unitary` U satisfies U^dag psi = (v_max + v_min)/sqrt(2), so the rotated
-    Hamiltonian U H U^dag has the same spectrum and gives `check` =
-    QFI(psi, U H U^dag), which should equal `target` = spread(H)^2.
+    `unitary` U satisfies U^dag psi = tau = (v_max + v_min)/sqrt(2), so the
+    rotated Hamiltonian U H U^dag has the same spectrum and gives `check` =
+    QFI(psi, U H U^dag), which should equal `target` = spread(H)^2. U is
+    e^{i chi} P, with P the Householder reflector that swaps e^{i chi} tau
+    and psi once chi makes their overlap real and non-negative; the phase
+    cancels in U H U^dag = P H P, a rank-2 update of H.
     """
 
     unitary: np.ndarray
@@ -277,11 +275,10 @@ class TransportResult:
     degenerate: bool
 
 
-def global_unitary_transport(state: PureState, h, degeneracy_atol: float = 1e-12) -> TransportResult:
+def global_unitary_transport(state: PureState, h) -> TransportResult:
     hm = _dense(h)
     w, v = np.linalg.eigh(hm)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    tol = degeneracy_atol * scale
+    tol = DEGENERACY_ATOL * max(1.0, float(np.max(np.abs(w))))
     # lowest eigen-index tie-break on both extremes
     i_min = 0
     i_max = int(np.argmax(w >= w[-1] - tol))
@@ -292,10 +289,18 @@ def global_unitary_transport(state: PureState, h, degeneracy_atol: float = 1e-12
         tau = v[:, i_min]
     else:
         tau = (v[:, i_max] + v[:, i_min]) / math.sqrt(2.0)
-    w_psi = unitary_with_first_column(state.amplitudes)
-    w_tau = unitary_with_first_column(tau)
-    u = w_psi @ w_tau.conj().T
-    rotated = u @ hm @ u.conj().T
+    psi = state.amplitudes
+    overlap = np.vdot(tau, psi)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    r = phase * tau - psi
+    nrm = float(np.linalg.norm(r))
+    if nrm > 0.0:
+        r = r / nrm
+    hr = hm @ r
+    g = hr - np.vdot(r, hr).real * r
+    update = np.outer(r, g.conj())
+    rotated = hm - 2.0 * (update + update.conj().T)
+    u = phase * (np.eye(hm.shape[0]) - 2.0 * np.outer(r, r.conj()))
     check = qfi(state, rotated)
     target = float(w[-1] - w[0]) ** 2
     return TransportResult(u, check, target, degenerate)

@@ -1,4 +1,5 @@
-"""Pure states on n sites of local dimension d, and the symmetric subspace.
+"""Pure states on n sites of local dimension d, the symmetric subspace, and
+the one Bloch-sphere grid of qubit states.
 
 Basis indices follow kron order (site 1 most significant). The symmetric
 subspace is handled through an explicit orthonormal frame of generalized
@@ -8,15 +9,13 @@ n = 2, d = 2 the frame columns are |00>, (|01> + |10>)/sqrt(2), |11>.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .numerics import Rng, as_complex, basis_digits, check_power_dim
-from .hamiltonians import permutation_index_map
 
 NORM_ATOL = 1e-12
 
@@ -189,48 +188,119 @@ def dicke_basis(n: int, d: int) -> DickeBasis:
     return DickeBasis(n, d, comps, m)
 
 
-def dicke_state(n: int, d: int, composition: Sequence[int]) -> PureState:
-    """Generalized Dicke state for one composition."""
-    basis = dicke_basis(n, d)
-    comp = tuple(int(k) for k in composition)
-    try:
-        col = basis.compositions.index(comp)
-    except ValueError:
-        raise ValueError(f"{comp} is not a composition of {n} into {d} parts") from None
-    return PureState(n, d, basis.matrix[:, col].astype(np.complex128))
-
-
-MAX_PROJECTOR_SITES = 6
-
-
-def symmetric_projector(n: int, d: int) -> np.ndarray:
-    """Projector onto the symmetric subspace as the permutation average.
-
-    Built literally as the mean of all n! tensor-factor permutation
-    operators, so it is an independent route from the Dicke frame; capped at
-    n = 6 sites because of the factorial sum.
-    """
-    if n > MAX_PROJECTOR_SITES:
-        raise ValueError(
-            f"permutation-sum projector is capped at n = {MAX_PROJECTOR_SITES}, got {n}"
-        )
-    dim = check_power_dim(d, n)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    src = np.arange(dim)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        imap = permutation_index_map(perm, d)
-        out[imap, src] += 1.0
-        count += 1
-    return out / count
-
-
 def sample_symmetric(n: int, d: int, rng: Rng, basis: DickeBasis | None = None) -> PureState:
     """Haar-random state of the symmetric subspace (Gaussian in the Dicke frame)."""
     if basis is None:
         basis = dicke_basis(n, d)
     c = rng.complex_normal(basis.size)
     return normalized_state(n, d, basis.matrix @ c)
+
+
+# --- qubit Bloch-sphere grid -------------------------------------------------
+
+# Materializing every frame of a fine grid would need gigabytes; past this
+# count, callers must use the per-index accessors.
+MAX_MATERIALIZED_FRAMES = 200_000
+
+
+def trace_distance_qubit(u: np.ndarray, v: np.ndarray) -> float:
+    """Trace distance between pure qubit states, sqrt(1 - |<u|v>|^2)."""
+    u = np.asarray(u, dtype=np.complex128).reshape(2)
+    v = np.asarray(v, dtype=np.complex128).reshape(2)
+    ov = abs(np.vdot(u, v)) ** 2
+    return math.sqrt(max(0.0, 1.0 - min(1.0, ov)))
+
+
+@dataclass(frozen=True, eq=False)
+class BlochGrid:
+    """Latitude/longitude grid of qubit states (cos t/2, e^{ip} sin t/2).
+
+    Row j of R sits at polar angle t_j = (j + 1/2) pi / R and carries
+    `row_counts[j]` azimuths p = 2 pi k / row_counts[j]; elements are
+    numbered row by row. Index i also names the frame whose columns are its
+    state and the phase-fixed complement (sin t/2, -e^{ip} cos t/2).
+    Elements are generated on demand, so a grid of billions of cells costs
+    only its row table, and `nearest_index` works by cell lookup.
+    """
+
+    row_counts: np.ndarray
+    offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        counts = np.asarray(self.row_counts, dtype=np.int64)
+        if counts.ndim != 1 or counts.size == 0 or np.any(counts < 1):
+            raise ValueError("a Bloch grid needs rows of at least one azimuth each")
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        object.__setattr__(self, "row_counts", counts)
+        object.__setattr__(self, "offsets", offsets)
+
+    @staticmethod
+    def polar_angle(j, rows: int):
+        """t_j = (j + 1/2) pi / rows, the polar angle of row j of `rows`."""
+        return (j + 0.5) * (math.pi / rows)
+
+    @property
+    def count(self) -> int:
+        return int(self.offsets[-1])
+
+    def _parts(self, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """cos t/2, sin t/2 and e^{ip} of the elements `index`."""
+        index = np.asarray(index, dtype=np.int64)
+        if ((index < 0) | (index >= self.offsets[-1])).any():
+            raise IndexError(f"grid index out of range [0, {self.count})")
+        j = np.searchsorted(self.offsets, index, side="right") - 1
+        half = self.polar_angle(j, self.row_counts.size) / 2.0
+        phi = 2.0 * math.pi * (index - self.offsets[j]) / self.row_counts[j]
+        return np.cos(half), np.sin(half), np.exp(1j * phi)
+
+    def states(self, index) -> np.ndarray:
+        """State vectors of the elements `index`, shape index.shape + (2,)."""
+        c, s, ph = self._parts(index)
+        out = np.empty(np.shape(c) + (2,), dtype=np.complex128)
+        out[..., 0], out[..., 1] = c, s * ph
+        return out
+
+    state_at = states  # the name used for one index
+
+    def frame_at(self, index) -> np.ndarray:
+        """Frames of the elements `index`, shape index.shape + (2, 2)."""
+        c, s, ph = self._parts(index)
+        out = np.empty(np.shape(c) + (2, 2), dtype=np.complex128)
+        out[..., 0, 0], out[..., 0, 1] = c, s
+        out[..., 1, 0], out[..., 1, 1] = s * ph, -c * ph
+        return out
+
+    @property
+    def frames(self) -> np.ndarray:
+        if self.count > MAX_MATERIALIZED_FRAMES:
+            raise ValueError(
+                f"grid has {self.count} frames; materialization is capped at "
+                f"{MAX_MATERIALIZED_FRAMES}, use frame_at / nearest_index"
+            )
+        return self.frame_at(np.arange(self.count))
+
+    def nearest_index(self, v: np.ndarray) -> int:
+        """Index of the element nearest v in trace distance within v's patch.
+
+        Snaps the Bloch angles of v to their cell and compares the 3x3 patch
+        of cells around it, rows in order and azimuths k-1, k, k+1 within a
+        row; the first strict minimum wins. The containing cell alone
+        already realizes the grid's covering radius.
+        """
+        v = np.asarray(v, dtype=np.complex128).reshape(2)
+        theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
+        rel = v[1] * np.conj(v[0])
+        phi = math.atan2(rel.imag, rel.real) % (2.0 * math.pi)
+        rows = self.row_counts.size
+        j0 = round(theta / (math.pi / rows) - 0.5)
+        j = np.arange(max(0, j0 - 1), min(rows, j0 + 2))
+        m = self.row_counts[j]
+        k0 = np.round(phi * m / (2.0 * math.pi)).astype(np.int64)
+        k = (k0[:, None] + (-1, 0, 1)) % m[:, None]
+        patch = (self.offsets[j][:, None] + k).ravel()
+        dist = [trace_distance_qubit(v, u) for u in self.states(patch)]
+        return int(patch[dist.index(min(dist))])
 
 
 # --- plain-text round trip ---------------------------------------------------

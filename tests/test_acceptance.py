@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+import oracles
 from qfiwb.gme import cap_state, qfi_cap, symmetric_weight_qfi, symmetrize_amplitudes
 from qfiwb.graphs import (
     census_bruteforce,
@@ -56,7 +57,7 @@ from qfiwb.qfi import (
     qfi_batch,
     symmetric_product_state,
 )
-from qfiwb.states import dicke_basis, ghz, sample_haar, symmetric_projector
+from qfiwb.states import dicke_basis, ghz, sample_haar
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -177,7 +178,7 @@ def test_criterion_4_symmetrized_linear_and_eigenrelation():
         n, d = configs[t % len(configs)]
         if (n, d) not in bases:
             bases[n, d] = dicke_basis(n, d)
-            projectors[n, d] = symmetric_projector(n, d)
+            projectors[n, d] = oracles.symmetrizer(n, d)
         basis = bases[n, d]
         h = sample_linear(n, d, rng.substream(t))
 

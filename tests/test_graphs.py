@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,26 @@ def test_three_routes_agree_on_random_graphs():
         assert brute == by_deg
         ora = oracles.census_pairs(list(g.edges))
         assert (brute.s, brute.disjoint, brute.connected, brute.all) == ora
+
+
+def _random_hypergraph(n: int, s: int, k: int, r: Rng) -> InteractionGraph:
+    edges: set[tuple[int, ...]] = set()
+    while len(edges) < s:
+        edges.add(tuple(sorted(int(v) + 1 for v in np.argsort(r.random(n))[:k])))
+    return InteractionGraph(n, tuple(sorted(edges)))
+
+
+@pytest.mark.parametrize("block_words", [2**20, 1000])
+def test_census_multiword_masks_match_pair_oracle(monkeypatch, block_words):
+    # Past 64 vertices an edge mask spans several uint64 words, and past 512
+    # edges (or at a small block) the rows split over several blocks.
+    monkeypatch.setattr(importlib.import_module("qfiwb.graphs"), "_CENSUS_BLOCK_WORDS", block_words)
+    rng = Rng(2024)
+    for t, n in enumerate((64, 65, 128, 151)):
+        r = rng.substream(t)
+        g = _random_hypergraph(n, 513 + int(r.random() * 100), 2 + t % 3, r)
+        c = census_bruteforce(g)
+        assert (c.s, c.disjoint, c.connected, c.all) == oracles.census_pairs(list(g.edges))
 
 
 def test_census_vectorized_block_path():

@@ -11,7 +11,6 @@ import oracles
 from qfiwb import numerics
 from qfiwb.hamiltonians import LinearHamiltonian, from_spec_text
 from qfiwb.nets import (
-    MAX_MATERIALIZED_FRAMES,
     BoundParams,
     CoefficientGrid,
     LinearFamilyNet,
@@ -28,6 +27,7 @@ from qfiwb.nets import (
     trace_distance_qubit,
 )
 from qfiwb.numerics import Rng
+from qfiwb.states import MAX_MATERIALIZED_FRAMES
 
 SQRT2 = math.sqrt(2.0)
 

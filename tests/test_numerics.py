@@ -16,7 +16,6 @@ from qfiwb.numerics import (
     random_hermitian,
     spectral_norm,
     spectral_spread,
-    unitary_with_first_column,
 )
 
 
@@ -219,14 +218,6 @@ def test_basis_digits_roundtrip(n, d):
     digits = basis_digits(n, d)
     weights = d ** np.arange(n - 1, -1, -1)
     assert np.array_equal(digits @ weights, np.arange(d**n))
-
-
-def test_unitary_with_first_column():
-    v = Rng(8).complex_normal(7)
-    v = v / np.linalg.norm(v)
-    u = unitary_with_first_column(v)
-    assert np.allclose(u[:, 0], v)
-    assert np.allclose(u.conj().T @ u, np.eye(7), atol=1e-12)
 
 
 def test_dimension_guard():

@@ -308,9 +308,6 @@ def test_levy_bound_monotonicity_and_vacuity():
     assert not tight.vacuous_two_sided
     assert tight.two_sided < levy_bound(h, 10**6, 0.5).two_sided
     assert tight.two_sided < levy_bound(h, 10**7, 0.4).two_sided
-    assert levy_bound(h, 10**7, 0.5, one_sided=True).selected == pytest.approx(
-        tight.one_sided
-    )
     with pytest.raises(ValueError):
         levy_bound(h, 0, 0.5)
     with pytest.raises(ValueError):
@@ -337,6 +334,9 @@ def test_global_unitary_transport_random_pairs():
         assert res.target == pytest.approx(spectral_spread(h) ** 2, abs=1e-9)
         u = res.unitary
         assert np.allclose(u.conj().T @ u, np.eye(8), atol=1e-10)
+        v = np.linalg.eigh(h)[1]
+        tau = (v[:, -1] + v[:, 0]) / math.sqrt(2.0)
+        assert np.allclose(u.conj().T @ psi.amplitudes, tau, atol=1e-12)
 
 
 def test_global_unitary_transport_flags_degeneracy():

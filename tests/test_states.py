@@ -1,3 +1,5 @@
+import cmath
+import importlib
 import math
 import tempfile
 from pathlib import Path
@@ -9,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from formats import commented
 from qfiwb.numerics import Rng
+from qfiwb.nets import pure_state_net_qubit
 from qfiwb.states import (
-    MAX_PROJECTOR_SITES,
+    BlochGrid,
     PureState,
     compositions_colex,
     dicke_basis,
-    dicke_state,
     dim_symmetric,
     ghz,
     minus_vector,
@@ -25,7 +27,7 @@ from qfiwb.states import (
     sample_haar,
     sample_symmetric,
     superposition_state,
-    symmetric_projector,
+    trace_distance_qubit,
     write_state,
 )
 
@@ -134,22 +136,17 @@ def test_dicke_frame_reproduces_projector():
 
 def test_dicke_state_values():
     # |1,1> of two qubits: equal weight on 01 and 10.
-    st_ = dicke_state(2, 2, (1, 1))
-    assert np.allclose(st_.amplitudes, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
-    with pytest.raises(ValueError):
-        dicke_state(2, 2, (3, 1))
+    basis = dicke_basis(2, 2)
+    column = basis.matrix[:, basis.compositions.index((1, 1))]
+    assert np.allclose(column, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
+    assert (3, 1) not in basis.compositions
 
 
 def test_symmetric_projector_is_projector():
-    pi = symmetric_projector(3, 2)
+    pi = oracles.symmetrizer(3, 2)
     assert np.allclose(pi, pi.conj().T)
     assert np.allclose(pi @ pi, pi, atol=1e-12)
     assert np.trace(pi).real == pytest.approx(dim_symmetric(3, 2))
-
-
-def test_symmetric_projector_site_cap():
-    with pytest.raises(ValueError):
-        symmetric_projector(MAX_PROJECTOR_SITES + 1, 2)
 
 
 def test_sample_symmetric_lies_in_subspace():
@@ -165,6 +162,63 @@ def test_sample_symmetric_prebuilt_basis_matches():
     a = sample_symmetric(3, 2, Rng(6), b)
     c = sample_symmetric(3, 2, Rng(6))
     assert np.allclose(a.amplitudes, c.amplitudes)
+
+
+# --- Bloch grid --------------------------------------------------------------
+
+def test_bloch_grid_layout():
+    grid = BlochGrid(np.array([1, 3, 2]))
+    assert grid.count == 6
+    t = math.pi / 2.0  # row 1 of 3 sits at (1 + 1/2) pi / 3
+    phi = 2.0 * math.pi / 3.0  # element 2 is azimuth 1 of 3 in row 1
+    assert np.allclose(grid.state_at(2), [math.cos(t / 2), math.sin(t / 2) * np.exp(1j * phi)])
+    assert np.allclose(grid.state_at(0), [math.cos(math.pi / 12), math.sin(math.pi / 12)])
+    assert grid.states(np.array([[0, 1], [4, 5]])).shape == (2, 2, 2)
+    frame = grid.frame_at(2)
+    assert np.allclose(frame[:, 0], grid.state_at(2))
+    assert np.allclose(frame @ frame.conj().T, np.eye(2), atol=1e-12)
+    for counts in ([], [1, 0], [[1, 2]]):
+        with pytest.raises(ValueError):
+            BlochGrid(np.array(counts, dtype=np.int64))
+    with pytest.raises(IndexError):
+        grid.states(np.array([0, 6]))
+
+
+def _patch(grid: BlochGrid, v: np.ndarray) -> list[int]:
+    """The 3x3 cells around v's Bloch angles: nearby rows, azimuths k-1..k+1."""
+    theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
+    phi = cmath.phase(v[1] * np.conj(v[0])) % (2.0 * math.pi)
+    rows = len(grid.row_counts)
+    j0 = round(theta / (math.pi / rows) - 0.5)
+    out = []
+    for j in range(max(0, j0 - 1), min(rows, j0 + 2)):
+        m = int(grid.row_counts[j])
+        k0 = round(phi * m / (2.0 * math.pi))
+        out += [int(grid.offsets[j]) + (k0 + dk) % m for dk in (-1, 0, 1)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    pole=st.sampled_from([None, 0, 1]),
+    eps_p=st.one_of(st.sampled_from([0.5, 0.2, 0.05, 0.003]), st.floats(0.01, 0.9)),
+    delta=st.one_of(st.sampled_from([0.03, 0.15]), st.floats(0.02, 1.0)),
+)
+def test_bloch_grid_covering_rules(seed, pole, eps_p, delta):
+    v = np.eye(2, dtype=complex)[pole] if pole is not None else Rng(seed).complex_normal(2)
+    v = v / np.linalg.norm(v)
+    net = pure_state_net_qubit(eps_p)
+    oracle = importlib.import_module("qfiwb.gme")._oracle_grid(delta)
+    for grid in (net, oracle):
+        i = grid.nearest_index(v)
+        best = trace_distance_qubit(v, grid.state_at(i))
+        assert i in _patch(grid, v)
+        assert all(best <= trace_distance_qubit(v, grid.state_at(j)) for j in _patch(grid, v))
+    # The net covers in trace distance, the oracle's grid in vector distance up to phase.
+    assert trace_distance_qubit(v, net.state_at(net.nearest_index(v))) <= eps_p + 1e-12
+    ov = abs(np.vdot(oracle.state_at(oracle.nearest_index(v)), v))
+    assert math.sqrt(max(0.0, 2.0 - 2.0 * ov)) <= delta + 1e-12
 
 
 @settings(max_examples=30, deadline=None)
