@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, basis_digits
+from .numerics import Rng, kron_fold
 from .states import BlochGrid, PureState
 
 OVERLAP_ATOL = 1e-10
@@ -263,7 +263,8 @@ class SymmetrizedAmplitudes:
 
 
 def _state_from_profile(n: int, b: np.ndarray) -> PureState:
-    return PureState(n, 2, np.asarray(b, dtype=np.complex128)[basis_digits(n, 2).sum(axis=1)])
+    weights = kron_fold(np.add, [np.arange(2)] * n)
+    return PureState(n, 2, np.asarray(b, dtype=np.complex128)[weights])
 
 
 def symmetrize_amplitudes(state: PureState) -> tuple[SymmetrizedAmplitudes, PureState]:
@@ -285,7 +286,7 @@ def symmetrize_amplitudes(state: PureState) -> tuple[SymmetrizedAmplitudes, Pure
 
 def _weight_histogram(state: PureState) -> np.ndarray:
     """Probability of each Hamming weight k under a qubit state."""
-    weights = basis_digits(state.n, 2).sum(axis=1)
+    weights = kron_fold(np.add, [np.arange(2)] * state.n)
     sq = np.abs(state.amplitudes) ** 2
     return np.bincount(weights, weights=sq, minlength=state.n + 1)
 

@@ -22,10 +22,10 @@ import numpy as np
 from .numerics import (
     Rng,
     as_complex,
-    basis_digits,
     check_power_dim,
     haar_unitary,
     kron_all,
+    kron_fold,
 )
 
 UNITARY_ATOL = 1e-10
@@ -173,7 +173,7 @@ class LinearHamiltonian:
 
     def diagonal(self) -> np.ndarray:
         """D[sigma] = sum_i table[i, sigma_i], the spectrum in kron order."""
-        return self.table[np.arange(self.n), basis_digits(self.n, self.d)].sum(axis=1)
+        return kron_fold(np.add, self.table)
 
     def dense(self) -> np.ndarray:
         dim = check_power_dim(self.d, self.n)
@@ -374,15 +374,12 @@ class GraphHamiltonian:
         H = W diag(D) W^dag for any site bases; with computational bases the
         dense matrix is exactly diag(D).
         """
-        digits = basis_digits(self.n, 2)
-        levels = np.array([op.levels for op in self.site_ops])
-        out = np.zeros(digits.shape[0])
-        for edge in self.hyperedges:
-            term = np.ones(digits.shape[0])
-            for s in edge:
-                term = term * levels[s - 1, digits[:, s - 1]]
-            out += term
-        return out
+        one = np.ones(2)
+        levels = [op.levels for op in self.site_ops]
+        return sum(
+            kron_fold(np.multiply, [lv if s in edge else one for s, lv in enumerate(levels, 1)])
+            for edge in self.hyperedges
+        )
 
 
 def sample_linear(

@@ -211,8 +211,11 @@ def net_size_bound(params: BoundParams, which: str, prop6_c: float = PROP6_C) ->
     if which not in SIZE_KINDS:
         raise ValueError(f"which must be one of {SIZE_KINDS}, got {which!r}")
     eps_p, eps_c = epsilon_choices(params.eps, params, which, prop6_c)
-    coeff_log = math.log((params.B - params.A) / eps_c + 4.0)
-    basis_log = math.log(5.0 / eps_p)
+    if eps_p == 0.0 or eps_c == 0.0:
+        raise ValueError(f"eps = {params.eps} is too small: a net accuracy underflows to 0")
+    # Differences of logs: the quotients overflow once eps is near DBL_MIN.
+    coeff_log = math.log(params.B - params.A + 4.0 * eps_c) - math.log(eps_c)
+    basis_log = math.log(5.0) - math.log(eps_p)
     if which == "result1":
         return params.d * params.n * coeff_log + params.d * (params.d + 1) * basis_log
     return (

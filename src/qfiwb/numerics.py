@@ -374,6 +374,22 @@ def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     return out
 
 
+def kron_fold(ufunc: np.ufunc, vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """`ufunc.outer` folded over per-site vectors, flattened in kron order.
+
+    Entry sigma is ufunc(...ufunc(v_1[sigma_1], v_2[sigma_2])..., v_n[sigma_n])
+    with site 1 most significant, so np.add gives a Kronecker sum and
+    np.multiply a Kronecker product, without a table of basis digits.
+    """
+    if len(vectors) == 0:
+        raise ValueError("kron_fold needs at least one vector")
+    check_dim(math.prod(len(v) for v in vectors))
+    out = np.asarray(vectors[0])
+    for v in vectors[1:]:
+        out = ufunc.outer(out, v).ravel()
+    return out
+
+
 def haar_unitary(dim: int, rng: Rng) -> np.ndarray:
     """Haar-distributed unitary via QR with the R-diagonal phase fix."""
     check_dim(dim)
@@ -389,15 +405,3 @@ def random_hermitian(dim: int, rng: Rng, scale: float = 1.0) -> np.ndarray:
     check_dim(dim)
     b = rng.complex_normal((dim, dim)) * scale
     return (b + b.conj().T) / 2.0
-
-
-def basis_digits(n: int, d: int) -> np.ndarray:
-    """Digit table of the full product basis, shape (d**n, n).
-
-    Row i holds the base-d digits of i with site 1 in column 0 (most
-    significant), matching the kron ordering used throughout.
-    """
-    dim = check_power_dim(d, n)
-    idx = np.arange(dim)
-    cols = [(idx // d ** (n - 1 - j)) % d for j in range(n)]
-    return np.stack(cols, axis=1)

@@ -6,12 +6,17 @@ symmetric-subspace mean, the latter evaluated through the Dicke frame in the
 form 4 (Tr[P H^2 P]/(C + 1) - Tr[P H P]^2 / (C (C + 1))) with P the symmetric
 projector and C the subspace dimension.
 
-A typed Hamiltonian (linear, product-diagonal or graph) is Hermitian by
-construction and is evaluated in its product eigenframe H = W diag(D) W^dag:
-the QFI is 4 Var of D under p = |W^dag psi|^2, with psi rotated one site at a
-time, and the Haar mean and operator norm come from D alone. qfi_batch,
-expected_qfi_haar and lipschitz_constant never make a typed operator dense;
-only a bare array is checked for Hermiticity, once per call.
+Every operator is read through one eigenframe H = W diag(D) W^dag with
+W = B_1 (x) ... (x) B_n. A typed Hamiltonian (linear, product-diagonal or
+graph) is Hermitian by construction and gives its product frame; a bare
+array is checked for Hermiticity once and diagonalised as a single site,
+W = (V,). A pure state's QFI is 4 Var of D under p = |W^dag psi|^2, so the
+symmetric mean, the all-state maximum and the Theorem 11 transport read
+only (W, D), as do the Haar mean and the operator norm of a typed H, and
+no typed operator is made dense. A bare array pays for eigenvectors only
+where they are needed: qfi_batch applies it as a matrix, the Haar mean
+reads Tr H and Tr H^2, and the operator norm its eigenvalues. The
+separable references need a product frame, so they accept only a typed H.
 """
 
 from __future__ import annotations
@@ -21,11 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    check_power_dim,
-    ensure_hermitian,
-    spectral_norm,
-)
+from .numerics import check_power_dim, ensure_hermitian, kron_fold, spectral_norm
 from .hamiltonians import (
     GraphHamiltonian,
     LinearHamiltonian,
@@ -40,16 +41,20 @@ DEGENERACY_ATOL = 1e-12
 _TYPED = (LinearHamiltonian, ProductDiagonalHamiltonian, GraphHamiltonian)
 
 
-def _dense(h) -> np.ndarray:
-    if isinstance(h, np.ndarray):
-        return ensure_hermitian(h)
-    if isinstance(h, _TYPED):
-        return h.dense()  # Hermitian by construction
-    raise TypeError(f"cannot interpret {type(h).__name__} as a Hamiltonian")
-
-
 def _eigenframe(h) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(site bases, real diagonal D) of a typed Hamiltonian: H = W diag(D) W^dag."""
+    """(site bases, real diagonal D) with H = W diag(D) W^dag.
+
+    A typed Hamiltonian gives its product frame; a bare array is checked
+    for Hermiticity and diagonalised as one site, ((V,), w).
+    """
+    if isinstance(h, np.ndarray):
+        w, v = np.linalg.eigh(ensure_hermitian(h))
+        return (v,), w
+    return _product_frame(h)
+
+
+def _product_frame(h) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The eigenframe of a typed Hamiltonian, whose W is a product of site bases."""
     if isinstance(h, _TYPED):
         return h.site_bases, h.diagonal()
     raise TypeError(f"{type(h).__name__} is not a typed Hamiltonian with a product eigenframe")
@@ -78,10 +83,10 @@ def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
     """
     bare = isinstance(h, np.ndarray)
     if bare:
-        hm = _dense(h)
+        hm = ensure_hermitian(h)
         dim = hm.shape[0]
     else:
-        bases, diag = _eigenframe(h)
+        bases, diag = _product_frame(h)
         dim = diag.size
     a = np.asarray(amplitudes, dtype=np.complex128)
     if a.ndim != 2 or a.shape[1] != dim:
@@ -118,13 +123,11 @@ def _sphere_mean(tr1: float, tr2: float, dim: int) -> float:
 
 def expected_qfi_haar(h) -> float:
     """Haar mean of the QFI over the full space, exact for any Hermitian H."""
-    if not isinstance(h, np.ndarray):
-        _, diag = _eigenframe(h)
-        return _sphere_mean(float(diag.sum()), float((diag**2).sum()), diag.size)
-    hm = _dense(h)
-    tr1 = float(np.real(np.trace(hm)))
-    tr2 = float(np.vdot(hm, hm).real)  # Tr H^2 = sum |h_ij|^2 for Hermitian H
-    return _sphere_mean(tr1, tr2, hm.shape[0])
+    if isinstance(h, np.ndarray):  # Tr H^2 = sum |h_ij|^2 for Hermitian H
+        hm = ensure_hermitian(h)
+        return _sphere_mean(float(np.real(np.trace(hm))), float(np.vdot(hm, hm).real), hm.shape[0])
+    _, diag = _product_frame(h)
+    return _sphere_mean(float(diag.sum()), float((diag**2).sum()), diag.size)
 
 
 def expected_qfi_symmetric(h, n: int, d: int, basis: DickeBasis | None = None) -> float:
@@ -136,8 +139,9 @@ def expected_qfi_symmetric(h, n: int, d: int, basis: DickeBasis | None = None) -
     traces are C times moments of a uniform composition m of n into d
     parts: E m_a = n/d, E m_a m_b = n(n-1)/(d(d+1)) for a != b and
     E m_a^2 = n(2n+d-1)/(d(d+1)), which collapse the pair sum onto the
-    table's row and column sums. Any other H goes through the Dicke frame
-    D, whose compressed blocks D* H D and D* H^2 D have those traces.
+    table's row and column sums. Any other H goes through its eigenframe:
+    with p the column sums of |W^dag Dicke|^2 over the Dicke states,
+    Tr[P H P] = p.D and Tr[P H^2 P] = p.D^2.
     """
     if isinstance(h, LinearHamiltonian) and (h.n, h.d) == (n, d):
         lam = h.table
@@ -146,16 +150,13 @@ def expected_qfi_symmetric(h, n: int, d: int, basis: DickeBasis | None = None) -
         pairs = total**2 - float(rows @ rows) + float(cols @ cols) - sq
         c = dim_symmetric(n, d)
         return _sphere_mean(c * total / d, c * (sq / d + pairs / (d * (d + 1))), c)
-    hm = _dense(h)
-    if hm.shape[0] != check_power_dim(d, n):
+    bases, diag = _eigenframe(h)
+    if diag.size != check_power_dim(d, n):
         raise ValueError("operator dimension does not match (n, d)")
     if basis is None:
         basis = dicke_basis(n, d)
-    dm = basis.matrix
-    hd = hm @ dm
-    tr1 = float(np.real(np.einsum("ic,ic->", dm.conj(), hd)))
-    tr2 = float(np.real(np.einsum("ic,ic->", hd.conj(), hd)))
-    return _sphere_mean(tr1, tr2, basis.size)
+    p = np.sum(np.abs(_frame_rows(basis.matrix.T, bases)) ** 2, axis=0)
+    return _sphere_mean(float(p @ diag), float(p @ diag**2), basis.size)
 
 
 def site_variance_term(site: SingleSiteOperator) -> float:
@@ -185,9 +186,9 @@ def lipschitz_constant(h) -> float:
     """2 ||H^2|| + 2 sqrt(2) ||H||^2, the Levy-function Lipschitz scale."""
     # For Hermitian H, ||H^2|| = ||H||^2, so one norm gives both terms.
     if isinstance(h, np.ndarray):
-        norm = spectral_norm(_dense(h))
+        norm = spectral_norm(ensure_hermitian(h))  # eigenvalues only
     else:
-        norm = float(np.max(np.abs(_eigenframe(h)[1])))
+        norm = float(np.max(np.abs(_product_frame(h)[1])))
     return 2.0 * norm**2 + 2.0 * math.sqrt(2.0) * norm**2
 
 
@@ -232,41 +233,49 @@ def levy_bound(h, dim: int, epsilon: float) -> ConcentrationBound:
 
 # --- extremal states ---------------------------------------------------------
 
-def _site_shape(h, dim: int) -> tuple[int, int]:
-    """(n, d) for a typed Hamiltonian; a bare matrix counts as one big site."""
-    n = getattr(h, "n", None)
-    d = getattr(h, "d", None)
-    if n is not None and d is not None:
-        return int(n), int(d)
-    return 1, dim
+def _extremal_witness(h) -> tuple[float, PureState, bool]:
+    """(spread(H)^2, tau, degenerate) from the eigenframe H = W diag(D) W^dag.
+
+    tau = (w_max + w_min)/sqrt(2) over the product columns of W at the
+    lowest index of D within DEGENERACY_ATOL of its maximum and of its
+    minimum (just w_min if the two coincide, when D is constant);
+    `degenerate` flags an extreme that D attains more than once.
+    """
+    bases, diag = _eigenframe(h)
+    lo, hi = float(diag.min()), float(diag.max())
+    tol = DEGENERACY_ATOL * max(1.0, abs(lo), abs(hi))
+    at_min, at_max = diag <= lo + tol, diag >= hi - tol
+    i_min, i_max = int(np.argmax(at_min)), int(np.argmax(at_max))
+    dims = [b.shape[0] for b in bases]
+    ends = [kron_fold(np.multiply, [b[:, j] for b, j in zip(bases, np.unravel_index(i, dims))])
+            for i in {i_min, i_max}]
+    tau = sum(ends) / math.sqrt(len(ends))
+    degenerate = int(at_min.sum()) > 1 or int(at_max.sum()) > 1
+    return (hi - lo) ** 2, PureState(len(bases), dims[0], tau), degenerate
 
 
 def max_qfi_all_states(h) -> tuple[float, PureState]:
     """Maximum QFI over all pure states and a state achieving it.
 
     The value is the squared spectral spread; the state is the balanced
-    superposition of extremal eigenvectors (tie-broken by lowest eigen-index,
-    so the result is deterministic even under degeneracy).
+    superposition of the extremal eigenvectors of H's eigenframe at the
+    lowest index of D within DEGENERACY_ATOL of each extreme, so it is
+    deterministic under degeneracy and is the tau of
+    global_unitary_transport.
     """
-    hm = _dense(h)
-    w, v = np.linalg.eigh(hm)
-    n, d = _site_shape(h, hm.shape[0])
-    if hm.shape[0] == 1:
-        return 0.0, PureState(n, d, np.ones(1, dtype=np.complex128))
-    top = (v[:, -1] + v[:, 0]) / math.sqrt(2.0)
-    return float(w[-1] - w[0]) ** 2, PureState(n, d, top)
+    return _extremal_witness(h)[:2]
 
 
 @dataclass(frozen=True)
 class TransportResult:
     """Unitary that moves a given state onto an extremal-QFI configuration.
 
-    `unitary` U satisfies U^dag psi = tau = (v_max + v_min)/sqrt(2), so the
-    rotated Hamiltonian U H U^dag has the same spectrum and gives `check` =
-    QFI(psi, U H U^dag), which should equal `target` = spread(H)^2. U is
-    e^{i chi} P, with P the Householder reflector that swaps e^{i chi} tau
-    and psi once chi makes their overlap real and non-negative; the phase
-    cancels in U H U^dag = P H P, a rank-2 update of H.
+    `unitary` U satisfies U^dag psi = tau, the witness of
+    max_qfi_all_states, so QFI(psi, U H U^dag) = QFI(U^dag psi, H); `check`
+    is that QFI, taken from U^dag psi, and should equal `target` =
+    spread(H)^2. U is e^{i chi} P, with P the Householder reflector that
+    swaps e^{i chi} tau and psi once chi makes their overlap real and
+    non-negative.
     """
 
     unitary: np.ndarray
@@ -276,33 +285,16 @@ class TransportResult:
 
 
 def global_unitary_transport(state: PureState, h) -> TransportResult:
-    hm = _dense(h)
-    w, v = np.linalg.eigh(hm)
-    tol = DEGENERACY_ATOL * max(1.0, float(np.max(np.abs(w))))
-    # lowest eigen-index tie-break on both extremes
-    i_min = 0
-    i_max = int(np.argmax(w >= w[-1] - tol))
-    n_min = int(np.sum(w <= w[0] + tol))
-    n_max = int(np.sum(w >= w[-1] - tol))
-    degenerate = n_min > 1 or n_max > 1
-    if i_max == i_min:
-        tau = v[:, i_min]
-    else:
-        tau = (v[:, i_max] + v[:, i_min]) / math.sqrt(2.0)
+    target, tau, degenerate = _extremal_witness(h)
     psi = state.amplitudes
-    overlap = np.vdot(tau, psi)
+    overlap = np.vdot(tau.amplitudes, psi)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
-    r = phase * tau - psi
+    r = phase * tau.amplitudes - psi
     nrm = float(np.linalg.norm(r))
     if nrm > 0.0:
         r = r / nrm
-    hr = hm @ r
-    g = hr - np.vdot(r, hr).real * r
-    update = np.outer(r, g.conj())
-    rotated = hm - 2.0 * (update + update.conj().T)
-    u = phase * (np.eye(hm.shape[0]) - 2.0 * np.outer(r, r.conj()))
-    check = qfi(state, rotated)
-    target = float(w[-1] - w[0]) ** 2
+    u = phase * (np.eye(psi.size) - 2.0 * np.outer(r, r.conj()))
+    check = float(qfi_batch(h, (u.conj().T @ psi)[None, :])[0])
     return TransportResult(u, check, target, degenerate)
 
 
@@ -310,7 +302,7 @@ def global_unitary_transport(state: PureState, h) -> TransportResult:
 
 def uniform_superposition_product(h) -> PureState:
     """Product state with each site in the uniform superposition of its basis."""
-    bases, _ = _eigenframe(h)
+    bases, _ = _product_frame(h)
     d = bases[0].shape[0]
     uniform = np.ones(d, dtype=np.complex128) / math.sqrt(d)
     return product_state([b @ uniform for b in bases])
@@ -324,7 +316,7 @@ def optimal_separable_reference(h) -> float:
     this witnesses that the Haar expectation is attainable by a separable
     state.
     """
-    _, diag = _eigenframe(h)
+    _, diag = _product_frame(h)
     dim = diag.shape[0]
     tr1 = float(np.sum(diag))
     tr2 = float(np.sum(diag**2))

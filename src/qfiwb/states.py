@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .numerics import Rng, as_complex, basis_digits, check_power_dim
+from .numerics import Rng, as_complex, check_power_dim, kron_fold
 
 NORM_ATOL = 1e-12
 
@@ -178,8 +178,8 @@ def dicke_basis(n: int, d: int) -> DickeBasis:
     dim = check_power_dim(d, n)
     comps = tuple(compositions_colex(n, d))
     index_of = {c: i for i, c in enumerate(comps)}
-    digits = basis_digits(n, d)
-    counts = np.stack([(digits == j).sum(axis=1) for j in range(d)], axis=1)
+    letters = np.eye(d, dtype=np.int64)
+    counts = np.stack([kron_fold(np.add, [letters[j]] * n) for j in range(d)], axis=1)
     cols = np.array([index_of[tuple(row)] for row in counts], dtype=np.int64)
     mult = np.bincount(cols, minlength=len(comps))
     m = np.zeros((dim, len(comps)))

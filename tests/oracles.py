@@ -83,6 +83,12 @@ def product_diagonal_dense(coeffs: np.ndarray, bases: list[np.ndarray]) -> np.nd
     return frame @ np.diag(coeffs).astype(complex) @ frame.conj().T
 
 
+def basis_digits(n: int, d: int) -> np.ndarray:
+    """Digit table of the product basis, shape (d**n, n); column 0 is site 1, most significant."""
+    idx = np.arange(d**n)
+    return np.stack([(idx // d ** (n - 1 - j)) % d for j in range(n)], axis=1)
+
+
 def mc_mean(values: list[float]) -> tuple[float, float]:
     """Sample mean and its standard error."""
     count = len(values)

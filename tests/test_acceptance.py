@@ -39,7 +39,6 @@ from qfiwb.nets import (
 )
 from qfiwb.numerics import (
     Rng,
-    basis_digits,
     haar_unitary,
     kron_all,
     random_hermitian,
@@ -431,7 +430,7 @@ def test_criterion_10_bound_evaluators():
 
     # Tail-frequency experiment at the non-vacuous operating point.
     n, eps = 12, 110.0
-    weights = basis_digits(n, 2).sum(axis=1).astype(float)
+    weights = oracles.basis_digits(n, 2).sum(axis=1).astype(float)
     dim = weights.size
     tr1 = float(weights.sum())
     tr2 = float((weights**2).sum())

@@ -18,7 +18,7 @@ from qfiwb.hamiltonians import (
     to_spec_text,
     write_spec,
 )
-from qfiwb.numerics import Rng, haar_unitary
+from qfiwb.numerics import DimensionError, Rng, haar_unitary
 
 
 def test_computational_site_is_diagonal():
@@ -125,6 +125,13 @@ def test_graph_hamiltonian_entry_is_product_of_site_levels():
     g = GraphHamiltonian.shared(n=3, hyperedges=[(1, 2), (2, 3)], levels=(2.0, 3.0))
     # Index 0b101 assigns levels (3, 2, 3): edges contribute 3*2 and 2*3.
     assert g.diagonal()[0b101] == pytest.approx(12.0)
+
+
+def test_graph_hamiltonian_diagonal_past_the_dense_cap_raises():
+    # The constructor takes any n; only the 2^n diagonal is capped.
+    g = GraphHamiltonian.shared(n=13, hyperedges=[(1, 2), (12, 13)], levels=(0.5, 1.5))
+    with pytest.raises(DimensionError):
+        g.diagonal()
 
 
 def test_sample_linear_respects_bounds():

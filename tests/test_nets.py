@@ -217,6 +217,16 @@ def test_net_size_bound_dominates_construction():
         net_size_bound(params, "prop7")
 
 
+def test_net_size_bound_stays_finite_below_dbl_min():
+    # 5/eps_p and (B - A)/eps_c overflow here; their logs do not.
+    for mode in ("result1", "result3"):
+        sizes = [net_size_bound(audit_params(eps, n=4), mode) for eps in (1e-3, 1e-300, 1e-306)]
+        assert all(math.isfinite(x) for x in sizes)
+        assert sizes[0] < sizes[1] < sizes[2]
+        with pytest.raises(ValueError, match="eps"):
+            net_size_bound(audit_params(1e-320, n=4), mode)
+
+
 def test_theorem_bound_saturation_and_guards():
     p = unit_params()  # c = eps = 1, so the deviation margin closes to zero
     tb = theorem_bound(p, "thm7")

@@ -4,15 +4,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from qfiwb.numerics import (
     MAX_DIM,
+    DimensionError,
     Rng,
     _philox_words,
     _seed_keys,
-    basis_digits,
     ensure_hermitian,
     haar_unitary,
     hermitian_eig,
     is_hermitian,
     kron_all,
+    kron_fold,
     random_hermitian,
     spectral_norm,
     spectral_spread,
@@ -205,19 +206,20 @@ def test_random_hermitian_is_hermitian_and_scaled():
     assert not np.allclose(h, random_hermitian(6, Rng(5), scale=3.0))
 
 
-def test_basis_digits_small_case():
-    digits = basis_digits(2, 3)
-    assert digits.shape == (9, 2)
-    assert digits[0].tolist() == [0, 0]
-    assert digits[5].tolist() == [1, 2]
-    assert digits[8].tolist() == [2, 2]
+def test_kron_fold_small_case():
+    # Site 1 is the most significant: entry 3 i + j is a[i] + b[j].
+    a, b = np.array([0.0, 10.0]), np.array([1.0, 2.0, 3.0])
+    assert kron_fold(np.add, [a, b]).tolist() == [1.0, 2.0, 3.0, 11.0, 12.0, 13.0]
+    assert np.array_equal(kron_fold(np.multiply, [a, b]), np.kron(a, b))
+    assert np.array_equal(kron_fold(np.add, [b]), b)
+    with pytest.raises(DimensionError):
+        kron_fold(np.add, [np.arange(2)] * 13)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=4))
-def test_basis_digits_roundtrip(n, d):
-    digits = basis_digits(n, d)
-    weights = d ** np.arange(n - 1, -1, -1)
-    assert np.array_equal(digits @ weights, np.arange(d**n))
+def test_kron_fold_of_place_values_counts_in_kron_order(n, d):
+    places = [d ** (n - 1 - j) * np.arange(d) for j in range(n)]
+    assert np.array_equal(kron_fold(np.add, places), np.arange(d**n))
 
 
 def test_dimension_guard():

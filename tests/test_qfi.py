@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -345,7 +346,91 @@ def test_global_unitary_transport_flags_degeneracy():
     assert res.target == pytest.approx(0.0)
 
 
+def _lowest_extremes_witness(hm):
+    """(v_min + v_max)/sqrt(2) at the lowest eigh indices of each extreme."""
+    w, v = np.linalg.eigh(hm)
+    i_min = int(np.argmax(w <= w[0] + 1e-12))
+    i_max = int(np.argmax(w >= w[-1] - 1e-12))
+    return (v[:, i_min] + v[:, i_max]) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("h, want", [
+    # both extremes are doubly degenerate; which eigenvectors eigh lists
+    # first is up to LAPACK, so the rule is checked against the same eigh
+    (np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex),
+     _lowest_extremes_witness(np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex))),
+    # D = (0, 1, 1, 1, 2, 2, 1, 2, 2) in kron order: the maximum first appears at |11>
+    (LinearHamiltonian.from_site(2, SingleSiteOperator.computational((0.0, 1.0, 1.0))),
+     (np.eye(9)[0] + np.eye(9)[4]) / math.sqrt(2.0)),
+])
+def test_degenerate_extremes_give_one_witness(h, want):
+    value, witness = max_qfi_all_states(h)
+    phase = np.vdot(want, witness.amplitudes)
+    assert abs(abs(phase) - 1.0) <= 1e-12
+    assert np.allclose(witness.amplitudes, phase * want, atol=1e-12)
+    assert qfi(witness, h) == pytest.approx(value, abs=1e-12)
+    psi = sample_haar(witness.n, witness.d, Rng(3))
+    res = global_unitary_transport(psi, h)
+    assert res.degenerate
+    assert np.allclose(res.unitary.conj().T @ psi.amplitudes, witness.amplitudes, atol=1e-12)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a dense operator was built")
+
+
+def _without_dense(call):
+    """call() with kron_all raising: every dense() goes through it, imported by name."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in ("qfiwb.numerics", "qfiwb.hamiltonians"):
+            mp.setattr(sys.modules[module], "kron_all", _forbidden)
+        return call()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["product", "graph"]),
+    n=st.integers(1, 5),
+    d=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigenframe_extremes_and_symmetric_mean_match_dense_oracles(family, n, d, seed):
+    if family == "graph":
+        n, d = max(n, 2), 2
+    assume(d**n <= 81)
+    r = Rng(seed)
+    h = _random_typed_hamiltonian(family, n, d, r)
+    hm = h.dense()
+    w = np.linalg.eigvalsh(hm)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(w))) ** 2)
+
+    pi = oracles.symmetrizer(n, d)
+    c = dim_symmetric(n, d)
+    tr1, tr2 = np.trace(pi @ hm).real, np.trace(pi @ hm @ hm).real
+    want = 4.0 * (tr2 / (c + 1) - tr1**2 / (c * (c + 1)))
+    assert abs(_without_dense(lambda: expected_qfi_symmetric(h, n, d)) - want) <= tol
+
+    spread2 = float(w[-1] - w[0]) ** 2
+    value, witness = _without_dense(lambda: max_qfi_all_states(h))
+    assert abs(value - spread2) <= tol
+    # 4 Var = spread^2 only with half the weight in each extremal eigenspace.
+    assert abs(oracles.qfi_eigen(witness.amplitudes, hm) - spread2) <= tol
+
+    psi = sample_haar(n, d, r.substream(7))
+    res = _without_dense(lambda: global_unitary_transport(psi, h))
+    assert abs(res.target - spread2) <= tol and abs(res.check - spread2) <= tol
+    assert np.allclose(res.unitary.conj().T @ res.unitary, np.eye(d**n), atol=1e-12)
+    assert np.allclose(res.unitary.conj().T @ psi.amplitudes, witness.amplitudes, atol=1e-12)
+
+
 # --- separable references -----------------------------------------------------
+
+def test_separable_references_reject_a_bare_array():
+    # a bare array's eigenframe is not a product of site bases
+    for ref in (uniform_superposition_product, optimal_separable_reference):
+        with pytest.raises(TypeError, match="product eigenframe"):
+            ref(np.eye(4))
+
 
 def test_uniform_superposition_product_achieves_reference():
     for seed in range(5):
