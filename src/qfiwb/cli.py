@@ -712,7 +712,7 @@ def run_net_audit(cfg, rng: Rng) -> ExperimentResult:
     report = property_audit(net, eps, trials, audit, rng.substream(1))
     return ExperimentResult(
         ("trial", "distance_to_net", "eps", "pass"),
-        [(r.trial, r.value, r.eps, r.passed) for r in report.rows],
+        [(t, v, eps, v <= eps) for t, v in enumerate(report.values.tolist())],
         {
             "audit": audit,
             "max_distance_to_net": report.max_value,

@@ -29,9 +29,10 @@ from .states import (
     BlochGrid,
     PureState,
     dicke_basis,
+    qubit_overlap,
     sample_haar,
     sample_symmetric,
-    trace_distance_qubit,
+    trace_distance_qubit,  # noqa: F401 -- re-exported
 )
 
 PROP6_C = 18.0
@@ -66,8 +67,10 @@ class CoefficientGrid:
         if self.eps_c <= 0.0:
             raise ValueError(f"eps_c must be positive, got {self.eps_c}")
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("points must be a non-empty 1-D array")
+        ladder = pts[: pts.size // 2]
+        if pts.ndim != 1 or not ladder.size or pts.size % 2 or np.any(np.diff(ladder) >= 0) \
+                or np.any(pts[ladder.size:] != -ladder):
+            raise ValueError("points must be a 1-D descending ladder followed by its mirror")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -76,12 +79,20 @@ class CoefficientGrid:
         return int(self.points.size)
 
     def nearest(self, x):
-        """Nearest rung to x, elementwise over an array of any shape."""
-        x = np.asarray(x, dtype=float)
-        return self.points[np.argmin(np.abs(x[..., None] - self.points), axis=-1)]
+        """Nearest rung to x, elementwise over an array of any shape.
 
-    def distance(self, x: float) -> float:
-        return float(np.min(np.abs(self.points - x)))
+        Each ladder is monotone, so its nearest rungs are the two that
+        bracket x (the mirror's bracket x where the ladder's bracket -x); of
+        those four candidates the first closest in `points` order wins,
+        which is the rung a scan of `points` picks unless |x| is so large
+        (near 2^52 eps_c) that rounding ties rungs that do not bracket it.
+        """
+        x = np.asarray(x, dtype=float)
+        m = self.points.size // 2
+        k = m - np.searchsorted(self.points[m - 1::-1], np.stack([x, x, -x, -x], axis=-1))
+        cand = np.clip(k - (1, 0, 1, 0), 0, m - 1) + (0, 0, m, m)
+        best = np.argmin(np.abs(x[..., None] - self.points[cand]), axis=-1)
+        return self.points[np.take_along_axis(cand, best[..., None], -1)[..., 0]]
 
 
 def coefficient_grid(A: float, B: float, eps_c: float) -> CoefficientGrid:
@@ -124,10 +135,8 @@ def net_probe(net: BlochGrid, trials: int, rng: Rng) -> float:
     """
     v = rng.substream_normals(range(trials), 2)
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    return max(
-        (trace_distance_qubit(u, net.state_at(net.nearest_index(u))) for u in v),
-        default=0.0,
-    )
+    ov = qubit_overlap(v, net.states(net.nearest_index(v)))
+    return float(np.sqrt(1.0 - np.minimum(1.0, ov * ov)).max(initial=0.0))
 
 
 # --- parameter choices and size/probability bounds ----------------------------
@@ -305,26 +314,26 @@ class LinearFamilyNet:
             self.basis_net.count
         )
 
-    def nearest(self, h: LinearHamiltonian) -> tuple[LinearHamiltonian, float]:
-        """Snap basis and coefficients; return the element and its distance.
+    def nearest(self, table: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Snap H = (level tables (..., n, d), bases (..., d, d)) to elements H'.
 
-        The representative keeps the snapped frame even though only the
-        frame's projectors matter.  The distance is the exact operator norm
-        of H - H', in closed form: the difference is a sum of one-site
-        Hermitian terms A_i on distinct sites, so its extreme eigenvalues
-        are the sums of the A_i's extreme eigenvalues.
+        Returns the elements' tables and frames and the distances ||H - H'||;
+        only a frame's projectors matter, but the snapped frame is kept.  The
+        distance is the exact operator norm, in closed form: H - H' is a sum
+        of one-site Hermitian terms A_i on distinct sites, so its extreme
+        eigenvalues are the sums of the A_i's extreme eigenvalues.
         """
-        if h.n != self.n or h.d != self.d:
+        if table.shape[-2:] != (self.n, self.d) or basis.shape[-2:] != (self.d, self.d):
             raise ValueError(
                 f"family mismatch: net is ({self.n}, {self.d}), "
-                f"Hamiltonian is ({h.n}, {h.d})"
+                f"tables are {table.shape[-2:]} and bases {basis.shape[-2:]}"
             )
-        frame = self.basis_net.frame_at(self.basis_net.nearest_index(h.basis[:, 0]))
-        rep = LinearHamiltonian(self.grid.nearest(h.table), frame)
-        diffs = (h.basis * h.table[:, None, :]) @ h.basis.conj().T
-        diffs -= (frame * rep.table[:, None, :]) @ frame.conj().T
-        spectra = np.linalg.eigvalsh(diffs)  # one ascending row per site
-        return rep, float(max(abs(spectra[:, -1].sum()), abs(spectra[:, 0].sum())))
+        frame = self.basis_net.frame_at(self.basis_net.nearest_index(basis[..., :, 0]))
+        rep = self.grid.nearest(table)
+        b, f = basis[..., None, :, :], frame[..., None, :, :]  # B diag(levels_i) B^dag per site
+        diffs = (b * table[..., None, :]) @ np.conj(b).swapaxes(-1, -2)
+        spectra = np.linalg.eigvalsh(diffs - (f * rep[..., None, :]) @ np.conj(f).swapaxes(-1, -2))
+        return rep, frame, np.maximum(abs(spectra[..., -1].sum(-1)), abs(spectra[..., 0].sum(-1)))
 
 
 def build_linear_net(
@@ -366,22 +375,14 @@ def sample_product_banded(
 
 # --- audits -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditRow:
-    trial: int
-    value: float
-    eps: float
-    passed: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuditReport:
     which: str
     eps: float
     trials: int
     max_value: float
     violations: int
-    rows: tuple[AuditRow, ...]
+    values: np.ndarray
     counterexamples: tuple[str, ...]
 
 
@@ -424,23 +425,24 @@ def property_audit(
         raise ValueError(f"which must be one of {AUDIT_KINDS}, got {which!r}")
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    rows = []
-    counterexamples = []
     basis = dicke_basis(net.n, net.d) if which == "prop8" else None
-    for t, r in rng.substreams(range(trials)):
-        h = sample_linear_banded(net.n, net.d, r, net.grid.A, net.grid.B)
-        rep, value = net.nearest(h)
+    hs, states = [], []
+    for _, r in rng.substreams(range(trials)):
+        hs.append(sample_linear_banded(net.n, net.d, r, net.grid.A, net.grid.B))
         if which == "prop8":
-            psi = sample_symmetric(net.n, net.d, r, basis)
-            value = abs(_symmetric_mean_gap(psi, h) - _symmetric_mean_gap(psi, rep))
+            states.append(sample_symmetric(net.n, net.d, r, basis))
         elif which == "prop9":
-            psi = sample_haar(net.n, net.d, r)
-            value = abs(_separable_gap(psi, h) - _separable_gap(psi, rep))
-        ok = value <= eps
-        rows.append(AuditRow(t, value, eps, ok))
-        if not ok:
-            counterexamples.append(to_spec_text(h))
+            states.append(sample_haar(net.n, net.d, r))
+    tables = np.array([h.table for h in hs]).reshape(trials, net.n, net.d)
+    bases = np.array([h.basis for h in hs], dtype=np.complex128).reshape(trials, net.d, net.d)
+    rep_tables, frames, values = net.nearest(tables, bases)
+    if which != "cover":
+        gap = _symmetric_mean_gap if which == "prop8" else _separable_gap
+        values = np.array([abs(gap(psi, h) - gap(psi, LinearHamiltonian(t, f)))
+                           for psi, h, t, f in zip(states, hs, rep_tables, frames)])
+    failed = ~(values <= eps)
+    values.setflags(write=False)
     return AuditReport(
-        which, eps, trials, max((row.value for row in rows), default=0.0),
-        len(counterexamples), tuple(rows), tuple(counterexamples),
+        which, eps, trials, float(values.max(initial=0.0)), int(failed.sum()), values,
+        tuple(to_spec_text(h) for h, bad in zip(hs, failed) if bad),
     )

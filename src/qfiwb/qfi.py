@@ -270,15 +270,16 @@ def max_qfi_all_states(h) -> tuple[float, PureState]:
 class TransportResult:
     """Unitary that moves a given state onto an extremal-QFI configuration.
 
-    `unitary` U satisfies U^dag psi = tau, the witness of
-    max_qfi_all_states, so QFI(psi, U H U^dag) = QFI(U^dag psi, H); `check`
-    is that QFI, taken from U^dag psi, and should equal `target` =
-    spread(H)^2. U is e^{i chi} P, with P the Householder reflector that
-    swaps e^{i chi} tau and psi once chi makes their overlap real and
-    non-negative.
+    U = phase (I - 2 r r^dag), r the unit (or zero) `reflector`, satisfies
+    U^dag psi = tau, the witness of max_qfi_all_states, so QFI(psi, U H
+    U^dag) = QFI(U^dag psi, H); `check` is that QFI, taken from U^dag psi
+    without forming U, and should equal `target` = spread(H)^2. The unit
+    `phase` makes the overlap of phase tau and psi real and non-negative,
+    so that the reflector swaps them.
     """
 
-    unitary: np.ndarray
+    phase: complex
+    reflector: np.ndarray
     check: float
     target: float
     degenerate: bool
@@ -293,9 +294,9 @@ def global_unitary_transport(state: PureState, h) -> TransportResult:
     nrm = float(np.linalg.norm(r))
     if nrm > 0.0:
         r = r / nrm
-    u = phase * (np.eye(psi.size) - 2.0 * np.outer(r, r.conj()))
-    check = float(qfi_batch(h, (u.conj().T @ psi)[None, :])[0])
-    return TransportResult(u, check, target, degenerate)
+    moved = np.conj(phase) * (psi - 2.0 * r * np.vdot(r, psi))
+    check = float(qfi_batch(h, moved[None, :])[0])
+    return TransportResult(complex(phase), r, check, target, degenerate)
 
 
 # --- separable references ----------------------------------------------------

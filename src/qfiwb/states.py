@@ -53,13 +53,6 @@ def normalized_state(n: int, d: int, amplitudes: np.ndarray) -> PureState:
     return PureState(n, d, a / nrm)
 
 
-def _power_kron(v: np.ndarray, n: int) -> np.ndarray:
-    out = v
-    for _ in range(n - 1):
-        out = np.kron(out, v)
-    return out
-
-
 def product_state(site_vectors: Sequence[np.ndarray]) -> PureState:
     """Tensor product of per-site unit vectors (site 1 first)."""
     vecs = [as_complex(np.ravel(v)) for v in site_vectors]
@@ -72,10 +65,7 @@ def product_state(site_vectors: Sequence[np.ndarray]) -> PureState:
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > NORM_ATOL:
             raise ValueError(f"site {i} vector has norm {nrm}, expected 1")
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.kron(out, v)
-    return normalized_state(len(vecs), d, out)
+    return normalized_state(len(vecs), d, kron_fold(np.multiply, vecs))
 
 
 def ghz(n: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> PureState:
@@ -98,7 +88,7 @@ def ghz(n: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> PureState
     gram = np.array([[np.vdot(a, b) for b in (v0, v1)] for a in (v0, v1)])
     if not np.allclose(gram, np.eye(2), atol=NORM_ATOL):
         raise ValueError("basis vectors must be orthonormal")
-    total = _power_kron(v0, n) + _power_kron(v1, n)
+    total = kron_fold(np.multiply, [v0] * n) + kron_fold(np.multiply, [v1] * n)
     return PureState(n, d, total / math.sqrt(2.0))
 
 
@@ -119,11 +109,8 @@ def superposition_state(n: int) -> PureState:
     e0 = np.array([1.0, 0.0], dtype=np.complex128)
     e1 = np.array([0.0, 1.0], dtype=np.complex128)
     branches = [e0, e1, plus_vector(), minus_vector()]
-    dim = check_power_dim(2, n)
-    total = np.zeros(dim, dtype=np.complex128)
-    for v in branches:
-        total += _power_kron(v, n)
-    return normalized_state(n, 2, total)
+    check_power_dim(2, n)
+    return normalized_state(n, 2, sum(kron_fold(np.multiply, [v] * n) for v in branches))
 
 
 def sample_haar(n: int, d: int, rng: Rng) -> PureState:
@@ -211,6 +198,12 @@ def trace_distance_qubit(u: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(max(0.0, 1.0 - min(1.0, ov)))
 
 
+def qubit_overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|<u|v>| over (..., 2) arrays, rounded as trace_distance_qubit's scalar abs."""
+    z = np.conj(u[..., 0]) * v[..., 0] + np.conj(u[..., 1]) * v[..., 1]
+    return np.hypot(z.real, z.imag)
+
+
 @dataclass(frozen=True, eq=False)
 class BlochGrid:
     """Latitude/longitude grid of qubit states (cos t/2, e^{ip} sin t/2).
@@ -280,27 +273,28 @@ class BlochGrid:
             )
         return self.frame_at(np.arange(self.count))
 
-    def nearest_index(self, v: np.ndarray) -> int:
-        """Index of the element nearest v in trace distance within v's patch.
+    def nearest_index(self, v: np.ndarray) -> np.ndarray:
+        """Indices of the elements nearest v in trace distance within v's patch.
 
-        Snaps the Bloch angles of v to their cell and compares the 3x3 patch
-        of cells around it, rows in order and azimuths k-1, k, k+1 within a
-        row; the first strict minimum wins. The containing cell alone
-        already realizes the grid's covering radius.
+        v has shape (..., 2), the result v.shape[:-1]. Snaps the Bloch angles
+        of each v to their cell and compares the 3x3 patch of cells around
+        it, rows in order (clipped at the poles) and azimuths k-1, k, k+1
+        within a row; the first strict maximum of |<v|u>| wins. The
+        containing cell alone already realizes the grid's covering radius.
         """
-        v = np.asarray(v, dtype=np.complex128).reshape(2)
-        theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
-        rel = v[1] * np.conj(v[0])
-        phi = math.atan2(rel.imag, rel.real) % (2.0 * math.pi)
+        v = np.asarray(v, dtype=np.complex128)
+        theta = 2.0 * np.arctan2(np.abs(v[..., 1]), np.abs(v[..., 0]))
+        phi = np.angle(v[..., 1] * np.conj(v[..., 0])) % (2.0 * math.pi)
         rows = self.row_counts.size
-        j0 = round(theta / (math.pi / rows) - 0.5)
-        j = np.arange(max(0, j0 - 1), min(rows, j0 + 2))
+        j0 = np.round(theta / (math.pi / rows) - 0.5).astype(np.int64)
+        # A clipped row repeats its neighbour in the patch, which keeps the winner.
+        j = np.clip(j0[..., None] + (-1, 0, 1), 0, rows - 1)
         m = self.row_counts[j]
-        k0 = np.round(phi * m / (2.0 * math.pi)).astype(np.int64)
-        k = (k0[:, None] + (-1, 0, 1)) % m[:, None]
-        patch = (self.offsets[j][:, None] + k).ravel()
-        dist = [trace_distance_qubit(v, u) for u in self.states(patch)]
-        return int(patch[dist.index(min(dist))])
+        k0 = np.round(phi[..., None] * m / (2.0 * math.pi)).astype(np.int64)
+        k = (k0[..., None] + (-1, 0, 1)) % m[..., None]
+        patch = (self.offsets[j][..., None] + k).reshape(theta.shape + (9,))
+        best = np.argmax(qubit_overlap(v[..., None, :], self.states(patch)), axis=-1)
+        return np.take_along_axis(patch, best[..., None], -1)[..., 0]
 
 
 # --- plain-text round trip ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing, CSV plumbing, and end-to-end runs of the experiment driver."""
 
+import importlib
 import json
 import math
 import re
@@ -473,3 +474,14 @@ def test_registry_fields_are_well_formed():
             assert kind in kinds, f"{name}.{key}"
             assert default is not None
         assert callable(runner)
+
+
+def test_perfbench_tracer_finds_every_traced_name(monkeypatch):
+    # Tracer.install raises KeyError once a wrapped name leaves its owner.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert cli.main is main

@@ -47,10 +47,10 @@ def test_coefficient_grid_quarter_step():
     assert grid.count == 6
     assert np.array_equal(np.sort(grid.points), [-2.0, -1.5, -1.0, 1.0, 1.5, 2.0])
     xs = np.linspace(1.0, 2.0, 4001)
-    dists = [grid.distance(x) for x in xs] + [grid.distance(-x) for x in xs]
-    assert max(dists) <= 0.25 + 1e-12
+    xs = np.concatenate([xs, -xs])
+    assert np.abs(xs - grid.nearest(xs)).max() <= 0.25 + 1e-12
     # Midpoints between rungs realize the radius exactly.
-    assert grid.distance(1.25) == pytest.approx(0.25, abs=1e-15)
+    assert abs(1.25 - grid.nearest(1.25)) == pytest.approx(0.25, abs=1e-15)
     assert grid.nearest(1.1) == 1.0
     assert grid.nearest(-1.9) == -2.0
 
@@ -60,7 +60,28 @@ def test_coefficient_grid_lowest_rung_may_undershoot():
     assert grid.count == 4
     assert set(np.abs(grid.points)) == {0.0, 2.0}
     # 0.0 lies outside [A, B] but still covers the bottom of the band.
-    assert grid.distance(1.0) == pytest.approx(1.0) and grid.distance(1.0) <= 1.0
+    dist = abs(1.0 - grid.nearest(1.0))
+    assert dist == pytest.approx(1.0) and dist <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from([
+        (1.0, 2.0, 0.25), (1.0, 2.0, 1.0), (1.0, 2.0, 0.3), (1.0, 2.0, 0.05),
+        (0.5, 3.7, 0.2), (0.2, 10.0, 0.037), (0.2, 10.0, 0.01), (1.0, 2.0, 7.0),
+    ]),
+    xs=st.lists(st.floats(-1e3, 1e3), max_size=40),
+)
+def test_coefficient_grid_nearest_matches_a_scan(spec, xs):
+    grid = coefficient_grid(*spec)
+    pts = grid.points
+    mids = (pts[:-1] + pts[1:]) / 2.0
+    probe = np.concatenate([
+        xs, pts, mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf), [0.0, -0.0],
+    ])
+    scan = pts[np.argmin(np.abs(probe[:, None] - pts), axis=-1)]
+    assert np.array_equal(grid.nearest(probe).view(np.int64), scan.view(np.int64))
+    assert np.array_equal(grid.nearest(probe.reshape(-1, 1)).ravel(), scan)
 
 
 def test_coefficient_grid_count_bound():
@@ -82,6 +103,9 @@ def test_coefficient_grid_validation():
         CoefficientGrid(1.0, 2.0, 0.1, np.array([]))
     with pytest.raises(ValueError):
         CoefficientGrid(1.0, 2.0, 0.1, np.ones((2, 2)))
+    for pts in ([2.0, 1.0, -2.0], [1.0, 2.0, -1.0, -2.0], [2.0, 1.0, -2.0, -1.5]):
+        with pytest.raises(ValueError, match="mirror"):
+            CoefficientGrid(1.0, 2.0, 0.5, np.array(pts))
 
 
 # --- qubit pure-state net -----------------------------------------------------
@@ -325,12 +349,12 @@ def test_linear_net_nearest_is_exact_on_elements():
     frame = net.basis_net.frame_at(net.basis_net.count // 3)
     pts = net.grid.points
     table = np.array([[pts[0], pts[2]], [pts[5], pts[1]]])
-    h = LinearHamiltonian(table, frame)
-    rep, dist = net.nearest(h)
+    rep, _, dist = net.nearest(table, frame)
     assert dist <= 1e-12
-    assert np.array_equal(rep.table, table)
+    assert np.array_equal(rep, table)
+    other = sample_linear_banded(3, 2, Rng(0), 1.0, 2.0)
     with pytest.raises(ValueError, match="family mismatch"):
-        net.nearest(sample_linear_banded(3, 2, Rng(0), 1.0, 2.0))
+        net.nearest(other.table, other.basis)
 
 
 @settings(max_examples=40, deadline=None)
@@ -345,10 +369,8 @@ def test_linear_net_nearest_distance_matches_dense_oracle(n, eps_p, eps_c, seed)
         n, 2, coefficient_grid(1.0, 2.0, eps_c), pure_state_net_qubit(eps_p)
     )
     h = sample_linear_banded(n, 2, Rng(seed), 1.0, 2.0)
-    rep, dist = net.nearest(h)
-    diff = oracles.linear_dense(h.table, h.basis) - oracles.linear_dense(
-        rep.table, rep.basis
-    )
+    rep, frame, dist = net.nearest(h.table, h.basis)
+    diff = oracles.linear_dense(h.table, h.basis) - oracles.linear_dense(rep, frame)
     exact = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
     assert dist == pytest.approx(exact, rel=1e-12)
 
@@ -375,8 +397,8 @@ def test_net_cover_audit_at_printed_choices():
     assert report.violations == 0
     assert report.counterexamples == ()
     assert report.max_value <= 0.5
-    assert [r.trial for r in report.rows] == list(range(200))
-    assert all(r.passed for r in report.rows)
+    assert report.values.shape == (200,)
+    assert np.all(report.values <= 0.5)
     repeat = net_cover_audit(net, 0.5, 200, Rng(11))
     assert repeat.max_value == report.max_value
 
@@ -413,8 +435,18 @@ def test_property_audit_deviation_shrinks_with_budget():
         for eps in (8.0, 2.0, 0.5):
             net = build_linear_net(audit_params(eps), mode)
             report = property_audit(net, eps, 100, which, Rng(9))
-            means.append(math.fsum(r.value for r in report.rows) / 100.0)
+            means.append(math.fsum(report.values) / 100.0)
         assert means[0] > means[1] > means[2]
+
+
+def test_audits_of_no_trials_are_empty():
+    for which, mode in (("cover", "prop7"), ("prop8", "result1"), ("prop9", "result3")):
+        net = build_linear_net(audit_params(1.0), mode)
+        report = property_audit(net, 1.0, 0, which, Rng(3))
+        assert report.trials == 0 and report.max_value == 0.0
+        assert report.violations == 0 and report.counterexamples == ()
+        assert report.values.shape == (0,)
+    assert net_probe(pure_state_net_qubit(0.5), 0, Rng(7)) == 0.0
 
 
 def test_property_audit_validation():

@@ -221,6 +221,27 @@ def test_bloch_grid_covering_rules(seed, pole, eps_p, delta):
     assert math.sqrt(max(0.0, 2.0 - 2.0 * ov)) <= delta + 1e-12
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_bloch_grid_nearest_index_of_a_batch(seed):
+    r = Rng(seed)
+    a = r.uniform(0.0, math.pi / 2.0, 8)
+    seam = np.stack([np.cos(a), np.sin(a) * np.exp(1j * r.uniform(-1e-9, 1e-9, 8))], axis=1)
+    poles = np.array([[1, 0], [0, 1], [1j, 0], [0, -1j]], dtype=complex)
+    v = np.concatenate([r.complex_normal((24, 2)), seam, poles])
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    for counts in ([1], [2, 2], [1, 2, 5, 2, 1], [3, 6, 6, 3], [6, 10, 12], [1, 7, 12, 9, 2]):
+        grid = BlochGrid(np.array(counts))
+        idx = grid.nearest_index(v)
+        assert idx.shape == (36,)
+        assert np.array_equal(grid.nearest_index(v.reshape(4, 9, 2)), idx.reshape(4, 9))
+        for w, i in zip(v, idx):
+            assert i == grid.nearest_index(w)
+            best = trace_distance_qubit(w, grid.state_at(i))
+            assert i in _patch(grid, w)
+            assert all(best <= trace_distance_qubit(w, grid.state_at(j)) for j in _patch(grid, w))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_state_file_roundtrip_through_comments_and_blank_lines(seed, data):
