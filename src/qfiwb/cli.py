@@ -5,11 +5,18 @@ pinned by (experiment, config, seed): trial t always draws from the seed's
 stream (1, t), and trials run serially in trial order.  The four
 state-sampling experiments (lemma1-montecarlo, lemma3-montecarlo,
 result1-demo, result3-demo) draw each block of trial states in one
-vectorised pass, bit for bit the per-trial streams.  The other per-trial
-drivers (concentration, prop4-audit, prop5-audit, thm11-check) take their
-streams from `Rng.substreams`, which hashes every trial's key in one pass
-and rekeys one generator per trial.  `--threads` and QFIWB_THREADS are
-accepted and validated but have no effect.
+vectorised pass, bit for bit the per-trial streams.  The audits
+(prop4-audit, prop5-audit, net-audit) draw every trial in one pass too:
+`Rng.substream_uniforms` gives each trial's uniform words, the array
+samplers read its Hamiltonian (and net-audit's state) at fixed offsets,
+exactly the words the per-trial samplers read, and every trial is scored
+as one array.  concentration and thm11-check stay per trial, on
+`Rng.substreams`, which hashes every trial's key in one pass and rekeys
+one generator per trial: a concentration trial reads 2^n words (4096 by
+default), which numpy's own Philox draws several times faster than the
+array Philox, and a thm11-check trial is bound by one LAPACK eigh of a
+2^n x 2^n matrix, which a stacked eigh does not speed up.  `--threads` and
+QFIWB_THREADS are accepted and validated but have no effect.
 
 The CSV writer checks each column once and formats every row with one
 printf string: floats as %.17g (the same bytes as format(v, ".17g")),
@@ -47,8 +54,12 @@ from .graphs import (
 from .hamiltonians import (
     LinearHamiltonian,
     SingleSiteOperator,
+    linear_words,
+    product_diagonal_words,
     sample_linear,
+    sample_linear_arrays,
     sample_product_diagonal,
+    sample_product_diagonal_arrays,
 )
 from .nets import (
     BoundParams,
@@ -61,12 +72,15 @@ from .nets import (
 from .numerics import Rng, random_hermitian
 from .qfi import (
     expected_qfi_haar,
-    expected_qfi_symmetric,
+    expected_qfi_haar_diagonals,
+    expected_qfi_symmetric_levels,
     expected_qfi_symmetric_linear,
+    expected_qfi_symmetric_tables,
     global_unitary_transport,
     levy_bound,
     optimal_separable_reference,
     qfi_batch,
+    separable_reference_diagonals,
 )
 from .states import (
     DickeBasis,
@@ -422,45 +436,46 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     )
 
 
+def _audit_result(
+    header: tuple[str, ...], n: int, d: int, values: tuple[np.ndarray, ...], margin: np.ndarray, tol: float
+) -> ExperimentResult:
+    """Rows (trial, n, d, *values, margin, pass) of a margin audit; pass is margin >= -tol."""
+    passed = margin >= -tol
+    trials = len(margin)
+    rows = list(zip(range(trials), [n] * trials, [d] * trials,
+                    *(v.tolist() for v in values), margin.tolist(), passed.tolist()))
+    violations = trials - int(passed.sum())
+    return ExperimentResult(
+        header, rows, {"violations": violations, "min_margin": float(margin.min())}, violations == 0,
+    )
+
+
 def run_prop4_audit(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
-
-    def draw(t: int, r: Rng) -> tuple:
-        h = sample_product_diagonal(n, d, r, cfg["low"], cfg["high"])
-        haar_mean = expected_qfi_haar(h)
-        reference = optimal_separable_reference(h)
-        margin = reference - haar_mean
-        return (t, n, d, haar_mean, reference, margin, margin >= -tol)
-
-    rows = _trials(rng, range(trials), draw)
-    violations = sum(1 for r in rows if not r[6])
-    return ExperimentResult(
+    # trial t reads the words sample_product_diagonal would from stream (1, t)
+    u = rng.substream(1).substream_uniforms(range(trials), product_diagonal_words(n, d))
+    coeffs, _ = sample_product_diagonal_arrays(u, n, d, cfg["low"], cfg["high"])
+    haar_mean = expected_qfi_haar_diagonals(coeffs)
+    reference = separable_reference_diagonals(coeffs)
+    return _audit_result(
         ("trial", "n", "d", "haar_mean", "separable_reference", "margin", "pass"),
-        rows,
-        {"violations": violations, "min_margin": min(r[5] for r in rows)},
-        violations == 0,
+        n, d, (haar_mean, reference), reference - haar_mean, tol,
     )
 
 
 def run_prop5_audit(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
-
-    def draw(t: int, r: Rng) -> tuple:
-        h = sample_linear(n, d, r, cfg["low"], cfg["high"], basis="haar")
-        e_linear = expected_qfi_symmetric(h, n, d)
-        e_averaged = expected_qfi_symmetric_linear(h.symmetrized().site_operator(0), n)
-        margin = e_linear - e_averaged
-        return (t, n, d, e_linear, e_averaged, margin, margin >= -tol)
-
-    rows = _trials(rng, range(trials), draw)
-    violations = sum(1 for r in rows if not r[6])
-    return ExperimentResult(
+    # trial t reads the words sample_linear would from stream (1, t)
+    u = rng.substream(1).substream_uniforms(range(trials), linear_words(n, d, "haar"))
+    tables, _ = sample_linear_arrays(u, n, d, cfg["low"], cfg["high"], "haar")
+    e_linear = expected_qfi_symmetric_tables(tables)
+    # the permutation average of a linear H has every row at the column means
+    e_averaged = expected_qfi_symmetric_levels(tables.mean(axis=-2), n)
+    return _audit_result(
         ("trial", "n", "d", "e_sym_linear", "e_sym_averaged", "margin", "pass"),
-        rows,
-        {"violations": violations, "min_margin": min(r[5] for r in rows)},
-        violations == 0,
+        n, d, (e_linear, e_averaged), e_linear - e_averaged, tol,
     )
 
 

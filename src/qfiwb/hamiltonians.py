@@ -23,7 +23,8 @@ from .numerics import (
     Rng,
     as_complex,
     check_power_dim,
-    haar_unitary,
+    check_words,
+    haar_unitaries,
     kron_all,
     kron_fold,
 )
@@ -31,14 +32,36 @@ from .numerics import (
 UNITARY_ATOL = 1e-10
 
 
+def _ensure_unitaries(b: np.ndarray, what: str) -> np.ndarray:
+    """A matrix or a stack (..., d, d), checked unitary in one pass.
+
+    The test is `not (dev <= atol)`, so a NaN deviation fails too; a stack
+    names its first bad index.
+    """
+    b = as_complex(b)
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
+        raise ValueError(f"{what} must be square, got shape {b.shape}")
+    eye = np.eye(b.shape[-1])
+    dev = np.max(np.abs(np.conj(b).swapaxes(-1, -2) @ b - eye), axis=(-2, -1))
+    bad = ~(dev <= UNITARY_ATOL)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        where = f" [{', '.join(str(int(i)) for i in at)}]" if at else ""
+        raise ValueError(f"{what}{where} is not unitary: max deviation {dev[at]:.3e}")
+    return b
+
+
 def _ensure_unitary(b: np.ndarray, what: str) -> np.ndarray:
     b = as_complex(b)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {b.shape}")
-    dev = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
-    if dev > UNITARY_ATOL:
-        raise ValueError(f"{what} is not unitary: max deviation {dev:.3e}")
-    return b
+    return _ensure_unitaries(b, what)
+
+
+def _ensure_finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must be finite")
+    return x
 
 
 def _ensure_levels(levels: Sequence[float], d: int | None = None) -> tuple[float, ...]:
@@ -133,8 +156,7 @@ class LinearHamiltonian:
         t = np.array(self.table, dtype=float)
         if t.ndim != 2:
             raise ValueError(f"level table must be 2-D, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("level table must be finite")
+        _ensure_finite(t, "level table")
         b = _ensure_unitary(self.basis, "shared basis")
         if b.shape[0] != t.shape[1]:
             raise ValueError(
@@ -219,8 +241,7 @@ class ProductDiagonalHamiltonian:
         c = np.array(self.coeffs, dtype=float)
         if c.ndim != 1:
             raise ValueError("coeffs must be a flat vector")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
+        _ensure_finite(c, "coeffs")
         dim = check_power_dim(d, len(bases))
         if c.shape[0] != dim:
             raise ValueError(f"expected {dim} coefficients, got {c.shape[0]}")
@@ -382,6 +403,37 @@ class GraphHamiltonian:
         )
 
 
+def _is_haar(basis: str | np.ndarray) -> bool:
+    return isinstance(basis, str) and basis == "haar"
+
+
+def linear_words(n: int, d: int, basis: str | np.ndarray) -> int:
+    """Uniform words sample_linear reads: a Haar block of 2 d^2 for basis "haar", then n d levels."""
+    check_power_dim(d, n)
+    return (2 * d * d if _is_haar(basis) else 0) + n * d
+
+
+def sample_linear_arrays(
+    u: np.ndarray, n: int, d: int, low: float, high: float, basis: str | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level tables (T, n, d) and shared bases (T, d, d) of sample_linear.
+
+    Row t of the uniforms u (T, linear_words(n, d, basis)) holds trial t's
+    words in draw order: the Haar block, if any, then the levels row by row.
+    """
+    words = check_words(u, linear_words(n, d, basis))
+    trials, cells = u.shape[0], n * d
+    if _is_haar(basis):
+        bases = haar_unitaries(u[:, :words - cells], d)
+    else:
+        b = named_basis(basis, d) if isinstance(basis, str) else np.array(basis, dtype=np.complex128)
+        if b.shape != (d, d):
+            raise ValueError(f"basis shape {b.shape} does not match d = {d}")
+        bases = np.broadcast_to(b, (trials, d, d))
+    tables = low + (high - low) * u[:, words - cells:].reshape(trials, n, d)
+    return _ensure_finite(tables, "level tables"), _ensure_unitaries(bases, "shared bases")
+
+
 def sample_linear(
     n: int,
     d: int,
@@ -393,12 +445,36 @@ def sample_linear(
     """Random linear Hamiltonian with i.i.d. uniform levels in [low, high].
 
     The shared basis is Haar random, a named basis, or an explicit unitary.
+    The one-row case of sample_linear_arrays.
     """
-    if isinstance(basis, str):
-        b = haar_unitary(d, rng) if basis == "haar" else named_basis(basis, d)
-    else:
-        b = np.array(basis, dtype=np.complex128)
-    return LinearHamiltonian(rng.uniform(low, high, (n, d)), b)
+    u = rng.random((1, linear_words(n, d, basis)))
+    tables, bases = sample_linear_arrays(u, n, d, low, high, basis)
+    return LinearHamiltonian(tables[0], bases[0])
+
+
+def product_diagonal_words(n: int, d: int) -> int:
+    """Uniform words sample_product_diagonal reads: n Haar blocks of 2 d^2, then d^n coefficients."""
+    return 2 * n * d * d + check_power_dim(d, n)
+
+
+def sample_product_diagonal_arrays(
+    u: np.ndarray, n: int, d: int, low: float, high: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (T, d^n) and site bases (T, n, d, d) of sample_product_diagonal.
+
+    Row t of the uniforms u (T, product_diagonal_words(n, d)) holds trial
+    t's words in draw order: the site bases, site 1 first, then the diagonal.
+    """
+    check_words(u, product_diagonal_words(n, d))
+    blocks = 2 * n * d * d
+    coeffs = low + (high - low) * u[:, blocks:]
+    return _ensure_finite(coeffs, "coeffs"), _haar_site_bases(u[:, :blocks], n, d)
+
+
+def _haar_site_bases(u: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Site bases (T, n, d, d) from uniforms (T, 2 n d^2): n Haar blocks, site 1 first."""
+    bases = haar_unitaries(u.reshape(u.shape[0], n, 2 * d * d), d)
+    return _ensure_unitaries(bases, "site bases")
 
 
 def sample_product_diagonal(
@@ -408,10 +484,13 @@ def sample_product_diagonal(
     low: float = -1.0,
     high: float = 1.0,
 ) -> ProductDiagonalHamiltonian:
-    """Random product-diagonal Hamiltonian: Haar product bases, uniform diagonal."""
-    dim = check_power_dim(d, n)
-    bases = tuple(haar_unitary(d, rng) for _ in range(n))
-    return ProductDiagonalHamiltonian(rng.uniform(low, high, dim), bases)
+    """Random product-diagonal Hamiltonian: Haar product bases, uniform diagonal.
+
+    The one-row case of sample_product_diagonal_arrays.
+    """
+    u = rng.random((1, product_diagonal_words(n, d)))
+    coeffs, bases = sample_product_diagonal_arrays(u, n, d, low, high)
+    return ProductDiagonalHamiltonian(coeffs[0], tuple(bases[0]))
 
 
 # --- plain-text round trip ---------------------------------------------------

@@ -22,16 +22,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import LinearHamiltonian, ProductDiagonalHamiltonian, to_spec_text
-from .numerics import Rng, check_power_dim, haar_unitary
-from .qfi import expected_qfi_symmetric_linear, max_separable_linear, qfi
+from .hamiltonians import (
+    LinearHamiltonian,
+    ProductDiagonalHamiltonian,
+    _ensure_finite,
+    _ensure_unitaries,
+    _haar_site_bases,
+    to_spec_text,
+)
+from .numerics import (
+    Rng,
+    check_power_dim,
+    check_words,
+    complex_normals,
+    haar_unitaries,
+    kron_fold,
+    row_dot,
+)
+from .qfi import expected_qfi_symmetric_levels, max_separable_tables, qfi_frames
 from .states import (
     BlochGrid,
-    PureState,
     dicke_basis,
     qubit_overlap,
-    sample_haar,
-    sample_symmetric,
     trace_distance_qubit,  # noqa: F401 -- re-exported
 )
 
@@ -349,28 +361,76 @@ def build_linear_net(
     )
 
 
-def _banded(rng: Rng, A: float, B: float, size) -> np.ndarray:
-    """Magnitudes uniform in [A, B], then an independent random sign each."""
+def _banded(u: np.ndarray, A: float, B: float) -> np.ndarray:
+    """Magnitudes uniform in [A, B] from the first half of each row of u, signs from the second."""
     if not (B > A > 0.0):
         raise ValueError(f"need B > A > 0, got A={A}, B={B}")
-    mags = rng.uniform(A, B, size)
-    return mags * np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    half = u.shape[-1] // 2
+    mags = A + (B - A) * u[:, :half]
+    return mags * np.where(u[:, half:] < 0.5, -1.0, 1.0)
+
+
+def linear_banded_words(n: int, d: int) -> int:
+    """Uniform words sample_linear_banded reads: n d magnitudes, n d signs, a Haar block of 2 d^2."""
+    check_power_dim(d, n)
+    return 2 * n * d + 2 * d * d
+
+
+def sample_linear_banded_arrays(
+    u: np.ndarray, n: int, d: int, A: float, B: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level tables (T, n, d) and shared bases (T, d, d) of sample_linear_banded.
+
+    Row t of the uniforms u (T, linear_banded_words(n, d)) holds trial t's
+    words in draw order: magnitudes and signs row by row, then the basis.
+    """
+    check_words(u, linear_banded_words(n, d))
+    cells = 2 * n * d
+    tables = _banded(u[:, :cells], A, B).reshape(u.shape[0], n, d)
+    bases = haar_unitaries(u[:, cells:], d)
+    return _ensure_finite(tables, "level tables"), _ensure_unitaries(bases, "shared bases")
 
 
 def sample_linear_banded(
     n: int, d: int, rng: Rng, A: float, B: float
 ) -> LinearHamiltonian:
-    """Random family member: |levels| uniform in [A, B], then a Haar shared basis."""
-    return LinearHamiltonian(_banded(rng, A, B, (n, d)), haar_unitary(d, rng))
+    """Random family member: |levels| uniform in [A, B], then a Haar shared basis.
+
+    The one-row case of sample_linear_banded_arrays.
+    """
+    u = rng.random((1, linear_banded_words(n, d)))
+    tables, bases = sample_linear_banded_arrays(u, n, d, A, B)
+    return LinearHamiltonian(tables[0], bases[0])
+
+
+def product_banded_words(n: int, d: int) -> int:
+    """Uniform words sample_product_banded reads: n Haar blocks of 2 d^2, d^n magnitudes, d^n signs."""
+    return 2 * n * d * d + 2 * check_power_dim(d, n)
+
+
+def sample_product_banded_arrays(
+    u: np.ndarray, n: int, d: int, A: float, B: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (T, d^n) and site bases (T, n, d, d) of sample_product_banded.
+
+    Row t of the uniforms u (T, product_banded_words(n, d)) holds trial t's
+    words in draw order: the site bases, site 1 first, then the diagonal.
+    """
+    check_words(u, product_banded_words(n, d))
+    blocks = 2 * n * d * d
+    return _ensure_finite(_banded(u[:, blocks:], A, B), "coeffs"), _haar_site_bases(u[:, :blocks], n, d)
 
 
 def sample_product_banded(
     n: int, d: int, rng: Rng, A: float, B: float
 ) -> ProductDiagonalHamiltonian:
-    """Haar product bases, then |coefficients| uniform in [A, B] with random signs."""
-    dim = check_power_dim(d, n)
-    bases = tuple(haar_unitary(d, rng) for _ in range(n))
-    return ProductDiagonalHamiltonian(_banded(rng, A, B, dim), bases)
+    """Haar product bases, then |coefficients| uniform in [A, B] with random signs.
+
+    The one-row case of sample_product_banded_arrays.
+    """
+    u = rng.random((1, product_banded_words(n, d)))
+    coeffs, bases = sample_product_banded_arrays(u, n, d, A, B)
+    return ProductDiagonalHamiltonian(coeffs[0], tuple(bases[0]))
 
 
 # --- audits -------------------------------------------------------------------
@@ -384,15 +444,6 @@ class AuditReport:
     violations: int
     values: np.ndarray
     counterexamples: tuple[str, ...]
-
-
-def _symmetric_mean_gap(state: PureState, h: LinearHamiltonian) -> float:
-    site = h.symmetrized().site_operator(0)
-    return qfi(state, h) - expected_qfi_symmetric_linear(site, h.n)
-
-
-def _separable_gap(state: PureState, h: LinearHamiltonian) -> float:
-    return qfi(state, h) - max_separable_linear(h)
 
 
 def net_cover_audit(
@@ -411,38 +462,54 @@ def property_audit(
 ) -> AuditReport:
     """Check a snapping property on sampled family members, eps per trial.
 
-    Trial t draws H from the net's own band with rng.substream(t) and snaps
-    it to its net representative H'.  "cover" checks the distance
-    ||H - H'|| itself; "prop8" compares the QFI of a random symmetric state
-    against the symmetric-subspace mean at the permutation-averaged
-    Hamiltonian, and "prop9" the QFI of a random pure state against the
-    exact separable maximum, each as the absolute change of that gap
-    between H and H'.  Violations do not raise; they are reported with the
-    offending Hamiltonian serialized, so a deliberately coarsened net shows
-    up as a negative control rather than a crash.
+    Trial t draws H from the net's own band with rng.substream(t), as
+    sample_linear_banded does, and snaps it to its net representative H'.
+    "cover" checks the distance ||H - H'|| itself; "prop8" compares the QFI
+    of a random symmetric state against the symmetric-subspace mean at the
+    permutation-averaged Hamiltonian, and "prop9" the QFI of a random pure
+    state against the exact separable maximum, each as the absolute change
+    of that gap between H and H'.  The state's words follow H's on the
+    trial's stream, as sample_symmetric and sample_haar would read them.
+
+    All trials are drawn in one pass (Rng.substream_uniforms), validated as
+    stacks, snapped in one LinearFamilyNet.nearest call, and the QFIs of
+    both H and H' are one qfi_frames pass with a frame per row; each value
+    equals the one-trial computation bit for bit.  Violations do not raise;
+    they are reported with the offending Hamiltonian serialized, so a
+    deliberately coarsened net shows up as a negative control rather than a
+    crash.
     """
     if which not in AUDIT_KINDS:
         raise ValueError(f"which must be one of {AUDIT_KINDS}, got {which!r}")
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    basis = dicke_basis(net.n, net.d) if which == "prop8" else None
-    hs, states = [], []
-    for _, r in rng.substreams(range(trials)):
-        hs.append(sample_linear_banded(net.n, net.d, r, net.grid.A, net.grid.B))
-        if which == "prop8":
-            states.append(sample_symmetric(net.n, net.d, r, basis))
-        elif which == "prop9":
-            states.append(sample_haar(net.n, net.d, r))
-    tables = np.array([h.table for h in hs]).reshape(trials, net.n, net.d)
-    bases = np.array([h.basis for h in hs], dtype=np.complex128).reshape(trials, net.d, net.d)
+    n, d = net.n, net.d
+    h_words = linear_banded_words(n, d)
+    basis = dicke_basis(n, d) if which == "prop8" else None
+    if which == "cover":
+        state_dim = 0
+    else:
+        state_dim = d**n if basis is None else basis.size
+    u = rng.substream_uniforms(range(trials), h_words + 2 * state_dim)
+    tables, bases = sample_linear_banded_arrays(u[:, :h_words], n, d, net.grid.A, net.grid.B)
     rep_tables, frames, values = net.nearest(tables, bases)
     if which != "cover":
-        gap = _symmetric_mean_gap if which == "prop8" else _separable_gap
-        values = np.array([abs(gap(psi, h) - gap(psi, LinearHamiltonian(t, f)))
-                           for psi, h, t, f in zip(states, hs, rep_tables, frames)])
+        z = complex_normals(u[:, h_words:])
+        if basis is not None:
+            z = z @ basis.matrix.T  # each frame row has one nonzero entry, so the lift is exact
+        # rounded as np.linalg.norm of one row: one dot product per part
+        states = z / np.sqrt(row_dot(z.real, z.real) + row_dot(z.imag, z.imag))[:, None]
+        both = np.concatenate([tables, rep_tables])
+        diags = kron_fold(np.add, np.moveaxis(both, -2, 0))
+        qfis = qfi_frames(np.concatenate([states, states]), (np.concatenate([bases, frames]),) * n, diags)
+        if which == "prop8":
+            gaps = qfis - expected_qfi_symmetric_levels(both.mean(axis=-2), n)
+        else:
+            gaps = qfis - max_separable_tables(both)
+        values = np.abs(gaps[:trials] - gaps[trials:])
     failed = ~(values <= eps)
     values.setflags(write=False)
     return AuditReport(
         which, eps, trials, float(values.max(initial=0.0)), int(failed.sum()), values,
-        tuple(to_spec_text(h) for h, bad in zip(hs, failed) if bad),
+        tuple(to_spec_text(LinearHamiltonian(tables[t], bases[t])) for t in np.flatnonzero(failed)),
     )

@@ -33,6 +33,13 @@ def check_dim(dim: int) -> int:
     return dim
 
 
+def check_words(u: np.ndarray, words: int) -> int:
+    """Check that uniforms u hold one row of `words` draws per trial; return words."""
+    if u.ndim != 2 or u.shape[1] != words:
+        raise ValueError(f"expected uniforms of shape (trials, {words}), got {u.shape}")
+    return words
+
+
 def check_power_dim(d: int, n: int) -> int:
     """Validate that d**n fits under MAX_DIM and return it."""
     if d < 2:
@@ -185,12 +192,15 @@ class Rng:
     than delegating to the generator's own normal, so the stream of values
     is pinned down by this module and not by numpy's algorithm choices.
 
-    `substream_normals` draws `complex_normal(dim)` of many substreams in one
-    vectorised pass, and row i equals `substream(trials[i]).complex_normal(dim)`
-    bit for bit. It recomputes numpy's SeedSequence hash and Philox4x64-10
-    words directly from (key, counter); both are frozen by numpy's
-    stream-compatibility policy (NEP 19), so the contract holds across numpy
-    versions and tests pin it to numpy's own generators.
+    `substream_uniforms(trials, words)` draws `random(words)` of many
+    substreams in one vectorised pass, and row i equals
+    `substream(trials[i]).random(words)` bit for bit. It recomputes numpy's
+    SeedSequence hash and Philox4x64-10 words directly from (key, counter);
+    both are frozen by numpy's stream-compatibility policy (NEP 19), so the
+    contract holds across numpy versions and tests pin it to numpy's own
+    generators. `substream_normals` is Box-Muller over those rows, read as
+    `complex_normal(dim)` reads its words (see `complex_normals`), so a
+    trial's words have one layout whichever way it is drawn.
 
     `substreams(trials)` yields (t, substream(t)) for a block of trials
     without building a SeedSequence and a Generator per trial: the keys are
@@ -269,29 +279,42 @@ class Rng:
         z = (x[:count] + 1j * x[count:]) / math.sqrt(2.0)
         return z.reshape(shape)
 
-    def substream_normals(self, trials: range, dim: int) -> np.ndarray:
-        """Row i is `substream(trials[i]).complex_normal(dim)`, bit for bit.
+    def substream_uniforms(self, trials: range, words: int) -> np.ndarray:
+        """Row i is `substream(trials[i]).random(words)`, bit for bit.
 
         All rows are drawn together, in Philox passes of at most
         _PHILOX_PASS_WORDS words. Every index must lie in [0, 2**32).
         """
-        out = np.empty((len(trials), dim), dtype=np.complex128)
-        if not trials:
-            return out
-        _check_indices(trials)
-        # complex_normal(dim) is normal(2 dim): dim words for u1, then dim for u2
-        words = 2 * dim
-        step = max(1, _PHILOX_PASS_WORDS // max(1, words))
-        for start in range(0, len(trials), step):
-            block = trials[start:start + step]
-            k0, k1 = _seed_keys(
-                self.seed, self.path, np.arange(block.start, block.stop, block.step)
-            )
-            # Generator.random: the top 53 bits of each word, scaled into [0, 1)
-            u = (_philox_words(k0, k1, words) >> np.uint64(11)) * 2.0**-53
-            cos_part, sin_part = _box_muller(u[:, :dim], u[:, dim:])
-            out[start:start + len(block)] = (cos_part + 1j * sin_part) / math.sqrt(2.0)
+        out = np.empty((len(trials), words))
+        for start, block in _passes(trials, words):
+            out[start:start + len(block)] = self._pass_uniforms(block, words)
         return out
+
+    def substream_normals(self, trials: range, dim: int) -> np.ndarray:
+        """Row i is `substream(trials[i]).complex_normal(dim)`, bit for bit.
+
+        Box-Muller over the uniforms `substream_uniforms` draws, taken one
+        Philox pass at a time, so no more than a pass of them is held.
+        """
+        out = np.empty((len(trials), dim), dtype=np.complex128)
+        for start, block in _passes(trials, 2 * dim):
+            out[start:start + len(block)] = complex_normals(self._pass_uniforms(block, 2 * dim))
+        return out
+
+    def _pass_uniforms(self, block: range, words: int) -> np.ndarray:
+        """Uniforms of one pass: row i is `substream(block[i]).random(words)`."""
+        k0, k1 = _seed_keys(self.seed, self.path, np.arange(block.start, block.stop, block.step))
+        # Generator.random: the top 53 bits of each word, scaled into [0, 1)
+        return (_philox_words(k0, k1, words) >> np.uint64(11)) * 2.0**-53
+
+
+def _passes(trials: range, words: int) -> Iterator[tuple[int, range]]:
+    """(start, block) of each Philox pass of at most _PHILOX_PASS_WORDS words."""
+    if trials:
+        _check_indices(trials)
+    step = max(1, _PHILOX_PASS_WORDS // max(1, words))
+    for start in range(0, len(trials), step):
+        yield start, trials[start:start + step]
 
 
 def _check_indices(trials: range) -> None:
@@ -307,6 +330,22 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     r = np.sqrt(-2.0 * np.log(1.0 - u1))  # 1 - u1 in (0, 1] keeps log finite
     theta = 2.0 * np.pi * u2
     return r * np.cos(theta), r * np.sin(theta)
+
+
+def complex_normals(u: np.ndarray) -> np.ndarray:
+    """Complex normals (..., m) from uniforms (..., 2 m), as `Rng.complex_normal(m)` reads them.
+
+    Box-Muller takes the first m words of a row as u1 and the last m as
+    u2, and z = (r cos(2 pi u2) + i r sin(2 pi u2)) / sqrt(2).
+    """
+    m = u.shape[-1] // 2
+    cos_part, sin_part = _box_muller(u[..., :m], u[..., m:])
+    return (cos_part + 1j * sin_part) / math.sqrt(2.0)
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, row by row; each row rounds as its 1-D a @ b."""
+    return (a[..., np.newaxis, :] @ b[..., :, np.newaxis])[..., 0, 0]
 
 
 def as_complex(a: np.ndarray) -> np.ndarray:
@@ -380,24 +419,40 @@ def kron_fold(ufunc: np.ufunc, vectors: Sequence[np.ndarray]) -> np.ndarray:
     Entry sigma is ufunc(...ufunc(v_1[sigma_1], v_2[sigma_2])..., v_n[sigma_n])
     with site 1 most significant, so np.add gives a Kronecker sum and
     np.multiply a Kronecker product, without a table of basis digits.
+    Vectors of shape (..., d_i) fold each stack entry on its own.
     """
     if len(vectors) == 0:
         raise ValueError("kron_fold needs at least one vector")
-    check_dim(math.prod(len(v) for v in vectors))
-    out = np.asarray(vectors[0])
+    vectors = [np.asarray(v) for v in vectors]
+    check_dim(math.prod(v.shape[-1] for v in vectors))
+    out = vectors[0]
     for v in vectors[1:]:
-        out = ufunc.outer(out, v).ravel()
+        out = ufunc(out[..., :, np.newaxis], v[..., np.newaxis, :])
+        out = out.reshape(out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
     return out
 
 
-def haar_unitary(dim: int, rng: Rng) -> np.ndarray:
-    """Haar-distributed unitary via QR with the R-diagonal phase fix."""
-    check_dim(dim)
-    z = rng.complex_normal((dim, dim))
+def haar_qr(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian blocks (..., d, d).
+
+    QR of each block with the R-diagonal phase fix (Mezzadri, Notices AMS
+    54, 592, 2007); LAPACK factors a stack block by block, so each result
+    equals the block's own QR bit for bit.
+    """
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases[np.newaxis, :]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., np.newaxis, :]
+
+
+def haar_unitaries(u: np.ndarray, dim: int) -> np.ndarray:
+    """Haar unitaries (..., dim, dim) from uniforms (..., 2 dim^2), as haar_unitary reads them."""
+    return haar_qr(complex_normals(u).reshape(u.shape[:-1] + (dim, dim)))
+
+
+def haar_unitary(dim: int, rng: Rng) -> np.ndarray:
+    """Haar-distributed unitary: the one-block case of haar_qr, 2 dim^2 words of rng."""
+    check_dim(dim)
+    return haar_qr(rng.complex_normal((dim, dim)))
 
 
 def random_hermitian(dim: int, rng: Rng, scale: float = 1.0) -> np.ndarray:

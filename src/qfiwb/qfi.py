@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_power_dim, ensure_hermitian, kron_fold, spectral_norm
+from .numerics import check_power_dim, ensure_hermitian, kron_fold, row_dot, spectral_norm
 from .hamiltonians import (
     GraphHamiltonian,
     LinearHamiltonian,
@@ -65,42 +65,29 @@ def _frame_rows(a: np.ndarray, bases: tuple[np.ndarray, ...]) -> np.ndarray:
 
     Each step rotates the last site with one (rows d^(n-1), d) x (d, d)
     product and cycles that site to the front, so after n steps the sites
-    are back in kron order.
+    are back in kron order. A site basis of shape (rows, d, d) rotates each
+    row by its own matrix, one (d^(n-1), d) x (d, d) product per row.
     """
     rows, dim = a.shape
     for b in reversed(bases):
-        d = b.shape[0]
-        a = (a.reshape(-1, d) @ b.conj()).reshape(rows, dim // d, d).transpose(0, 2, 1)
+        d = b.shape[-1]
+        lhs = a.reshape(-1, d) if b.ndim == 2 else a.reshape(rows, dim // d, d)
+        a = (lhs @ b.conj()).reshape(rows, dim // d, d).transpose(0, 2, 1)
     return a.reshape(rows, dim)
 
 
-def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
-    """QFI of many states at once; rows of `amplitudes` are unit state vectors.
-
-    A typed H is evaluated in its eigenframe as 4 (p.D^2 - (p.D)^2) with
-    p = |W^dag psi|^2; a bare array is checked for Hermiticity and applied
-    as a matrix. An empty (0, dim) batch gives an empty result.
-    """
-    bare = isinstance(h, np.ndarray)
-    if bare:
-        hm = ensure_hermitian(h)
-        dim = hm.shape[0]
-    else:
-        bases, diag = _product_frame(h)
-        dim = diag.size
+def _unit_rows(amplitudes: np.ndarray, dim: int) -> np.ndarray:
     a = np.asarray(amplitudes, dtype=np.complex128)
     if a.ndim != 2 or a.shape[1] != dim:
         raise ValueError(f"dimension mismatch: state rows {a.shape}, operator {dim}")
     # `not <=` so that a NaN norm is rejected too
     if not np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= NORM_ATOL):
         raise ValueError(f"a state row's norm deviates from 1 by more than {NORM_ATOL}")
-    if bare:
-        y = a @ hm.T
-        second = np.sum(np.abs(y) ** 2, axis=1)
-        mean = np.real(np.sum(np.conjugate(a) * y, axis=1))
-    else:
-        p = np.abs(_frame_rows(a, bases)) ** 2
-        second, mean = p @ diag**2, p @ diag
+    return a
+
+
+def _clipped_qfi(second: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """4 (<H^2> - <H>^2), with a negative variance beyond rounding an error."""
     raw = 4.0 * (second - mean**2)
     if np.any(raw < -QFI_CLIP_ATOL):
         raise ArithmeticError(
@@ -109,12 +96,54 @@ def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
     return np.maximum(raw, 0.0)
 
 
+def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
+    """QFI of many states at once; rows of `amplitudes` are unit state vectors.
+
+    A typed H is evaluated in its eigenframe (see qfi_frames); a bare array
+    is checked for Hermiticity and applied as a matrix. An empty (0, dim)
+    batch gives an empty result.
+    """
+    if not isinstance(h, np.ndarray):
+        return qfi_frames(amplitudes, *_product_frame(h))
+    hm = ensure_hermitian(h)
+    a = _unit_rows(amplitudes, hm.shape[0])
+    y = a @ hm.T
+    second = np.sum(np.abs(y) ** 2, axis=1)
+    mean = np.real(np.sum(np.conjugate(a) * y, axis=1))
+    return _clipped_qfi(second, mean)
+
+
+def qfi_frames(amplitudes: np.ndarray, bases: tuple[np.ndarray, ...], diag: np.ndarray) -> np.ndarray:
+    """QFI of each unit row psi under H = W diag(D) W^dag, as 4 (p.D^2 - (p.D)^2).
+
+    p = |W^dag psi|^2, W = B_1 (x) ... (x) B_n. A site basis of shape
+    (rows, d, d) and a D of shape (rows, dim) give each row its own
+    Hamiltonian; row i's value then equals its one-row call bit for bit,
+    as each row's dot products are taken on their own (row_dot).
+    """
+    a = _unit_rows(amplitudes, diag.shape[-1])
+    p = np.abs(_frame_rows(a, bases)) ** 2
+    if diag.ndim == 1:
+        return _clipped_qfi(p @ diag**2, p @ diag)
+    return _clipped_qfi(row_dot(p, diag**2), row_dot(p, diag))
+
+
 def qfi(state: PureState, h) -> float:
     """QFI of one state: the one-row case of qfi_batch."""
     return float(qfi_batch(h, state.amplitudes[None, :])[0])
 
 
 # --- ensemble expectations ---------------------------------------------------
+
+def _square(x):
+    """x^2 elementwise through libm pow, as a Python or numpy scalar's `x ** 2` rounds.
+
+    Array `x ** 2` is x * x, which can differ from pow(x, 2) in the last
+    bit; the closed forms below square sums as their one-value versions
+    always did, so a stack of them gives each value bit for bit.
+    """
+    return np.float_power(x, 2)
+
 
 def _sphere_mean(tr1: float, tr2: float, dim: int) -> float:
     """Mean QFI over the unit sphere of a dim-dimensional space, from Tr H, Tr H^2."""
@@ -126,8 +155,12 @@ def expected_qfi_haar(h) -> float:
     if isinstance(h, np.ndarray):  # Tr H^2 = sum |h_ij|^2 for Hermitian H
         hm = ensure_hermitian(h)
         return _sphere_mean(float(np.real(np.trace(hm))), float(np.vdot(hm, hm).real), hm.shape[0])
-    _, diag = _product_frame(h)
-    return _sphere_mean(float(diag.sum()), float((diag**2).sum()), diag.size)
+    return float(expected_qfi_haar_diagonals(_product_frame(h)[1]))
+
+
+def expected_qfi_haar_diagonals(diags: np.ndarray) -> np.ndarray:
+    """Haar means of the QFI from eigenframe diagonals (..., dim), by trace sums."""
+    return _sphere_mean(diags.sum(axis=-1), (diags**2).sum(axis=-1), diags.shape[-1])
 
 
 def expected_qfi_symmetric(h, n: int, d: int, basis: DickeBasis | None = None) -> float:
@@ -144,12 +177,7 @@ def expected_qfi_symmetric(h, n: int, d: int, basis: DickeBasis | None = None) -
     Tr[P H P] = p.D and Tr[P H^2 P] = p.D^2.
     """
     if isinstance(h, LinearHamiltonian) and (h.n, h.d) == (n, d):
-        lam = h.table
-        total, sq = float(lam.sum()), float((lam**2).sum())
-        rows, cols = lam.sum(axis=1), lam.sum(axis=0)
-        pairs = total**2 - float(rows @ rows) + float(cols @ cols) - sq
-        c = dim_symmetric(n, d)
-        return _sphere_mean(c * total / d, c * (sq / d + pairs / (d * (d + 1))), c)
+        return float(expected_qfi_symmetric_tables(h.table))
     bases, diag = _eigenframe(h)
     if diag.size != check_power_dim(d, n):
         raise ValueError("operator dimension does not match (n, d)")
@@ -159,11 +187,29 @@ def expected_qfi_symmetric(h, n: int, d: int, basis: DickeBasis | None = None) -
     return _sphere_mean(float(p @ diag), float(p @ diag**2), basis.size)
 
 
+def expected_qfi_symmetric_tables(tables: np.ndarray) -> np.ndarray:
+    """Symmetric-subspace means of linear Hamiltonians from level tables (..., n, d).
+
+    The closed form of expected_qfi_symmetric, one value per table: its
+    traces are sums over the table, its row sums and its column sums.
+    """
+    n, d = tables.shape[-2:]
+    total, sq = tables.sum(axis=(-2, -1)), (tables**2).sum(axis=(-2, -1))
+    rows, cols = tables.sum(axis=-1), tables.sum(axis=-2)
+    pairs = _square(total) - row_dot(rows, rows) + row_dot(cols, cols) - sq
+    c = dim_symmetric(n, d)
+    return _sphere_mean(c * total / d, c * (sq / d + pairs / (d * (d + 1))), c)
+
+
+def _level_variance(levels: np.ndarray) -> np.ndarray:
+    """Tr(h^2)/d - Tr(h)^2/d^2 from one-site levels (..., d)."""
+    d = levels.shape[-1]
+    return np.sum(levels**2, axis=-1) / d - _square(np.sum(levels, axis=-1) / d)
+
+
 def site_variance_term(site: SingleSiteOperator) -> float:
     """Tr(h^2)/d - Tr(h)^2/d^2 for a one-site operator."""
-    lv = np.asarray(site.levels)
-    d = site.d
-    return float(np.sum(lv**2) / d - (np.sum(lv) / d) ** 2)
+    return float(_level_variance(np.asarray(site.levels)))
 
 
 def expected_qfi_haar_linear(site: SingleSiteOperator, n: int) -> float:
@@ -175,9 +221,14 @@ def expected_qfi_haar_linear(site: SingleSiteOperator, n: int) -> float:
 
 def expected_qfi_symmetric_linear(site: SingleSiteOperator, n: int) -> float:
     """Closed-form symmetric-subspace mean for an equal-row linear Hamiltonian."""
-    d = site.d
+    return float(expected_qfi_symmetric_levels(np.asarray(site.levels), n))
+
+
+def expected_qfi_symmetric_levels(levels: np.ndarray, n: int) -> np.ndarray:
+    """expected_qfi_symmetric_linear for the equal rows `levels` (..., d), one value each."""
+    d = levels.shape[-1]
     c = dim_symmetric(n, d)
-    return 4.0 * (n * (n + d) / (d + 1)) * (c / (c + 1)) * site_variance_term(site)
+    return 4.0 * (n * (n + d) / (d + 1)) * (c / (c + 1)) * _level_variance(levels)
 
 
 # --- concentration -----------------------------------------------------------
@@ -317,11 +368,14 @@ def optimal_separable_reference(h) -> float:
     this witnesses that the Haar expectation is attainable by a separable
     state.
     """
-    _, diag = _product_frame(h)
-    dim = diag.shape[0]
-    tr1 = float(np.sum(diag))
-    tr2 = float(np.sum(diag**2))
-    return 4.0 * (tr2 / dim - (tr1 / dim) ** 2)
+    return float(separable_reference_diagonals(_product_frame(h)[1]))
+
+
+def separable_reference_diagonals(diags: np.ndarray) -> np.ndarray:
+    """optimal_separable_reference from eigenframe diagonals (..., dim), one value each."""
+    dim = diags.shape[-1]
+    tr1, tr2 = np.sum(diags, axis=-1), np.sum(diags**2, axis=-1)
+    return 4.0 * (tr2 / dim - _square(tr1 / dim))
 
 
 def max_separable_linear(h: LinearHamiltonian) -> float:
@@ -331,11 +385,12 @@ def max_separable_linear(h: LinearHamiltonian) -> float:
     and each site's variance is maximized by the balanced superposition of
     the extremal eigenvectors, giving sum_i spread(h_i)^2.
     """
-    total = 0.0
-    for i in range(h.n):
-        lv = h.table[i]
-        total += float(np.max(lv) - np.min(lv)) ** 2
-    return total
+    return float(max_separable_tables(h.table))
+
+
+def max_separable_tables(tables: np.ndarray) -> np.ndarray:
+    """max_separable_linear from level tables (..., n, d), one value each."""
+    return np.sum(_square(tables.max(axis=-1) - tables.min(axis=-1)), axis=-1)
 
 
 # --- symmetric product optimum for graph Hamiltonians --------------------------

@@ -34,7 +34,8 @@ class PureState:
         if a.shape[0] != dim:
             raise ValueError(f"expected {dim} amplitudes, got {a.shape[0]}")
         nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > NORM_ATOL:
+        # `not <=` so that a NaN norm is rejected too
+        if not abs(nrm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state norm {nrm} deviates from 1 by more than {NORM_ATOL}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
@@ -63,7 +64,7 @@ def product_state(site_vectors: Sequence[np.ndarray]) -> PureState:
         raise ValueError("all site vectors must share the same local dimension")
     for i, v in enumerate(vecs, start=1):
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > NORM_ATOL:
+        if not abs(nrm - 1.0) <= NORM_ATOL:
             raise ValueError(f"site {i} vector has norm {nrm}, expected 1")
     return normalized_state(len(vecs), d, kron_fold(np.multiply, vecs))
 

@@ -30,6 +30,8 @@ from qfiwb.cli import (
     parse_config_text,
     write_csv,
 )
+from qfiwb.hamiltonians import from_spec_text
+from qfiwb.nets import sample_linear_banded
 from qfiwb.numerics import Rng, random_hermitian
 from qfiwb.qfi import qfi
 from qfiwb.states import dicke_basis, sample_haar, sample_symmetric
@@ -456,6 +458,23 @@ def test_main_net_audit_header_quirk(tmp_path: Path):
     lines = (tmp_path / "net-audit.csv").read_text().splitlines()
     assert lines[0] == "trial,distance_to_net,eps,pass"
     assert len(lines) == 21
+
+
+def test_main_net_audit_negative_control(tmp_path: Path, capsys):
+    # A net built with a tiny proof constant is coarse: prop8 fails some
+    # trials, exits 1 and lists one parsable counterexample per violation.
+    cfg = cfg_file(tmp_path, "audit = prop8\nprop6_c = 0.001\n")
+    assert main(["net-audit", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VIOLATION
+    summary = json.loads((tmp_path / "net-audit.summary.json").read_text())
+    assert summary["violations"] == len(summary["counterexamples"]) == 50
+    rows = (tmp_path / "net-audit.csv").read_text().splitlines()[1:]
+    failing = [int(row.split(",")[0]) for row in rows if row.endswith(",false")]
+    assert len(failing) == 50
+    for t, text in zip(failing, summary["counterexamples"]):
+        h = from_spec_text(text)
+        drawn = sample_linear_banded(2, 2, Rng(0).substream(1).substream(t), 1.0, 2.0)
+        assert np.array_equal(h.table, drawn.table) and np.array_equal(h.basis, drawn.basis)
+    capsys.readouterr()
 
 
 def test_readme_experiment_table_matches_registry():

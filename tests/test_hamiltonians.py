@@ -11,10 +11,15 @@ from qfiwb.hamiltonians import (
     LinearHamiltonian,
     ProductDiagonalHamiltonian,
     SingleSiteOperator,
+    _ensure_unitaries,
     from_spec_text,
+    linear_words,
+    product_diagonal_words,
     read_spec,
     sample_linear,
+    sample_linear_arrays,
     sample_product_diagonal,
+    sample_product_diagonal_arrays,
     to_spec_text,
     write_spec,
 )
@@ -245,3 +250,88 @@ def test_from_spec_text_rejects_trailing_tokens_on_scalar_keys(text):
         for line in text.splitlines()
     )
     from_spec_text(fixed)
+
+
+# --- array samplers -------------------------------------------------------------
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_array_samplers_match_per_trial_samplers(n, d):
+    # Row t of the array form is the per-trial sampler on substream(t), bit
+    # for bit, and reads exactly its words: the stream's next word agrees.
+    rng = Rng(21).substream(1)
+    trials = range(1, 30, 4)
+    words = linear_words(n, d, "haar")
+    u = rng.substream_uniforms(trials, words + 1)
+    tables, bases = sample_linear_arrays(u[:, :words], n, d, -2.0, 3.0, "haar")
+    assert tables.shape == (len(trials), n, d) and bases.shape == (len(trials), d, d)
+    for i, t in enumerate(trials):
+        r = rng.substream(t)
+        h = sample_linear(n, d, r, -2.0, 3.0)
+        assert _same_bits(h.table, tables[i]) and _same_bits(h.basis, bases[i])
+        assert _same_bits(r.random(1), u[i, words:])
+    words = product_diagonal_words(n, d)
+    u = rng.substream_uniforms(trials, words + 1)
+    coeffs, site_bases = sample_product_diagonal_arrays(u[:, :words], n, d, -1.0, 0.5)
+    assert coeffs.shape == (len(trials), d**n) and site_bases.shape == (len(trials), n, d, d)
+    for i, t in enumerate(trials):
+        r = rng.substream(t)
+        h = sample_product_diagonal(n, d, r, -1.0, 0.5)
+        assert _same_bits(h.coeffs, coeffs[i])
+        assert all(_same_bits(b, site_bases[i, s]) for s, b in enumerate(h.site_bases))
+        assert _same_bits(r.random(1), u[i, words:])
+
+
+def test_sample_linear_with_a_fixed_basis_reads_only_levels():
+    pm = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+    assert linear_words(3, 2, "plus_minus") == linear_words(3, 2, pm) == 6
+    for basis in ("computational", "plus_minus", pm):
+        h = sample_linear(3, 2, Rng(4), basis=basis)
+        assert np.array_equal(h.table, -1.0 + 2.0 * Rng(4).random((3, 2)))
+        assert h.basis.flags.writeable is False
+    u = Rng(4).random((5, 6))
+    tables, bases = sample_linear_arrays(u, 3, 2, -1.0, 1.0, pm)
+    assert bases.shape == (5, 2, 2) and np.array_equal(bases[4], pm)
+    with pytest.raises(ValueError, match="does not match"):
+        sample_linear_arrays(u, 3, 2, -1.0, 1.0, np.eye(3))
+    with pytest.raises(ValueError, match="uniforms of shape"):
+        sample_linear_arrays(u, 3, 2, -1.0, 1.0, "haar")
+    with pytest.raises(ValueError, match="finite"):
+        sample_linear_arrays(u, 3, 2, -1e308, 1e308, pm)
+
+
+# the invalid input warns on its way to the ValueError
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stacked_unitarity_check_names_the_first_bad_index():
+    stack = np.stack([np.eye(2, dtype=complex)] * 6).reshape(3, 2, 2, 2)
+    assert _ensure_unitaries(stack, "bases") is not None
+    for bad in (np.nan, np.inf, 2.0):
+        s = stack.copy()
+        s[1, 0, 0, 1] = bad
+        s[2, 1, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"bases \[1, 0\] is not unitary"):
+            _ensure_unitaries(s, "bases")
+    with pytest.raises(ValueError, match="bases is not unitary: max deviation nan"):
+        _ensure_unitaries(np.array([[np.nan, 0], [0, 1]]), "bases")
+
+
+# the invalid input warns on its way to the ValueError
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_bases_are_not_unitary(bad):
+    # NaN compares false with any tolerance; the checks must still fail it.
+    for text in (
+        f"family linear\nn 1\nd 2\nbasis explicit\nlambda 0 1\n"
+        f"basis_col 0 {bad} 0 0 0\nbasis_col 1 0 0 1 0\n",
+        f"family product_diagonal\nn 1\nd 2\nbasis explicit\ncoeffs 0 1\n"
+        f"site_basis_col 1 0 1 0 0 0\nsite_basis_col 1 1 0 0 {bad} 0\n",
+    ):
+        with pytest.raises(ValueError, match="not unitary"):
+            from_spec_text(text)
+    with pytest.raises(ValueError, match="not unitary"):
+        SingleSiteOperator.explicit((0.0, 1.0), np.array([[float(bad), 0], [0, 1]]))

@@ -20,14 +20,20 @@ from qfiwb.nets import (
     net_cover_audit,
     net_probe,
     net_size_bound,
+    linear_banded_words,
+    product_banded_words,
     property_audit,
     pure_state_net_qubit,
     sample_linear_banded,
+    sample_linear_banded_arrays,
+    sample_product_banded,
+    sample_product_banded_arrays,
     theorem_bound,
     trace_distance_qubit,
 )
 from qfiwb.numerics import Rng
-from qfiwb.states import MAX_MATERIALIZED_FRAMES
+from qfiwb.qfi import expected_qfi_symmetric_linear, max_separable_linear, qfi
+from qfiwb.states import MAX_MATERIALIZED_FRAMES, dicke_basis, sample_haar, sample_symmetric
 
 SQRT2 = math.sqrt(2.0)
 
@@ -387,6 +393,80 @@ def test_sample_linear_banded():
         sample_linear_banded(3, 2, Rng(5), 2.0, 1.0)
     with pytest.raises(ValueError):
         sample_linear_banded(3, 2, Rng(5), 0.0, 1.0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_banded_array_samplers_match_per_trial_samplers(n, d):
+    # Row t is the per-trial sampler on substream(t), bit for bit, and reads
+    # exactly its words: the stream's next word agrees.
+    rng = Rng(17).substream(1)
+    trials = range(0, 24, 3)
+    words = linear_banded_words(n, d)
+    u = rng.substream_uniforms(trials, words + 1)
+    tables, bases = sample_linear_banded_arrays(u[:, :words], n, d, 1.0, 2.0)
+    for i, t in enumerate(trials):
+        r = rng.substream(t)
+        h = sample_linear_banded(n, d, r, 1.0, 2.0)
+        assert _same_bits(h.table, tables[i]) and _same_bits(h.basis, bases[i])
+        assert _same_bits(r.random(1), u[i, words:])
+    words = product_banded_words(n, d)
+    u = rng.substream_uniforms(trials, words + 1)
+    coeffs, site_bases = sample_product_banded_arrays(u[:, :words], n, d, 0.5, 1.5)
+    for i, t in enumerate(trials):
+        r = rng.substream(t)
+        h = sample_product_banded(n, d, r, 0.5, 1.5)
+        assert _same_bits(h.coeffs, coeffs[i])
+        assert all(_same_bits(b, site_bases[i, s]) for s, b in enumerate(h.site_bases))
+        assert _same_bits(r.random(1), u[i, words:])
+    with pytest.raises(ValueError, match="B > A > 0"):
+        sample_product_banded_arrays(u[:, :words], n, d, 1.5, 0.5)
+
+
+@pytest.mark.parametrize("which", ["cover", "prop8", "prop9"])
+def test_property_audit_counterexamples_are_the_failing_trials(which):
+    # Negative control: a coarse net fails many trials; each failure's
+    # counterexample parses back to exactly that trial's draw.
+    coarse = LinearFamilyNet(2, 2, coefficient_grid(1.0, 2.0, 0.5), pure_state_net_qubit(0.3))
+    eps = 0.05 if which == "cover" else 0.5
+    rng = Rng(13)
+    report = property_audit(coarse, eps, 120, which, rng)
+    failing = np.flatnonzero(report.values > eps)
+    assert report.violations == len(report.counterexamples) == len(failing) > 10
+    for t, text in zip(failing, report.counterexamples):
+        h = from_spec_text(text)
+        drawn = sample_linear_banded(2, 2, rng.substream(int(t)), 1.0, 2.0)
+        assert np.array_equal(h.table, drawn.table) and np.array_equal(h.basis, drawn.basis)
+
+
+def test_property_audit_values_match_one_trial_computations():
+    # The one-pass audit equals the per-trial computation bit for bit.
+    for which, mode in (("prop8", "result1"), ("prop9", "result3")):
+        for n in (1, 2, 3):
+            net = build_linear_net(audit_params(2.0, n), mode)
+            rng = Rng(5)
+            report = property_audit(net, 2.0, 30, which, rng)
+            for t, value in enumerate(report.values):
+                r = rng.substream(t)
+                h = sample_linear_banded(n, 2, r, 1.0, 2.0)
+                if which == "prop8":
+                    psi = sample_symmetric(n, 2, r, dicke_basis(n, 2))
+                else:
+                    psi = sample_haar(n, 2, r)
+                rep, frame, _ = net.nearest(h.table, h.basis)
+                gaps = []
+                for g in (h, LinearHamiltonian(rep, frame)):
+                    if which == "prop8":
+                        ref = expected_qfi_symmetric_linear(g.symmetrized().site_operator(0), n)
+                    else:
+                        ref = max_separable_linear(g)
+                    gaps.append(qfi(psi, g) - ref)
+                assert value == abs(gaps[0] - gaps[1])
 
 
 def test_net_cover_audit_at_printed_choices():

@@ -3,12 +3,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qfiwb.numerics import (
+    _PHILOX_PASS_WORDS,
     MAX_DIM,
     DimensionError,
     Rng,
     _philox_words,
     _seed_keys,
+    check_words,
     ensure_hermitian,
+    haar_qr,
+    haar_unitaries,
     haar_unitary,
     hermitian_eig,
     is_hermitian,
@@ -120,6 +124,75 @@ def test_substream_normals_match_per_stream_draws(seed, path, start, count, step
         assert _same_bits(row, rng.substream(t).complex_normal(dim))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**70),
+    path=st.lists(st.integers(min_value=0, max_value=2**40), max_size=2),
+    start=st.integers(min_value=0, max_value=U32 - 20),
+    count=st.integers(min_value=0, max_value=5),
+    step=st.integers(min_value=1, max_value=4),
+    words=st.one_of(st.integers(min_value=0, max_value=41), st.sampled_from([1, 3, 7, 33])),
+)
+@example(seed=0, path=[1], start=0, count=3, step=1, words=1)
+@example(seed=5, path=[1, 0], start=2, count=4, step=3, words=9)
+@example(seed=9, path=[], start=U32 - 20, count=5, step=5, words=13)
+# a row longer than a Philox pass: each trial is its own pass
+@example(seed=2, path=[1], start=3, count=2, step=2, words=_PHILOX_PASS_WORDS + 5)
+def test_substream_uniforms_match_per_stream_draws(seed, path, start, count, step, words):
+    rng = Rng(seed, path)
+    trials = range(start, start + count * step, step)
+    got = rng.substream_uniforms(trials, words)
+    assert got.shape == (count, words)
+    for row, t in zip(got, trials):
+        assert _same_bits(row, rng.substream(t).random(words))
+
+
+def test_substream_uniforms_span_several_passes():
+    # 6001 words a trial: ten trials fill a pass, so 14 trials take two.
+    rng = Rng(4).substream(1)
+    trials = range(3, 45, 3)
+    got = rng.substream_uniforms(trials, 6001)
+    for row, t in zip(got, trials):
+        assert _same_bits(row, rng.substream(t).random(6001))
+
+
+def test_substream_uniforms_reject_indices_outside_32_bits():
+    rng = Rng(0)
+    assert rng.substream_uniforms(range(U32, U32 + 1), 3).shape == (1, 3)
+    assert rng.substream_uniforms(range(0), 3).shape == (0, 3)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        rng.substream_uniforms(range(U32, U32 + 2), 3)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        rng.substream_uniforms(range(2**40, 2**40 + 1), 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        rng.substream_uniforms(range(-1, 2), 3)
+
+
+def test_check_words_wants_one_row_per_trial():
+    assert check_words(np.zeros((3, 5)), 5) == 5
+    for bad in (np.zeros((3, 4)), np.zeros(5), np.zeros((1, 1, 5))):
+        with pytest.raises(ValueError, match="uniforms of shape"):
+            check_words(bad, 5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_stacked_haar_qr_matches_haar_unitary(d):
+    rng = Rng(8).substream(1)
+    trials = range(2, 40, 3)
+    # each trial reads its 2 d^2 words and its next word is untouched
+    u = rng.substream_uniforms(trials, 2 * d * d + 1)
+    stack = haar_unitaries(u[:, :-1], d)
+    assert stack.shape == (len(trials), d, d)
+    for got, word, t in zip(stack, u[:, -1], trials):
+        r = rng.substream(t)
+        assert _same_bits(got, haar_unitary(d, r))
+        assert _same_bits(np.array([word]), r.random(1))
+    # a stack of blocks factors block by block
+    z = rng.complex_normal((3, 2, d, d))
+    assert all(_same_bits(haar_qr(z)[i, j], haar_qr(z[i, j])) for i in range(3) for j in range(2))
+    assert haar_unitaries(np.zeros((0, 2 * d * d)), d).shape == (0, d, d)
+
+
 def test_substream_normals_span_several_passes():
     # 6000 words a trial: ten trials fill a pass, so 14 trials take two.
     rng = Rng(4).substream(1)
@@ -220,6 +293,17 @@ def test_kron_fold_small_case():
 def test_kron_fold_of_place_values_counts_in_kron_order(n, d):
     places = [d ** (n - 1 - j) * np.arange(d) for j in range(n)]
     assert np.array_equal(kron_fold(np.add, places), np.arange(d**n))
+
+
+def test_kron_fold_folds_each_stack_entry_on_its_own():
+    rng = np.random.default_rng(3)
+    stack = [rng.standard_normal((4, 5, d)) for d in (2, 3, 2)]
+    for ufunc in (np.add, np.multiply):
+        got = kron_fold(ufunc, stack)
+        assert got.shape == (4, 5, 12)
+        for i in range(4):
+            for j in range(5):
+                assert np.array_equal(got[i, j], kron_fold(ufunc, [v[i, j] for v in stack]))
 
 
 def test_dimension_guard():

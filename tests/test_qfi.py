@@ -17,19 +17,25 @@ from qfiwb.hamiltonians import (
 from qfiwb.numerics import Rng, haar_unitary, random_hermitian, spectral_norm, spectral_spread
 from qfiwb.qfi import (
     expected_qfi_haar,
+    expected_qfi_haar_diagonals,
     expected_qfi_haar_linear,
     expected_qfi_symmetric,
+    expected_qfi_symmetric_levels,
     expected_qfi_symmetric_linear,
+    expected_qfi_symmetric_tables,
     global_unitary_transport,
     levy_bound,
     lipschitz_constant,
     max_qfi_all_states,
     max_qfi_symmetric_product,
     max_separable_linear,
+    max_separable_tables,
     optimal_separable_reference,
     product_qfi_closed_form,
     qfi,
     qfi_batch,
+    qfi_frames,
+    separable_reference_diagonals,
     site_variance_term,
     symmetric_product_state,
     uniform_superposition_product,
@@ -104,6 +110,41 @@ def test_qfi_batch_matches_loop():
 
     singles = [qfi(s, h) for s in states]
     assert np.allclose(batch, singles, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (2, 3)])
+def test_qfi_frames_with_a_frame_per_row_is_each_rows_own_qfi(n, d):
+    # One pass over rows with their own Hamiltonians equals one-row calls bit for bit.
+    r = Rng(31)
+    hs = [sample_product_diagonal(n, d, r.substream(t)) for t in range(7)]
+    hs += [sample_linear(n, d, r.substream(10 + t)) for t in range(7)]
+    states = np.stack([sample_haar(n, d, r.substream(20 + t)).amplitudes for t in range(14)])
+    bases = tuple(np.stack([h.site_bases[s] for h in hs]) for s in range(n))
+    got = qfi_frames(states, bases, np.stack([h.diagonal() for h in hs]))
+    for row, h, value in zip(states, hs, got):
+        assert value == qfi_batch(h, row[None, :])[0]
+    with pytest.raises(ValueError, match="norm"):
+        qfi_frames(2.0 * states, bases, np.stack([h.diagonal() for h in hs]))
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 3), (5, 3), (4, 2), (9, 2)])
+def test_array_closed_forms_are_their_one_value_versions(n, d):
+    # Each array form is its per-Hamiltonian function, bit for bit, row by row.
+    r = Rng(37)
+    lin = [sample_linear(n, d, r.substream(t), -2.0, 3.0) for t in range(9)]
+    tables = np.stack([h.table for h in lin])
+    sym = expected_qfi_symmetric_tables(tables)
+    means = expected_qfi_symmetric_levels(tables.mean(axis=-2), n)
+    spreads = max_separable_tables(tables)
+    for i, h in enumerate(lin):
+        assert sym[i] == expected_qfi_symmetric(h, n, d)
+        assert means[i] == expected_qfi_symmetric_linear(h.symmetrized().site_operator(0), n)
+        assert spreads[i] == max_separable_linear(h)
+    prod = [sample_product_diagonal(min(n, 4), d, r.substream(50 + t)) for t in range(9)]
+    diags = np.stack([h.coeffs for h in prod])
+    haar, ref = expected_qfi_haar_diagonals(diags), separable_reference_diagonals(diags)
+    for i, h in enumerate(prod):
+        assert haar[i] == expected_qfi_haar(h) and ref[i] == optimal_separable_reference(h)
 
 
 def _random_typed_hamiltonian(family: str, n: int, d: int, r: Rng):

@@ -264,3 +264,16 @@ def test_state_file_roundtrip(tmp_path):
         back = read_state(path)
         assert back.n == st_.n and back.d == st_.d
         assert np.allclose(back.amplitudes, st_.amplitudes, atol=1e-15)
+
+
+# the invalid input warns on its way to the ValueError
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_amplitudes_are_rejected(bad):
+    # NaN compares false with any tolerance; the norm checks must still fail it.
+    with pytest.raises(ValueError, match="norm"):
+        PureState(1, 2, np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="norm"):
+        product_state([np.array([1.0, 0.0]), np.array([bad, 0.0])])
+    with pytest.raises(ValueError, match="norm"):
+        normalized_state(1, 2, np.array([bad, 1.0]))
