@@ -2,21 +2,26 @@
 
 Every experiment is a named driver over the library modules.  A run is
 pinned by (experiment, config, seed): trial t always draws from the seed's
-stream (1, t), and trials run serially in trial order.  The four
-state-sampling experiments (lemma1-montecarlo, lemma3-montecarlo,
-result1-demo, result3-demo) draw each block of trial states in one
-vectorised pass, bit for bit the per-trial streams.  The audits
-(prop4-audit, prop5-audit, net-audit) draw every trial in one pass too:
-`Rng.substream_uniforms` gives each trial's uniform words, the array
-samplers read its Hamiltonian (and net-audit's state) at fixed offsets,
-exactly the words the per-trial samplers read, and every trial is scored
-as one array.  concentration and thm11-check stay per trial, on
-`Rng.substreams`, which hashes every trial's key in one pass and rekeys
-one generator per trial: a concentration trial reads 2^n words (4096 by
-default), which numpy's own Philox draws several times faster than the
-array Philox, and a thm11-check trial is bound by one LAPACK eigh of a
-2^n x 2^n matrix, which a stacked eigh does not speed up.  `--threads` and
-QFIWB_THREADS are accepted and validated but have no effect.
+stream (1, t), and trials run serially in trial order.
+
+Every driver reads its trial words through one protocol,
+`Rng.uniform_blocks`: the trials' keys are hashed in one pass, and each
+block of at most 2^16 words holds the words the trials' own streams would
+draw, bit for bit.  Rows narrower than 64 words come from the array
+Philox, wider rows from one numpy Philox rekeyed per row, which is faster
+there (40 rows of 2048 words: 4.6 against 0.9 ms on a 2-vCPU host; the
+`Rng` docstring has the measured table).  The state-sampling experiments
+(lemma1-montecarlo, lemma3-montecarlo, result1-demo, result3-demo) read
+blocks of states through `Rng.substream_normals`.  The audits
+(prop4-audit, prop5-audit, net-audit), the Hamiltonians of result1-demo
+and result3-demo, and the GME restarts read `Rng.substream_uniforms`, and
+the array samplers take each trial's Hamiltonian (and net-audit's state)
+at fixed offsets, exactly the words the per-trial samplers read.
+concentration and thm11-check keep their arithmetic per row within each
+block: a block of 4096-word concentration rows evaluated as one array
+falls out of cache, and a thm11-check row is bound by one LAPACK eigh of
+a 2^n x 2^n matrix, which a stacked eigh does not speed up.  `--threads`
+and QFIWB_THREADS are accepted and validated but have no effect.
 
 The CSV writer checks each column once and formats every row with one
 printf string: floats as %.17g (the same bytes as format(v, ".17g")),
@@ -53,6 +58,7 @@ from .graphs import (
 )
 from .hamiltonians import (
     LinearHamiltonian,
+    ProductDiagonalHamiltonian,
     SingleSiteOperator,
     linear_words,
     product_diagonal_words,
@@ -64,12 +70,14 @@ from .hamiltonians import (
 from .nets import (
     BoundParams,
     build_linear_net,
+    linear_banded_words,
+    product_banded_words,
     property_audit,
-    sample_linear_banded,
-    sample_product_banded,
+    sample_linear_banded_arrays,
+    sample_product_banded_arrays,
     theorem_bound,
 )
-from .numerics import Rng, random_hermitian
+from .numerics import Rng, check_power_dim, complex_normals, hermitian_parts
 from .qfi import (
     expected_qfi_haar,
     expected_qfi_haar_diagonals,
@@ -86,6 +94,7 @@ from .states import (
     DickeBasis,
     dicke_basis,
     ghz,
+    normalized_state,
     plus_vector,
     product_state,
     sample_haar,
@@ -246,15 +255,6 @@ def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
 _BLOCK_AMPLITUDES = 2**20
 
 
-def _trials(rng: Rng, trials: range, draw: Callable[[int, Rng], object]) -> list:
-    """draw(t, stream) for every trial t, in trial order.
-
-    Trial t always draws from the seed's stream (1, t), so its draw does not
-    depend on which other trials run.
-    """
-    return [draw(t, r) for t, r in rng.substream(1).substreams(trials)]
-
-
 def _state_qfis(rng: Rng, trials: range, hs: list, basis: DickeBasis | None = None) -> np.ndarray:
     """QFI of each trial's random state under every operator in `hs`.
 
@@ -398,19 +398,19 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     f_mean = expected_qfi_haar(h) / 4.0
     bound = levy_bound(h, dim, eps)
 
-    def draw(t: int, r: Rng) -> tuple:
-        # |z_k|^2 of the state complex_normal(dim) would draw: Box-Muller
-        # reads the first dim words as u1 and |z_k|^2 = r_k^2 / 2 =
-        # -log(1 - u1_k), so the angles (the next dim words) never matter.
-        w = -np.log(1.0 - r.random(dim))
-        w = w / w.sum()
-        m1 = float(w @ diag)
-        m2 = float(w @ diag_sq)
-        f = m2 - m1 * m1
-        dev = f - f_mean
-        return (t, f, f_mean, dev, abs(dev) > eps, dev < -eps)
-
-    rows = _trials(rng, range(trials), draw)
+    rows = []
+    # |z_k|^2 of the state complex_normal(dim) would draw: Box-Muller reads
+    # the first dim words as u1 and |z_k|^2 = r_k^2 / 2 = -log(1 - u1_k), so
+    # the angles (the next dim words) never matter.
+    for block, u in rng.substream(1).uniform_blocks(range(trials), dim):
+        for t, row in zip(block, u):
+            w = -np.log(1.0 - row)
+            w = w / w.sum()
+            m1 = float(w @ diag)
+            m2 = float(w @ diag_sq)
+            f = m2 - m1 * m1
+            dev = f - f_mean
+            rows.append((t, f, f_mean, dev, abs(dev) > eps, dev < -eps))
     freq_two = sum(1 for r in rows if r[4]) / trials
     freq_one = sum(1 for r in rows if r[5]) / trials
     checks = []
@@ -484,11 +484,12 @@ def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     n_h, n_s = cfg["hamiltonians"], cfg["states"]
     c, eps, a_lo, a_hi = cfg["c"], cfg["eps"], cfg["A"], cfg["B"]
     _require(n >= 1 and d >= 2 and n_h >= 1 and n_s >= 1, "counts must be positive")
-    h_rng = rng.substream(0)
-    hams = [sample_linear_banded(n, d, r, a_lo, a_hi) for _, r in h_rng.substreams(range(n_h))]
-    sym_means = [
-        expected_qfi_symmetric_linear(h.symmetrized().site_operator(0), n) for h in hams
-    ]
+    # Hamiltonian i reads the words sample_linear_banded would from stream (0, i)
+    u = rng.substream(0).substream_uniforms(range(n_h), linear_banded_words(n, d))
+    tables, bases = sample_linear_banded_arrays(u, n, d, a_lo, a_hi)
+    hams = [LinearHamiltonian(table, basis) for table, basis in zip(tables, bases)]
+    # the permutation average of a linear H has every row at the column means
+    sym_means = expected_qfi_symmetric_levels(tables.mean(axis=-2), n).tolist()
     basis = dicke_basis(n, d)
     rows = []
     for i in range(n_h):
@@ -527,8 +528,10 @@ def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
     n_h, n_s = cfg["hamiltonians"], cfg["states"]
     c, eps, a_lo, a_hi = cfg["c"], cfg["eps"], cfg["A"], cfg["B"]
     _require(n >= 1 and d >= 2 and n_h >= 1 and n_s >= 1, "counts must be positive")
-    h_rng = rng.substream(0)
-    hams = [sample_product_banded(n, d, r, a_lo, a_hi) for _, r in h_rng.substreams(range(n_h))]
+    # Hamiltonian i reads the words sample_product_banded would from stream (0, i)
+    u = rng.substream(0).substream_uniforms(range(n_h), product_banded_words(n, d))
+    coeffs, bases = sample_product_banded_arrays(u, n, d, a_lo, a_hi)
+    hams = [ProductDiagonalHamiltonian(c, tuple(b)) for c, b in zip(coeffs, bases)]
     refs = np.array([optimal_separable_reference(h) for h in hams])
     qfis = _state_qfis(rng, range(n_s), hams)
     gaps = (qfis - refs[:, None]).max(axis=0).tolist()
@@ -559,16 +562,17 @@ def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
 def run_thm11_check(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
-    dim = d**n
-
-    def draw(t: int, r: Rng) -> tuple:
-        h = random_hermitian(dim, r)
-        psi = sample_haar(n, d, r)
-        res = global_unitary_transport(psi, h)
-        dev = abs(res.check - res.target)
-        return (t, n, d, res.target, res.check, dev, res.degenerate, dev <= tol)
-
-    rows = _trials(rng, range(trials), draw)
+    dim = check_power_dim(d, n)
+    h_words = 2 * dim * dim
+    rows = []
+    # trial t reads the words random_hermitian, then sample_haar, would from stream (1, t)
+    for block, u in rng.substream(1).uniform_blocks(range(trials), h_words + 2 * dim):
+        for t, row in zip(block, u):
+            h = hermitian_parts(complex_normals(row[:h_words]).reshape(dim, dim))
+            psi = normalized_state(n, d, complex_normals(row[h_words:]))
+            res = global_unitary_transport(psi, h)
+            dev = abs(res.check - res.target)
+            rows.append((t, n, d, res.target, res.check, dev, res.degenerate, dev <= tol))
     violations = sum(1 for r in rows if not r[7])
     return ExperimentResult(
         ("trial", "n", "d", "target", "achieved", "abs_dev", "degenerate", "pass"),

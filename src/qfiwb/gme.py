@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, kron_fold
+from .numerics import Rng, complex_normals, kron_fold, row_dot
 from .states import BlochGrid, PureState
 
 OVERLAP_ATOL = 1e-10
@@ -54,10 +54,6 @@ def _marginal_start(tensor: np.ndarray) -> list[np.ndarray]:
         a = np.moveaxis(tensor, i, 0).reshape(2, -1)
         out.append(np.linalg.eigh(a @ a.conj().T)[1][:, -1])
     return out
-
-
-def _random_start(n: int, rng: Rng) -> list[np.ndarray]:
-    return [z / np.linalg.norm(z) for z in (rng.complex_normal(2) for _ in range(n))]
 
 
 @dataclass(frozen=True)
@@ -126,8 +122,9 @@ def gme(
 ) -> GmeEstimate:
     """Alternating rank-1 optimization of the product overlap.
 
-    Restart 0 starts from the per-site marginal eigenvectors; the rest start
-    from independent random product states on sub-streams of `rng`. All
+    Restart 0 starts from the per-site marginal eigenvectors; restart r > 0
+    starts from the random product state whose site i is the normalised
+    `rng.substream(r).complex_normal(2)` draw i, all drawn in one block. All
     restarts ascend as one batch, in blocks of at most _BLOCK_AMPLITUDES
     amplitudes; the highest overlap wins, ties to the lowest restart index.
     A run that never meets `tol` is still reported, flagged unconverged.
@@ -137,13 +134,15 @@ def gme(
     tensor = _qubit_tensor(state)
     rng = Rng(0) if rng is None else rng
     step = max(1, _BLOCK_AMPLITUDES // tensor.size)
+    u = rng.substream_uniforms(range(1, restarts), 4 * state.n)
+    z = complex_normals(u.reshape(-1, state.n, 4))
+    # rounded as np.linalg.norm of one site vector: one dot product per part
+    z /= np.sqrt(row_dot(z.real, z.real) + row_dot(z.imag, z.imag))[..., None]
+    starts = np.concatenate([np.array(_marginal_start(tensor))[None], z])
     best = (-1.0, np.empty(0), False)
     unconverged = 0
     for first in range(0, restarts, step):
-        alphas = np.array([
-            _marginal_start(tensor) if r == 0 else _random_start(state.n, rng.substream(r))
-            for r in range(first, min(first + step, restarts))
-        ])
+        alphas = starts[first:first + step]
         overlap, stalled = _ascend_batch(tensor, alphas, max_iters, tol)
         unconverged += len(stalled)
         k = int(np.argmax(overlap))
@@ -331,18 +330,6 @@ def gme_threshold(n: int, c: float) -> float:
     """
     _check_threshold_hypothesis(n, c)
     return n - (2.0 * (n ** (c - 1.0) - math.log(n)) + c * math.log(n)) / math.log(2.0)
-
-
-def gme_threshold_cap_form(n: int, c: float) -> float:
-    """The same level, grouped as the negated amplitude-cap exponent.
-
-    Expands to n - 2 n^(c-1)/ln 2 + (2-c) ln n / ln 2, which agrees with
-    gme_threshold identically; both groupings are kept so either printed
-    form can be checked verbatim.
-    """
-    _check_threshold_hypothesis(n, c)
-    ln2 = math.log(2.0)
-    return -(-float(n) + 2.0 * n ** (c - 1.0) / ln2 - (2.0 - c) * math.log(n) / ln2)
 
 
 def amplitude_cap(n: int, c: float) -> float:

@@ -176,10 +176,6 @@ class LinearHamiltonian:
     def d(self) -> int:
         return self.table.shape[1]
 
-    @property
-    def is_equal_row(self) -> bool:
-        return bool(np.all(self.table == self.table[0]))
-
     def site_operator(self, i: int) -> SingleSiteOperator:
         """Operator at site i+1 (0-based argument, matching row indexing)."""
         return SingleSiteOperator(tuple(self.table[i]), np.array(self.basis))

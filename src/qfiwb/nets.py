@@ -43,7 +43,6 @@ from .qfi import expected_qfi_symmetric_levels, max_separable_tables, qfi_frames
 from .states import (
     BlochGrid,
     dicke_basis,
-    qubit_overlap,
     trace_distance_qubit,  # noqa: F401 -- re-exported
 )
 
@@ -138,17 +137,6 @@ def pure_state_net_qubit(eps_p: float) -> BlochGrid:
     if net.count > (5.0 / eps_p) ** 4:
         raise RuntimeError("constructed net exceeds its cardinality bound")
     return net
-
-
-def net_probe(net: BlochGrid, trials: int, rng: Rng) -> float:
-    """Worst trace distance from random qubit states to the net.
-
-    Probe t is the normalised `rng.substream(t).complex_normal(2)`.
-    """
-    v = rng.substream_normals(range(trials), 2)
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    ov = qubit_overlap(v, net.states(net.nearest_index(v)))
-    return float(np.sqrt(1.0 - np.minimum(1.0, ov * ov)).max(initial=0.0))
 
 
 # --- parameter choices and size/probability bounds ----------------------------
@@ -319,12 +307,6 @@ class LinearFamilyNet:
     d: int
     grid: CoefficientGrid
     basis_net: BlochGrid
-
-    @property
-    def log_count(self) -> float:
-        return self.n * self.d * math.log(self.grid.count) + math.log(
-            self.basis_net.count
-        )
 
     def nearest(self, table: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, ...]:
         """Snap H = (level tables (..., n, d), bases (..., d, d)) to elements H'.

@@ -68,6 +68,9 @@ _PHILOX_ROUNDS = 10
 # Words per vectorised Philox pass: the temporaries of a larger pass fall
 # out of cache, a smaller one pays numpy's per-call cost too often.
 _PHILOX_PASS_WORDS = 2**16
+# Rows narrower than this many words come from the array Philox, wider ones
+# from one numpy Philox rekeyed per row (see the Rng docstring).
+_ARRAY_ROW_WORDS = 64
 _LO32 = np.uint64(_MASK32)
 _SHIFT32 = np.uint64(32)
 
@@ -192,22 +195,27 @@ class Rng:
     than delegating to the generator's own normal, so the stream of values
     is pinned down by this module and not by numpy's algorithm choices.
 
-    `substream_uniforms(trials, words)` draws `random(words)` of many
-    substreams in one vectorised pass, and row i equals
-    `substream(trials[i]).random(words)` bit for bit. It recomputes numpy's
-    SeedSequence hash and Philox4x64-10 words directly from (key, counter);
-    both are frozen by numpy's stream-compatibility policy (NEP 19), so the
-    contract holds across numpy versions and tests pin it to numpy's own
-    generators. `substream_normals` is Box-Muller over those rows, read as
-    `complex_normal(dim)` reads its words (see `complex_normals`), so a
-    trial's words have one layout whichever way it is drawn.
+    Trials read their words through one protocol: `uniform_blocks(trials,
+    words)` yields (block, u) in trial order, and row i of u is
+    `substream(block[i]).random(words)` bit for bit.  It hashes every key
+    (numpy's SeedSequence) in one vectorised pass per call, and a block holds
+    at most _PHILOX_PASS_WORDS words and at least one row.  Rows narrower
+    than _ARRAY_ROW_WORDS = 64 words are Philox4x64-10 words computed from
+    (key, counter) for the whole block; wider rows are filled in place by one
+    numpy Philox rekeyed per row, the faster route there (`substream_uniforms`
+    on a 2-vCPU host, one BLAS thread, minimum of 5):
 
-    `substreams(trials)` yields (t, substream(t)) for a block of trials
-    without building a SeedSequence and a Generator per trial: the keys are
-    hashed in one vectorised pass and one Philox generator is rekeyed per
-    trial through its `state` setter. The generator is shared, so each
-    yielded stream is valid only until the next one is yielded; its
-    `substream(i)` children are ordinary streams.
+        rows x words    array Philox   rekeyed
+        20000 x 32         28 ms        52 ms
+        20000 x 64         61 ms        60 ms
+        10000 x 128        59 ms        34 ms
+        40 x 2048         4.6 ms       0.9 ms
+
+    The hash and Philox are frozen by numpy's stream-compatibility policy
+    (NEP 19), and tests pin both routes to numpy's own generators.
+    `substream_uniforms` and `substream_normals` read the blocks into one
+    array, the latter as `complex_normal(dim)` reads its words (see
+    `complex_normals`), so a trial's words have one layout however drawn.
     """
 
     def __init__(self, seed: int, path: Sequence[int] = ()):
@@ -221,36 +229,6 @@ class Rng:
         if index < 0:
             raise ValueError("substream index must be non-negative")
         return Rng(self.seed, self.path + (int(index),))
-
-    def substreams(self, trials: range) -> Iterator[tuple[int, "Rng"]]:
-        """(t, stream) for every t in `trials`; stream draws what substream(t) draws.
-
-        Each stream is valid only until the next one is yielded (see the
-        class docstring). Every index must lie in [0, 2**32).
-        """
-        if not trials:
-            return
-        _check_indices(trials)
-        k0, k1 = _seed_keys(
-            self.seed, self.path, np.arange(trials.start, trials.stop, trials.step)
-        )
-        # Seeded, so it reads no OS entropy; every trial overwrites its key.
-        gen = np.random.Generator(np.random.Philox(0))
-        # The state of a freshly seeded Philox: counter zero, empty buffer.
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": None},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for t, key in zip(trials, zip(k0.tolist(), k1.tolist())):
-            state["state"]["key"] = key
-            gen.bit_generator.state = state
-            stream = Rng.__new__(Rng)
-            stream.seed, stream.path, stream._gen = self.seed, self.path + (t,), gen
-            yield t, stream
 
     def random(self, size: int | tuple[int, ...] | None = None) -> np.ndarray:
         """Uniforms in [0, 1)."""
@@ -279,50 +257,58 @@ class Rng:
         z = (x[:count] + 1j * x[count:]) / math.sqrt(2.0)
         return z.reshape(shape)
 
-    def substream_uniforms(self, trials: range, words: int) -> np.ndarray:
-        """Row i is `substream(trials[i]).random(words)`, bit for bit.
+    def uniform_blocks(self, trials: range, words: int) -> Iterator[tuple[range, np.ndarray]]:
+        """(block, u) over `trials` in order; row i of u is `substream(block[i]).random(words)`.
 
-        All rows are drawn together, in Philox passes of at most
-        _PHILOX_PASS_WORDS words. Every index must lie in [0, 2**32).
+        Each block holds at most _PHILOX_PASS_WORDS words and at least one
+        row.  Every index must lie in [0, 2**32).
         """
+        if not trials:
+            return
+        if min(trials[0], trials[-1]) < 0:
+            raise ValueError("substream index must be non-negative")
+        if max(trials[0], trials[-1]) > _MASK32:
+            raise ValueError("a block of substreams needs indices below 2**32")
+        k0, k1 = _seed_keys(self.seed, self.path, np.arange(trials.start, trials.stop, trials.step))
+        step = max(1, _PHILOX_PASS_WORDS // max(1, words))
+        if words < _ARRAY_ROW_WORDS:
+            for start in range(0, len(trials), step):
+                rows = slice(start, start + step)
+                # Generator.random: the top 53 bits of each word, scaled into [0, 1)
+                u = (_philox_words(k0[rows], k1[rows], words) >> np.uint64(11)) * 2.0**-53
+                yield trials[rows], u
+            return
+        # Seeded, so it reads no OS entropy.  Its state is fresh (counter zero,
+        # empty buffer), and each row overwrites the key.
+        gen = np.random.Generator(np.random.Philox(0))
+        state = gen.bit_generator.state
+        keys = zip(k0.tolist(), k1.tolist())
+        for start in range(0, len(trials), step):
+            block = trials[start:start + step]
+            u = np.empty((len(block), words))
+            for row, key in zip(u, keys):
+                state["state"]["key"] = key
+                gen.bit_generator.state = state
+                gen.random(out=row)
+            yield block, u
+
+    def substream_uniforms(self, trials: range, words: int) -> np.ndarray:
+        """Row i is `substream(trials[i]).random(words)`, bit for bit."""
         out = np.empty((len(trials), words))
-        for start, block in _passes(trials, words):
-            out[start:start + len(block)] = self._pass_uniforms(block, words)
+        start = 0
+        for block, u in self.uniform_blocks(trials, words):
+            out[start:start + len(block)] = u
+            start += len(block)
         return out
 
     def substream_normals(self, trials: range, dim: int) -> np.ndarray:
-        """Row i is `substream(trials[i]).complex_normal(dim)`, bit for bit.
-
-        Box-Muller over the uniforms `substream_uniforms` draws, taken one
-        Philox pass at a time, so no more than a pass of them is held.
-        """
+        """Row i is `substream(trials[i]).complex_normal(dim)`, bit for bit, a block at a time."""
         out = np.empty((len(trials), dim), dtype=np.complex128)
-        for start, block in _passes(trials, 2 * dim):
-            out[start:start + len(block)] = complex_normals(self._pass_uniforms(block, 2 * dim))
+        start = 0
+        for block, u in self.uniform_blocks(trials, 2 * dim):
+            out[start:start + len(block)] = complex_normals(u)
+            start += len(block)
         return out
-
-    def _pass_uniforms(self, block: range, words: int) -> np.ndarray:
-        """Uniforms of one pass: row i is `substream(block[i]).random(words)`."""
-        k0, k1 = _seed_keys(self.seed, self.path, np.arange(block.start, block.stop, block.step))
-        # Generator.random: the top 53 bits of each word, scaled into [0, 1)
-        return (_philox_words(k0, k1, words) >> np.uint64(11)) * 2.0**-53
-
-
-def _passes(trials: range, words: int) -> Iterator[tuple[int, range]]:
-    """(start, block) of each Philox pass of at most _PHILOX_PASS_WORDS words."""
-    if trials:
-        _check_indices(trials)
-    step = max(1, _PHILOX_PASS_WORDS // max(1, words))
-    for start in range(0, len(trials), step):
-        yield start, trials[start:start + step]
-
-
-def _check_indices(trials: range) -> None:
-    """A block of substream indices must lie in [0, 2**32)."""
-    if min(trials[0], trials[-1]) < 0:
-        raise ValueError("substream index must be non-negative")
-    if max(trials[0], trials[-1]) > _MASK32:
-        raise ValueError("a block of substreams needs indices below 2**32")
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,8 +441,12 @@ def haar_unitary(dim: int, rng: Rng) -> np.ndarray:
     return haar_qr(rng.complex_normal((dim, dim)))
 
 
+def hermitian_parts(b: np.ndarray) -> np.ndarray:
+    """(b + b^dag) / 2 of each square block of b (..., d, d)."""
+    return (b + b.conj().swapaxes(-1, -2)) / 2.0
+
+
 def random_hermitian(dim: int, rng: Rng, scale: float = 1.0) -> np.ndarray:
-    """GUE-style random Hermitian matrix with entry scale `scale`."""
+    """GUE-style random Hermitian matrix: the one-block case of hermitian_parts."""
     check_dim(dim)
-    b = rng.complex_normal((dim, dim)) * scale
-    return (b + b.conj().T) / 2.0
+    return hermitian_parts(rng.complex_normal((dim, dim)) * scale)

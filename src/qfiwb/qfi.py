@@ -352,14 +352,6 @@ def global_unitary_transport(state: PureState, h) -> TransportResult:
 
 # --- separable references ----------------------------------------------------
 
-def uniform_superposition_product(h) -> PureState:
-    """Product state with each site in the uniform superposition of its basis."""
-    bases, _ = _product_frame(h)
-    d = bases[0].shape[0]
-    uniform = np.ones(d, dtype=np.complex128) / math.sqrt(d)
-    return product_state([b @ uniform for b in bases])
-
-
 def optimal_separable_reference(h) -> float:
     """QFI of the uniform-superposition product state, by trace arithmetic.
 

@@ -71,8 +71,8 @@ def _value_kind(name: str, value) -> str:
     return "count" if isinstance(value, int) else "value"
 
 
-def record(experiment: str, config: str, seed: int) -> dict:
-    """Run one experiment in a temporary directory and digest its outputs."""
+def run(experiment: str, config: str, seed: int) -> tuple[int, bytes, bytes]:
+    """Exit code, CSV bytes and summary bytes of one run in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(config)
@@ -81,6 +81,16 @@ def record(experiment: str, config: str, seed: int) -> dict:
         code = cli.main(argv)
         csv = (Path(tmp) / f"{experiment}.csv").read_bytes()
         summary = (Path(tmp) / f"{experiment}.summary.json").read_bytes()
+    return code, csv, summary
+
+
+def record(experiment: str, config: str, seed: int) -> dict:
+    """Digests of one run's outputs."""
+    return digest(*run(experiment, config, seed))
+
+
+def digest(code: int, csv: bytes, summary: bytes) -> dict:
+    """The exit code, and digests of the outputs, their columns and summary keys."""
     header, *lines = csv.decode().splitlines()
     names = header.split(",")
     columns = list(zip(*(line.split(",") for line in lines))) or [()] * len(names)
@@ -128,7 +138,7 @@ def moved(label: str, experiment: str, want: dict, got: dict) -> list[str]:
 
 
 def main() -> None:
-    golden = {label: record(*run) for label, run in runs().items()}
+    golden = {label: record(*args) for label, args in runs().items()}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} runs to {GOLDEN}")
 

@@ -205,3 +205,48 @@ def serial_gme(
     overlap_sq = abs(complex(contract(results[best][1], -1))) ** 2
     value = max(0.0, -math.log2(max(overlap_sq, 1e-300)))
     return overlap_sq, value, results[best][2], [conv for _, _, conv in results]
+
+
+# --- test-only probes over library objects -------------------------------------
+#
+# No library code needs these, so they live with the tests. Unlike the
+# oracles above they read the library's own objects: a net's Bloch grid, a
+# typed Hamiltonian's site bases, and a stream's per-trial draws.
+
+
+def net_probe(net, trials: int, rng) -> float:
+    """Worst trace distance from random qubit states to the Bloch-grid net.
+
+    Probe t is the normalised `rng.substream(t).complex_normal(2)`.
+    """
+    from qfiwb.states import qubit_overlap
+
+    v = rng.substream_normals(range(trials), 2)
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    ov = qubit_overlap(v, net.states(net.nearest_index(v)))
+    return float(np.sqrt(1.0 - np.minimum(1.0, ov * ov)).max(initial=0.0))
+
+
+def gme_threshold_cap_form(n: int, c: float) -> float:
+    """gme_threshold grouped as the negated amplitude-cap exponent.
+
+    Expands to n - 2 n^(c-1)/ln 2 + (2-c) ln n / ln 2, the printed form of
+    the cap's exponent; valid where gme_threshold is (1 < c < 2 and
+    n^(c-1) > ln n).
+    """
+    ln2 = math.log(2.0)
+    return -(-float(n) + 2.0 * n ** (c - 1.0) / ln2 - (2.0 - c) * math.log(n) / ln2)
+
+
+def uniform_superposition_product(h):
+    """Product state with each site in the uniform superposition of its basis.
+
+    Needs a typed Hamiltonian's product frame (its `site_bases`).
+    """
+    from qfiwb.states import product_state
+
+    if not hasattr(h, "site_bases"):
+        raise TypeError(f"{type(h).__name__} is not a typed Hamiltonian with a product eigenframe")
+    d = h.site_bases[0].shape[0]
+    uniform = np.ones(d, dtype=np.complex128) / math.sqrt(d)
+    return product_state([b @ uniform for b in h.site_bases])

@@ -24,7 +24,6 @@ from qfiwb.cli import (
     _cell,
     _coerce,
     _state_qfis,
-    _trials,
     build_config,
     main,
     parse_config_text,
@@ -204,14 +203,6 @@ def test_main_non_finite_cell_is_internal_error(tmp_path: Path, capsys, monkeypa
     assert capsys.readouterr().err == (
         "qfiwb: internal error: ArithmeticError: non-finite value nan in CSV output\n"
     )
-
-
-def test_map_trials_preserves_order():
-    def draw(t: int, r: Rng) -> tuple:
-        return (t, t * t, r.seed, r.path)
-
-    expected = [(t, t * t, 5, (1, t)) for t in range(20)]
-    assert _trials(Rng(5), range(20), draw) == expected
 
 
 def test_state_qfis_blocks_match_rowwise_qfi(monkeypatch):

@@ -12,7 +12,6 @@ from qfiwb.gme import (
     gme,
     gme_grid_oracle,
     gme_threshold,
-    gme_threshold_cap_form,
     qfi_cap,
     symmetric_weight_qfi,
     symmetrize_amplitudes,
@@ -257,7 +256,7 @@ def test_threshold_groupings_agree():
             if n ** (c - 1.0) <= math.log(n):
                 continue
             assert gme_threshold(n, c) == pytest.approx(
-                gme_threshold_cap_form(n, c), abs=1e-12
+                oracles.gme_threshold_cap_form(n, c), abs=1e-12
             )
 
 

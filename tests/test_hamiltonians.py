@@ -68,14 +68,14 @@ def test_from_site_is_equal_row():
     site = SingleSiteOperator.computational((0.0, 1.0))
     h = LinearHamiltonian.from_site(4, site)
     assert h.n == 4 and h.d == 2
-    assert h.is_equal_row
+    assert np.all(h.table == h.table[0])
     assert np.allclose(h.site_operator(2).matrix, site.matrix)
 
 
 def test_symmetrized_takes_column_means():
     table = np.array([[0.0, 1.0], [2.0, 3.0]])
     h = LinearHamiltonian(table, np.eye(2)).symmetrized()
-    assert h.is_equal_row
+    assert np.all(h.table == h.table[0])
     assert np.allclose(h.table, [[1.0, 2.0], [1.0, 2.0]])
 
 

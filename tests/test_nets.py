@@ -18,7 +18,6 @@ from qfiwb.nets import (
     coefficient_grid,
     epsilon_choices,
     net_cover_audit,
-    net_probe,
     net_size_bound,
     linear_banded_words,
     product_banded_words,
@@ -149,10 +148,10 @@ def test_net_self_cover():
 
 def test_net_probe_covering_radius():
     net = pure_state_net_qubit(0.5)
-    worst = net_probe(net, 2000, Rng(7))
+    worst = oracles.net_probe(net, 2000, Rng(7))
     assert 0.15 < worst <= 0.5
     assert worst == 0.3083320943320933  # the per-stream draw's value, bit for bit
-    assert net_probe(net, 2000, Rng(7)) == worst
+    assert oracles.net_probe(net, 2000, Rng(7)) == worst
 
 
 def test_frames_materialization_cap():
@@ -242,7 +241,9 @@ def test_net_size_bound_dominates_construction():
     params = audit_params(0.5)
     for mode in ("result1", "result3"):
         net = build_linear_net(params, mode)
-        assert net.log_count <= net_size_bound(params, mode) + 1e-9
+        # log of the element count: a basis frame times one rung per site and level
+        log_count = net.n * net.d * math.log(net.grid.count) + math.log(net.basis_net.count)
+        assert log_count <= net_size_bound(params, mode) + 1e-9
     with pytest.raises(ValueError):
         net_size_bound(params, "prop7")
 
@@ -526,7 +527,7 @@ def test_audits_of_no_trials_are_empty():
         assert report.trials == 0 and report.max_value == 0.0
         assert report.violations == 0 and report.counterexamples == ()
         assert report.values.shape == (0,)
-    assert net_probe(pure_state_net_qubit(0.5), 0, Rng(7)) == 0.0
+    assert oracles.net_probe(pure_state_net_qubit(0.5), 0, Rng(7)) == 0.0
 
 
 def test_property_audit_validation():

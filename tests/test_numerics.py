@@ -311,39 +311,57 @@ def test_dimension_guard():
         kron_all([np.eye(MAX_DIM // 2 + 1, dtype=complex)] * 2)
 
 
-def _draws(r: Rng) -> list[np.ndarray]:
-    return [
-        r.random(3), r.uniform(-2.0, 5.0, 2), r.normal(5), r.complex_normal((2, 3)),
-        r.substream(4).complex_normal(3),
-    ]
+def _check_blocks(rng: Rng, trials: range, words: int) -> list[range]:
+    """Every block of uniform_blocks against substream(t).random(words), bit for bit."""
+    blocks = []
+    for block, u in rng.uniform_blocks(trials, words):
+        assert u.shape == (len(block), words)
+        assert len(block) >= 1
+        assert len(block) == 1 or u.size <= _PHILOX_PASS_WORDS
+        for row, t in zip(u, block):
+            assert _same_bits(row, rng.substream(t).random(words))
+        blocks.append(block)
+    assert [t for block in blocks for t in block] == list(trials)
+    return blocks
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**70),
-    path=st.lists(st.integers(min_value=0, max_value=2**40), max_size=2),
-    start=st.integers(min_value=0, max_value=U32 - 20),
-    count=st.integers(min_value=0, max_value=5),
-    step=st.integers(min_value=1, max_value=4),
-)
-@example(seed=0, path=[1], start=0, count=3, step=1)
-@example(seed=5, path=[], start=U32 - 2, count=3, step=1)
-def test_substreams_match_substream_bit_for_bit(seed, path, start, count, step):
-    rng = Rng(seed, path)
-    trials = range(start, start + count * step, step)
-    got = [(t, r.path, _draws(r)) for t, r in rng.substreams(trials)]
-    assert [t for t, _, _ in got] == list(trials)
-    for t, stream_path, draws in got:
-        want = rng.substream(t)
-        assert stream_path == want.path
-        for a, b in zip(draws, _draws(want)):
-            assert _same_bits(a, b)
+# 64 words is the first row width drawn by the rekeyed generator.
+@pytest.mark.parametrize("words", [1, 63, 64, 65, 200])
+def test_uniform_blocks_match_substream_on_both_sides_of_the_route_width(words):
+    assert len(_check_blocks(Rng(6, (1,)), range(4, 60, 3), words)) == 1
 
 
-def test_substreams_reject_indices_outside_32_bits():
+@pytest.mark.parametrize("words", [40, 6001])
+def test_uniform_blocks_cross_pass_boundaries_with_a_step(words):
+    # 1638 rows of 40 words or 10 rows of 6001 words fill a pass.
+    rows = _PHILOX_PASS_WORDS // words
+    trials = range(5, 5 + 3 * (2 * rows + 7), 3)
+    blocks = _check_blocks(Rng(2**64 + 3).substream(1), trials, words)
+    assert [len(b) for b in blocks] == [rows, rows, 7]
+
+
+def test_uniform_blocks_hold_one_row_wider_than_a_pass():
+    words = _PHILOX_PASS_WORDS + 5
+    blocks = _check_blocks(Rng(2, (1,)), range(3, 9, 2), words)
+    assert [len(b) for b in blocks] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("words", [7, 100])
+def test_uniform_blocks_row_does_not_depend_on_the_other_trials(words):
+    rng = Rng(11).substream(1)
+    whole = rng.substream_uniforms(range(20), words)
+    assert _same_bits(rng.substream_uniforms(range(5, 20), words), whole[5:])
+    assert _same_bits(rng.substream_uniforms(range(19, 4, -7), words), whole[[19, 12, 5]])
+
+
+@pytest.mark.parametrize("words", [3, 64])
+def test_uniform_blocks_reject_indices_outside_32_bits(words):
     rng = Rng(0)
-    assert [t for t, _ in rng.substreams(range(U32, U32 + 1))] == [U32]
+    _check_blocks(rng, range(U32, U32 + 1), words)
+    assert list(rng.uniform_blocks(range(0), words)) == []
     with pytest.raises(ValueError, match="below 2\\*\\*32"):
-        list(rng.substreams(range(U32, U32 + 2)))
+        list(rng.uniform_blocks(range(U32, U32 + 2), words))
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        list(rng.uniform_blocks(range(2**40, 2**40 + 1), words))
     with pytest.raises(ValueError, match="non-negative"):
-        list(rng.substreams(range(-1, 2)))
+        list(rng.uniform_blocks(range(-1, 2), words))

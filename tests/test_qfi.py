@@ -38,7 +38,6 @@ from qfiwb.qfi import (
     separable_reference_diagonals,
     site_variance_term,
     symmetric_product_state,
-    uniform_superposition_product,
 )
 from qfiwb.states import (
     dim_symmetric,
@@ -192,7 +191,7 @@ def test_eigenframe_matches_dense_oracles(family, n, d, seed):
     # The uniform superposition of every site basis is uniform in the eigenframe.
     uniform = 4.0 * (np.sum(w**2) / dim - (np.sum(w) / dim) ** 2)
     assert abs(optimal_separable_reference(h) - uniform) <= tol
-    psi = uniform_superposition_product(h)
+    psi = oracles.uniform_superposition_product(h)
     assert abs(oracles.qfi_eigen(psi.amplitudes, hm) - uniform) <= tol
 
 
@@ -476,7 +475,7 @@ def test_eigenframe_extremes_and_symmetric_mean_match_dense_oracles(family, n, d
 
 def test_separable_references_reject_a_bare_array():
     # a bare array's eigenframe is not a product of site bases
-    for ref in (uniform_superposition_product, optimal_separable_reference):
+    for ref in (oracles.uniform_superposition_product, optimal_separable_reference):
         with pytest.raises(TypeError, match="product eigenframe"):
             ref(np.eye(4))
 
@@ -484,7 +483,7 @@ def test_separable_references_reject_a_bare_array():
 def test_uniform_superposition_product_achieves_reference():
     for seed in range(5):
         h = sample_product_diagonal(3, 2, Rng(seed))
-        psi = uniform_superposition_product(h)
+        psi = oracles.uniform_superposition_product(h)
         assert qfi(psi, h) == pytest.approx(optimal_separable_reference(h), abs=1e-9)
 
 
