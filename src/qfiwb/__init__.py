@@ -54,6 +54,7 @@ from .nets import (
     theorem_bound,
 )
 from .numerics import (
+    DomainError,
     Rng,
     haar_unitary,
     hermitian_eig,

@@ -27,9 +27,16 @@ The CSV writer checks each column once and formats every row with one
 printf string: floats as %.17g (the same bytes as format(v, ".17g")),
 ints as %d, and bool, str and mixed columns cell by cell.
 
+Every config key declares its domain in the registry, next to its kind
+and default: an interval, whose float ends are finite caps that keep every
+derived value a finite double, or a tuple of choices.  `build_config`
+checks each key before the driver runs; only conditions across keys, such
+as n_min <= n_max, are checked in the drivers.
+
 Exit codes: 0 all asserted invariants held, 1 an invariant was violated,
-2 the invocation or config was invalid, 3 an internal error (an unexpected
-exception from an experiment or while writing outputs).
+2 the invocation or config was invalid (a key outside its declared domain,
+a cross-key condition, or a library DomainError), 3 an internal error (any
+other exception from an experiment or while writing outputs).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,7 +85,7 @@ from .nets import (
     sample_product_banded_arrays,
     theorem_bound,
 )
-from .numerics import Rng, check_power_dim, complex_normals, hermitian_parts
+from .numerics import DomainError, Rng, check_power_dim, complex_normals, hermitian_parts
 from .qfi import (
     expected_qfi_haar,
     expected_qfi_haar_diagonals,
@@ -154,19 +162,55 @@ def _coerce(kind: str, raw: str, key: str):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind} ({exc})")
 
 
-def build_config(
-    name: str, fields: dict[str, tuple[str, object]], raw: dict[str, str]
-) -> dict[str, object]:
-    cfg = {key: default for key, (_, default) in fields.items()}
+def _list_items(value: str) -> list[str]:
+    """The non-empty comma-separated items of a "list" value."""
+    return [item.strip() for item in value.split(",") if item.strip()]
+
+
+def _interval(domain: str) -> tuple[float, bool, float, bool]:
+    """(low, low end open, high, high end open) of an interval domain such as "(1, 2]"."""
+    left, low, high, right = re.fullmatch(r"([\[(])(\S+), (\S+)([\])])", domain).groups()
+    return float(low), left == "(", float(high), right == ")"
+
+
+def in_domain(kind: str, domain: str | tuple[str, ...], value) -> bool:
+    """Whether a coerced value lies in its key's declared domain.
+
+    An interval reads "[low, high]", with "(" or ")" for an open end and
+    inf for no bound.  A tuple holds the allowed strings; a "list" value
+    needs at least one item, and every item must be one of them.
+    """
+    if isinstance(domain, tuple):
+        items = _list_items(value) if kind == "list" else [value]
+        return bool(items) and all(item in domain for item in items)
+    low, open_low, high, open_high = _interval(domain)
+    return (low < value if open_low else low <= value) and (value < high if open_high else value <= high)
+
+
+def describe_domain(kind: str, domain: str | tuple[str, ...]) -> str:
+    """A domain as the README and the config errors write it."""
+    if isinstance(domain, str):
+        return domain
+    choices = "{" + ", ".join(domain) + "}"
+    return f"comma list from {choices}" if kind == "list" else choices
+
+
+def build_config(name: str, fields: dict[str, tuple], raw: dict[str, str]) -> dict[str, object]:
+    """Defaults overlaid with the coerced raw values, each checked against its key's domain."""
+    cfg = {key: default for key, (_, default, _) in fields.items()}
     for key, value in raw.items():
         if key not in fields:
             known = ", ".join(sorted(fields))
             raise ConfigError(f"unknown config key {key!r} for {name}; known keys: {known}")
-        cfg[key] = _coerce(fields[key][0], value, key)
+        kind, _, domain = fields[key]
+        cfg[key] = v = _coerce(kind, value, key)
+        if not in_domain(kind, domain, v):
+            raise ConfigError(f"config key {key!r}: {v!r} is outside {describe_domain(kind, domain)}")
     return cfg
 
 
 def _require(cond: bool, message: str) -> None:
+    """A condition across config keys; a single key's domain is in the registry."""
     if not cond:
         raise ConfigError(message)
 
@@ -269,19 +313,21 @@ def _state_qfis(rng: Rng, trials: range, hs: list, basis: DickeBasis | None = No
     streams = rng.substream(1)
     first = hs[0]
     dim = first.shape[0] if isinstance(first, np.ndarray) else first.d**first.n
+    width = dim if basis is None else basis.size
     step = max(1, _BLOCK_AMPLITUDES // dim)
     out = np.empty((len(hs), len(trials)))
     for start in range(0, len(trials), step):
         block = trials[start:start + step]
-        if basis is None:
-            amplitudes = streams.substream_normals(block, dim)
-        else:
-            # each frame row has one nonzero entry, so the lift is exact
-            amplitudes = streams.substream_normals(block, basis.size) @ basis.matrix.T
-        amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
-        for k, h in enumerate(hs):
-            out[k, start:start + len(block)] = qfi_batch(h, amplitudes)
+        out[:, start:start + len(block)] = _block_qfis(hs, streams.substream_normals(block, width), basis)
     return out
+
+
+def _block_qfis(hs: list, z: np.ndarray, basis: DickeBasis | None) -> np.ndarray:
+    """QFI (len(hs), rows) of z's rows normalised, lifted from the Dicke frame when `basis` is given."""
+    # each frame row has one nonzero entry, so the lift is exact
+    amplitudes = z if basis is None else z @ basis.matrix.T
+    amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
+    return np.array([qfi_batch(h, amplitudes) for h in hs])
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -297,7 +343,7 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 
 def run_ghz_baseline(cfg, rng: Rng) -> ExperimentResult:
     n_min, n_max = cfg["n_min"], cfg["n_max"]
-    _require(3 <= n_min <= n_max, "need 3 <= n_min <= n_max (the shifted-basis formula starts at n=3)")
+    _require(n_min <= n_max, "need n_min <= n_max")
     lam0, lam1, tol = cfg["lam0"], cfg["lam1"], cfg["tol"]
     gap2 = (lam1 - lam0) ** 2
     rows = []
@@ -358,16 +404,12 @@ def _montecarlo_result(
 
 
 def run_lemma1_montecarlo(cfg, rng: Rng) -> ExperimentResult:
-    n, d, trials = cfg["n"], cfg["d"], cfg["trials"]
-    _require(n >= 1 and d >= 2 and trials >= 2, "need n >= 1, d >= 2, trials >= 2")
-    family = cfg["family"]
+    n, d, trials, family = cfg["n"], cfg["d"], cfg["trials"], cfg["family"]
     h_rng = rng.substream(0)
     if family == "linear":
         h = sample_linear(n, d, h_rng, cfg["low"], cfg["high"], basis="haar")
-    elif family == "product":
-        h = sample_product_diagonal(n, d, h_rng, cfg["low"], cfg["high"])
     else:
-        raise ConfigError(f"family must be linear or product, got {family!r}")
+        h = sample_product_diagonal(n, d, h_rng, cfg["low"], cfg["high"])
     closed = expected_qfi_haar(h)
     values = _state_qfis(rng, range(trials), [h])[0]
     return _montecarlo_result(cfg, family, values, closed)
@@ -375,7 +417,6 @@ def run_lemma1_montecarlo(cfg, rng: Rng) -> ExperimentResult:
 
 def run_lemma3_montecarlo(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials = cfg["n"], cfg["d"], cfg["trials"]
-    _require(n >= 1 and d >= 2 and trials >= 2, "need n >= 1, d >= 2, trials >= 2")
     levels = np.linspace(cfg["lam0"], cfg["lam1"], d)
     site = SingleSiteOperator.computational(tuple(levels))
     h = LinearHamiltonian.from_site(n, site)
@@ -386,8 +427,6 @@ def run_lemma3_montecarlo(cfg, rng: Rng) -> ExperimentResult:
 
 def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, eps = cfg["n"], cfg["d"], cfg["trials"], cfg["epsilon"]
-    _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
-    _require(eps > 0.0, "epsilon must be positive")
     levels = np.linspace(cfg["lam0"], cfg["lam1"], d)
     # The equal-row Hamiltonian is computational, so its eigenframe diagonal
     # is its spectrum and each trial needs only |z_k|^2.
@@ -452,7 +491,6 @@ def _audit_result(
 
 def run_prop4_audit(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
-    _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
     # trial t reads the words sample_product_diagonal would from stream (1, t)
     u = rng.substream(1).substream_uniforms(range(trials), product_diagonal_words(n, d))
     coeffs, _ = sample_product_diagonal_arrays(u, n, d, cfg["low"], cfg["high"])
@@ -466,7 +504,6 @@ def run_prop4_audit(cfg, rng: Rng) -> ExperimentResult:
 
 def run_prop5_audit(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
-    _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
     # trial t reads the words sample_linear would from stream (1, t)
     u = rng.substream(1).substream_uniforms(range(trials), linear_words(n, d, "haar"))
     tables, _ = sample_linear_arrays(u, n, d, cfg["low"], cfg["high"], "haar")
@@ -479,89 +516,71 @@ def run_prop5_audit(cfg, rng: Rng) -> ExperimentResult:
     )
 
 
+def _demo_bound(cfg, which: str, s_coff: float, s_basis: float, observed: float) -> tuple[dict, bool]:
+    """Summary entries of the demo's union bound; passed when `observed` is under it or it is vacuous."""
+    params = BoundParams(
+        n=cfg["n"], d=cfg["d"], s_coff=s_coff, s_basis=s_basis, A=cfg["A"], B=cfg["B"],
+        a=1.0, norm_A0=0.0, c=cfg["c"], eps=cfg["eps"],
+    )
+    bound = theorem_bound(params, which)
+    summary = {"bound_log_prefactor": bound.log_prefactor, "bound_log_exponential": bound.log_exponential,
+               "bound_log_total": bound.log_total, "bound_vacuous": bound.vacuous}
+    return summary, bound.vacuous or observed <= math.exp(min(bound.log_total, 700.0))
+
+
 def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
-    n, d = cfg["n"], cfg["d"]
-    n_h, n_s = cfg["hamiltonians"], cfg["states"]
-    c, eps, a_lo, a_hi = cfg["c"], cfg["eps"], cfg["A"], cfg["B"]
-    _require(n >= 1 and d >= 2 and n_h >= 1 and n_s >= 1, "counts must be positive")
+    n, d, n_h, n_s, c = cfg["n"], cfg["d"], cfg["hamiltonians"], cfg["states"], cfg["c"]
     # Hamiltonian i reads the words sample_linear_banded would from stream (0, i)
     u = rng.substream(0).substream_uniforms(range(n_h), linear_banded_words(n, d))
-    tables, bases = sample_linear_banded_arrays(u, n, d, a_lo, a_hi)
+    tables, bases = sample_linear_banded_arrays(u, n, d, cfg["A"], cfg["B"])
     hams = [LinearHamiltonian(table, basis) for table, basis in zip(tables, bases)]
     # the permutation average of a linear H has every row at the column means
     sym_means = expected_qfi_symmetric_levels(tables.mean(axis=-2), n).tolist()
     basis = dicke_basis(n, d)
+    # pair (i, j) is trial i n_s + j: every pair's Dicke-frame Gaussians come
+    # from one draw, and Hamiltonian i scores its own n_s rows in the blocks
+    # _state_qfis would use
+    frames = rng.substream(1).substream_normals(range(n_h * n_s), basis.size).reshape(n_h, n_s, -1)
+    step = max(1, _BLOCK_AMPLITUDES // basis.matrix.shape[0])
     rows = []
     for i in range(n_h):
         trials = range(i * n_s, (i + 1) * n_s)
-        values = _state_qfis(rng, trials, [hams[i]], basis)[0].tolist()
+        values = np.concatenate([
+            _block_qfis([hams[i]], frames[i, j:j + step], basis)[0] for j in range(0, n_s, step)
+        ]).tolist()
         threshold = sym_means[i] - c
         rows += [
             (t, i, j, value, sym_means[i], threshold, value < threshold)
             for j, (t, value) in enumerate(zip(trials, values))
         ]
-    below = sum(1 for r in rows if r[6])
-    fraction = below / len(rows)
-    params = BoundParams(
-        n=n, d=d, s_coff=float(d * n), s_basis=1.0, A=a_lo, B=a_hi,
-        a=1.0, norm_A0=0.0, c=c, eps=eps,
-    )
-    bound = theorem_bound(params, "thm7")
-    passed = True if bound.vacuous else fraction <= math.exp(min(bound.log_total, 700.0))
+    fraction = sum(1 for r in rows if r[6]) / len(rows)
+    summary, passed = _demo_bound(cfg, "thm7", float(d * n), 1.0, fraction)
     return ExperimentResult(
         ("trial", "h_index", "state_index", "qfi", "sym_mean", "threshold", "below"),
-        rows,
-        {
-            "fraction_below": fraction,
-            "pairs": len(rows),
-            "bound_log_prefactor": bound.log_prefactor,
-            "bound_log_exponential": bound.log_exponential,
-            "bound_log_total": bound.log_total,
-            "bound_vacuous": bound.vacuous,
-        },
-        passed,
+        rows, {"fraction_below": fraction, "pairs": len(rows), **summary}, passed,
     )
 
 
 def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
-    n, d = cfg["n"], cfg["d"]
-    n_h, n_s = cfg["hamiltonians"], cfg["states"]
-    c, eps, a_lo, a_hi = cfg["c"], cfg["eps"], cfg["A"], cfg["B"]
-    _require(n >= 1 and d >= 2 and n_h >= 1 and n_s >= 1, "counts must be positive")
+    n, d, n_h, n_s, c = cfg["n"], cfg["d"], cfg["hamiltonians"], cfg["states"], cfg["c"]
     # Hamiltonian i reads the words sample_product_banded would from stream (0, i)
     u = rng.substream(0).substream_uniforms(range(n_h), product_banded_words(n, d))
-    coeffs, bases = sample_product_banded_arrays(u, n, d, a_lo, a_hi)
+    coeffs, bases = sample_product_banded_arrays(u, n, d, cfg["A"], cfg["B"])
     hams = [ProductDiagonalHamiltonian(c, tuple(b)) for c, b in zip(coeffs, bases)]
     refs = np.array([optimal_separable_reference(h) for h in hams])
     qfis = _state_qfis(rng, range(n_s), hams)
     gaps = (qfis - refs[:, None]).max(axis=0).tolist()
     rows = [(t, gap, c, gap > c) for t, gap in enumerate(gaps)]
     exceed = sum(1 for r in rows if r[3])
-    rate = exceed / n_s
-    params = BoundParams(
-        n=n, d=d, s_coff=float(d**n), s_basis=float(n), A=a_lo, B=a_hi,
-        a=1.0, norm_A0=0.0, c=c, eps=eps,
-    )
-    bound = theorem_bound(params, "thm9")
-    passed = True if bound.vacuous else rate <= math.exp(min(bound.log_total, 700.0))
+    summary, passed = _demo_bound(cfg, "thm9", float(d**n), float(n), exceed / n_s)
     return ExperimentResult(
-        ("trial", "max_gap", "c", "exceed"),
-        rows,
-        {
-            "exceedances": exceed,
-            "rate": rate,
-            "bound_log_prefactor": bound.log_prefactor,
-            "bound_log_exponential": bound.log_exponential,
-            "bound_log_total": bound.log_total,
-            "bound_vacuous": bound.vacuous,
-        },
-        passed,
+        ("trial", "max_gap", "c", "exceed"), rows,
+        {"exceedances": exceed, "rate": exceed / n_s, **summary}, passed,
     )
 
 
 def run_thm11_check(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
-    _require(n >= 1 and d >= 2 and trials >= 1, "need n >= 1, d >= 2, trials >= 1")
     dim = check_power_dim(d, n)
     h_words = 2 * dim * dim
     rows = []
@@ -582,41 +601,28 @@ def run_thm11_check(cfg, rng: Rng) -> ExperimentResult:
     )
 
 
-GME_STATES = ("ghz", "plus-product", "superposition", "uniform-cap", "extremal-cap", "random")
+# The GME states by name, from (n, c, rng); only "random" draws.
+GME_STATES = {
+    "ghz": lambda n, c, rng: ghz(n),
+    "plus-product": lambda n, c, rng: product_state([plus_vector()] * n),
+    "superposition": lambda n, c, rng: superposition_state(n),
+    "uniform-cap": lambda n, c, rng: cap_state(n, c, "uniform")[1],
+    "extremal-cap": lambda n, c, rng: cap_state(n, c, "extremal")[1],
+    "random": lambda n, c, rng: sample_haar(n, 2, rng),
+}
 
 
-def _gme_state(name: str, n: int, c: float, rng: Rng):
-    if name == "ghz":
-        return ghz(n)
-    if name == "plus-product":
-        return product_state([plus_vector()] * n)
-    if name == "superposition":
-        return superposition_state(n)
-    if name == "uniform-cap":
-        return cap_state(n, c, "uniform")[1]
-    if name == "extremal-cap":
-        return cap_state(n, c, "extremal")[1]
-    if name == "random":
-        return sample_haar(n, 2, rng)
-    raise ConfigError(f"state must be one of {GME_STATES}, got {name!r}")
-
-
-def _run_result2(cfg, rng: Rng) -> tuple[Result2Report, str]:
-    n, c, delta = cfg["n"], cfg["c"], cfg["delta"]
-    _require(n >= 2, "need n >= 2")
-    state = _gme_state(cfg["state"], n, c, rng.substream(0))
-    oracle_delta = cfg.get("oracle_delta", 0.0)
-    report = verify_result2(
-        state, c, delta,
-        rng=rng.substream(1),
-        restarts=cfg["restarts"],
-        oracle_delta=None if oracle_delta <= 0.0 else oracle_delta,
+def _run_result2(cfg, rng: Rng) -> Result2Report:
+    n, c = cfg["n"], cfg["c"]
+    state = GME_STATES[cfg["state"]](n, c, rng.substream(0))
+    return verify_result2(
+        state, c, cfg["delta"], rng=rng.substream(1), restarts=cfg["restarts"],
+        oracle_delta=cfg["oracle_delta"] or None,  # 0 takes the default for n
     )
-    return report, cfg["state"]
 
 
 def run_gme_scan(cfg, rng: Rng) -> ExperimentResult:
-    report, _ = _run_result2(cfg, rng)
+    report = _run_result2(cfg, rng)
     row = (
         rng.seed, report.n, report.c, report.gme_estimate.value, report.threshold,
         report.qfi_state, report.qfi_sym, report.qfi_cap, report.hypothesis_established,
@@ -625,22 +631,19 @@ def run_gme_scan(cfg, rng: Rng) -> ExperimentResult:
         ("seed", "n", "c", "gme_estimate", "threshold", "qfi_state", "qfi_sym",
          "qfi_cap", "hypothesis_established"),
         [row],
-        {
-            "certified_gme": report.certified_gme,
-            "oracle_used": report.oracle_used,
-            "implication_holds": report.implication_holds,
-        },
+        {"certified_gme": report.certified_gme, "oracle_used": report.oracle_used,
+         "implication_holds": report.implication_holds},
         report.implication_holds is not False,
     )
 
 
 def run_result2_verify(cfg, rng: Rng) -> ExperimentResult:
-    report, state_name = _run_result2(cfg, rng)
+    report = _run_result2(cfg, rng)
     implication = "none" if report.implication_holds is None else (
         "true" if report.implication_holds else "false"
     )
     row = (
-        report.n, report.c, report.delta, state_name, report.gme_estimate.value,
+        report.n, report.c, report.delta, cfg["state"], report.gme_estimate.value,
         report.certified_gme, report.oracle_used, report.threshold,
         report.hypothesis_established, report.qfi_state, report.qfi_sym,
         report.qfi_cap, implication,
@@ -657,7 +660,6 @@ def run_result2_verify(cfg, rng: Rng) -> ExperimentResult:
 
 def run_table_census(cfg, rng: Rng) -> ExperimentResult:
     n, k = cfg["n"], cfg["k"]
-    _require(n >= 2 and k >= 2, "need n >= 2 and k >= 2")
     rows = []
     mismatches = []
     skipped = []
@@ -665,7 +667,7 @@ def run_table_census(cfg, rng: Rng) -> ExperimentResult:
         try:
             g = preset_graph(shape, n, k)
             closed = preset_census(shape, n, k)
-        except ValueError:
+        except DomainError:
             skipped.append(shape)
             continue
         brute = census_bruteforce(g)
@@ -690,17 +692,15 @@ def run_table_census(cfg, rng: Rng) -> ExperimentResult:
 
 
 def run_scaling_report(cfg, rng: Rng) -> ExperimentResult:
-    shapes = [s.strip() for s in cfg["shapes"].split(",") if s.strip()]
-    for s in shapes:
-        _require(s in GRAPH_SHAPES, f"unknown shape {s!r}; options: {GRAPH_SHAPES}")
+    shapes = _list_items(cfg["shapes"])
     n_min, n_max = cfg["n_min"], cfg["n_max"]
-    _require(2 <= n_min <= n_max, "need 2 <= n_min <= n_max")
+    _require(n_min <= n_max, "need n_min <= n_max")
     rows = []
     for shape in shapes:
         for n in range(n_min, n_max + 1):
             try:
                 g = preset_graph(shape, n, 2)
-            except ValueError:
+            except DomainError:
                 continue
             rep = scaling_report(g)
             rows.append(
@@ -720,9 +720,6 @@ def run_net_audit(cfg, rng: Rng) -> ExperimentResult:
     audit = cfg["audit"]
     n, d, trials, eps = cfg["n"], cfg["d"], cfg["trials"], cfg["eps"]
     net_modes = {"cover": "prop7", "prop8": "result1", "prop9": "result3"}
-    _require(audit in net_modes, f"audit must be cover, prop8, or prop9, got {audit!r}")
-    _require(d == 2, "constructive nets are qubit-only (d = 2)")
-    _require(trials >= 1, "trials must be positive")
     params = BoundParams(
         n=n, d=d, s_coff=float(d * n), s_basis=1.0, A=cfg["A"], B=cfg["B"],
         a=1.0, norm_A0=0.0, c=1.0, eps=eps,
@@ -744,10 +741,9 @@ def run_net_audit(cfg, rng: Rng) -> ExperimentResult:
 
 def run_bound_sweep(cfg, rng: Rng) -> ExperimentResult:
     which = cfg["which"]
-    _require(which in ("thm7", "thm9"), f"which must be thm7 or thm9, got {which!r}")
     n_min, n_max, step = cfg["n_min"], cfg["n_max"], cfg["n_step"]
-    _require(1 <= n_min <= n_max and step >= 1, "need 1 <= n_min <= n_max and n_step >= 1")
-    # Zero/negative sentinels mean "use the demonstration defaults for this
+    _require(n_min <= n_max, "need n_min <= n_max")
+    # d = 0 and c = 0 mean "use the demonstration defaults for this
     # theorem"; the defaults put the downturn inside a 4..64 sweep.
     d = cfg["d"] if cfg["d"] > 0 else (14 if which == "thm7" else 2)
     c = cfg["c"] if cfg["c"] > 0 else (40.0 if which == "thm7" else 2.0)
@@ -774,99 +770,103 @@ def run_bound_sweep(cfg, rng: Rng) -> ExperimentResult:
     return ExperimentResult(
         ("n", "d", "log_prefactor", "log_exponential", "log_total", "vacuous"),
         rows,
-        {
-            "which": which,
-            "c": c,
-            "peak_n": rows[peak][0],
-            "turned_over": turned_over,
-            "tail_monotone": tail_monotone,
-        },
+        {"which": which, "c": c, "peak_n": rows[peak][0], "turned_over": turned_over,
+         "tail_monotone": tail_monotone},
         turned_over and tail_monotone,
     )
 
 
 # --- registry -----------------------------------------------------------------
 
-_COMMON = {"seed": ("int", 0)}
+# Each key is (kind, default, domain).  Floats are capped at magnitude 1e50:
+# a QFI is then at most about (2 * 12 * 1e50)^2 for a 12-site operator, so
+# the Monte Carlo variances, Levy exponents and bound fourth powers the
+# drivers form all stay finite doubles.  Positive scales are also at least
+# 1e-50, so the net accuracies' denominators never underflow to zero.
+_LEVEL = "[-1e50, 1e50]"
+_POSITIVE = "[1e-50, 1e50]"
+_NONNEGATIVE = "[0, 1e50]"
 
-EXPERIMENTS: dict[str, tuple[dict[str, tuple[str, object]], Callable]] = {
+
+def _int(default: int, domain: str = "[1, inf)") -> tuple:
+    return ("int", default, domain)
+
+
+def _float(default: float, domain: str = _LEVEL) -> tuple:
+    return ("float", default, domain)
+
+
+_COMMON = {"seed": _int(0, "[0, inf)")}
+
+
+def _sites(n: int, d: int, **more) -> dict:
+    return {**_COMMON, "n": _int(n), "d": _int(d, "[2, inf)"), **more}
+
+
+def _demo(n_h: int, n_s: int) -> dict:
+    return _sites(4, 2, hamiltonians=_int(n_h), states=_int(n_s), c=_float(1.0, _POSITIVE),
+                  eps=_float(0.5, _POSITIVE), A=_float(1.0, _POSITIVE), B=_float(2.0, _POSITIVE))
+
+
+def _result2(n: int) -> dict:
+    return {**_COMMON, "n": _int(n, "[2, inf)"), "c": _float(1.5, "(1, 2)"), "delta": _float(1.0),
+            "state": ("str", "ghz", tuple(GME_STATES)), "restarts": _int(8),
+            "oracle_delta": _float(0.0, _NONNEGATIVE)}
+
+
+EXPERIMENTS: dict[str, tuple[dict[str, tuple], Callable]] = {
     "ghz-baseline": (
-        {**_COMMON, "n_min": ("int", 3), "n_max": ("int", 8), "lam0": ("float", 0.0),
-         "lam1": ("float", 1.0), "tol": ("float", 1e-9)},
+        {**_COMMON, "n_min": _int(3, "[3, inf)"), "n_max": _int(8, "[3, inf)"), "lam0": _float(0.0),
+         "lam1": _float(1.0), "tol": _float(1e-9, _NONNEGATIVE)},
         run_ghz_baseline,
     ),
     "lemma1-montecarlo": (
-        {**_COMMON, "n": ("int", 2), "d": ("int", 2), "trials": ("int", 100_000),
-         "family": ("str", "linear"), "low": ("float", -1.0), "high": ("float", 1.0)},
+        _sites(2, 2, trials=_int(100_000, "[2, inf)"), family=("str", "linear", ("linear", "product")),
+               low=_float(-1.0), high=_float(1.0)),
         run_lemma1_montecarlo,
     ),
     "lemma3-montecarlo": (
-        {**_COMMON, "n": ("int", 2), "d": ("int", 2), "trials": ("int", 100_000),
-         "lam0": ("float", 0.0), "lam1": ("float", 1.0)},
+        _sites(2, 2, trials=_int(100_000, "[2, inf)"), lam0=_float(0.0), lam1=_float(1.0)),
         run_lemma3_montecarlo,
     ),
     "concentration": (
-        {**_COMMON, "n": ("int", 12), "d": ("int", 2), "trials": ("int", 10_000),
-         "lam0": ("float", 0.0), "lam1": ("float", 1.0), "epsilon": ("float", 110.0)},
+        _sites(12, 2, trials=_int(10_000), lam0=_float(0.0), lam1=_float(1.0),
+               epsilon=_float(110.0, _POSITIVE)),
         run_concentration,
     ),
     "prop4-audit": (
-        {**_COMMON, "n": ("int", 4), "d": ("int", 2), "trials": ("int", 200),
-         "low": ("float", -1.0), "high": ("float", 1.0), "tol": ("float", 1e-9)},
+        _sites(4, 2, trials=_int(200), low=_float(-1.0), high=_float(1.0), tol=_float(1e-9, _NONNEGATIVE)),
         run_prop4_audit,
     ),
     "prop5-audit": (
-        {**_COMMON, "n": ("int", 5), "d": ("int", 3), "trials": ("int", 200),
-         "low": ("float", -1.0), "high": ("float", 1.0), "tol": ("float", 1e-9)},
+        _sites(5, 3, trials=_int(200), low=_float(-1.0), high=_float(1.0), tol=_float(1e-9, _NONNEGATIVE)),
         run_prop5_audit,
     ),
-    "result1-demo": (
-        {**_COMMON, "n": ("int", 4), "d": ("int", 2), "hamiltonians": ("int", 50),
-         "states": ("int", 200), "c": ("float", 1.0), "eps": ("float", 0.5),
-         "A": ("float", 1.0), "B": ("float", 2.0)},
-        run_result1_demo,
-    ),
-    "result3-demo": (
-        {**_COMMON, "n": ("int", 4), "d": ("int", 2), "hamiltonians": ("int", 20),
-         "states": ("int", 500), "c": ("float", 1.0), "eps": ("float", 0.5),
-         "A": ("float", 1.0), "B": ("float", 2.0)},
-        run_result3_demo,
-    ),
-    "thm11-check": (
-        {**_COMMON, "n": ("int", 3), "d": ("int", 2), "trials": ("int", 100),
-         "tol": ("float", 1e-7)},
-        run_thm11_check,
-    ),
-    "gme-scan": (
-        {**_COMMON, "n": ("int", 8), "c": ("float", 1.5), "delta": ("float", 1.0),
-         "state": ("str", "ghz"), "restarts": ("int", 8), "oracle_delta": ("float", 0.0)},
-        run_gme_scan,
-    ),
-    "result2-verify": (
-        {**_COMMON, "n": ("int", 3), "c": ("float", 1.5), "delta": ("float", 1.0),
-         "state": ("str", "ghz"), "restarts": ("int", 8), "oracle_delta": ("float", 0.0)},
-        run_result2_verify,
-    ),
-    "table-census": (
-        {**_COMMON, "n": ("int", 5), "k": ("int", 2)},
-        run_table_census,
-    ),
+    "result1-demo": (_demo(50, 200), run_result1_demo),
+    "result3-demo": (_demo(20, 500), run_result3_demo),
+    "thm11-check": (_sites(3, 2, trials=_int(100), tol=_float(1e-7, _NONNEGATIVE)), run_thm11_check),
+    "gme-scan": (_result2(8), run_gme_scan),
+    "result2-verify": (_result2(3), run_result2_verify),
+    "table-census": ({**_COMMON, "n": _int(5, "[2, inf)"), "k": _int(2, "[2, inf)")}, run_table_census),
     "scaling-report": (
-        {**_COMMON, "shapes": ("str", "star,chain,ring,complete"),
-         "n_min": ("int", 4), "n_max": ("int", 12)},
+        {**_COMMON, "shapes": ("list", "star,chain,ring,complete", GRAPH_SHAPES),
+         "n_min": _int(4, "[2, inf)"), "n_max": _int(12, "[2, inf)")},
         run_scaling_report,
     ),
     "net-audit": (
-        {**_COMMON, "audit": ("str", "cover"), "n": ("int", 2), "d": ("int", 2),
-         "trials": ("int", 200), "eps": ("float", 0.5), "A": ("float", 1.0),
-         "B": ("float", 2.0), "prop6_c": ("float", 18.0)},
+        {**_COMMON, "audit": ("str", "cover", ("cover", "prop8", "prop9")), "n": _int(2),
+         "d": _int(2, "[2, 2]"), "trials": _int(200), "eps": _float(0.5, _POSITIVE),
+         "A": _float(1.0, _POSITIVE), "B": _float(2.0, _POSITIVE), "prop6_c": _float(18.0, _POSITIVE)},
         run_net_audit,
     ),
+    # n and d are capped at 10^4: d^n then has at most about 1.3e5 bits, and
+    # the bound has long since left the doubles.
     "bound-sweep": (
-        {**_COMMON, "which": ("str", "thm7"), "n_min": ("int", 4), "n_max": ("int", 64),
-         "n_step": ("int", 4), "d": ("int", 0), "c": ("float", 0.0),
-         "eps": ("float", 0.5), "A": ("float", 1.0), "B": ("float", 2.0),
-         "d_min": ("float", 0.0), "prop6_c": ("float", 18.0)},
+        {**_COMMON, "which": ("str", "thm7", ("thm7", "thm9")), "n_min": _int(4, "[1, 10000]"),
+         "n_max": _int(64, "[1, 10000]"), "n_step": _int(4), "d": _int(0, "[0, 10000]"),
+         "c": _float(0.0, _NONNEGATIVE), "eps": _float(0.5, _POSITIVE), "A": _float(1.0, _POSITIVE),
+         "B": _float(2.0, _POSITIVE), "d_min": _float(0.0, _NONNEGATIVE),
+         "prop6_c": _float(18.0, _POSITIVE)},
         run_bound_sweep,
     ),
 }
@@ -919,24 +919,21 @@ def main(argv: list[str] | None = None) -> int:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-        cfg = build_config(args.experiment, fields, parse_config_text(text))
+        raw = parse_config_text(text)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            raw["seed"] = str(args.seed)
+        cfg = build_config(args.experiment, fields, raw)
         _check_threads(args.threads)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out!r}: {exc}")
-    except ConfigError as exc:
-        print(f"qfiwb: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         result = runner(cfg, Rng(cfg["seed"]))
-    except (ConfigError, ValueError) as exc:
-        # Library code raises ValueError only for arguments outside a
-        # documented domain, so it maps to the config exit, not a crash.
+    except (ConfigError, DomainError) as exc:
+        # A bad invocation, a key outside its declared domain, a cross-key
+        # condition, or a library argument outside its documented domain; any
+        # other exception, a bare ValueError too, is a crash.
         print(f"qfiwb: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

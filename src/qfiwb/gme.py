@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, complex_normals, kron_fold, row_dot
+from .numerics import DomainError, Rng, complex_normals, grid_size, kron_fold, row_dot
 from .states import BlochGrid, PureState
 
 OVERLAP_ATOL = 1e-10
@@ -130,7 +130,7 @@ def gme(
     A run that never meets `tol` is still reported, flagged unconverged.
     """
     if restarts < 1:
-        raise ValueError("need at least one restart")
+        raise DomainError("need at least one restart")
     tensor = _qubit_tensor(state)
     rng = Rng(0) if rng is None else rng
     step = max(1, _BLOCK_AMPLITUDES // tensor.size)
@@ -163,13 +163,15 @@ def _oracle_grid(delta: float) -> BlochGrid:
     which keeps the worst-case snap (t term plus phase term) below delta.
     """
     if delta <= 0:
-        raise ValueError("delta must be positive")
-    rows = max(1, math.ceil(math.pi / (2.0 * delta)))
+        raise DomainError("delta must be positive")
+    rows = max(1, grid_size(math.pi / (2.0 * delta), "oracle grid rows"))
     edge = np.minimum((np.arange(rows) + 1) * (math.pi / rows), math.pi)
     return BlochGrid(np.maximum(1, np.ceil(2.0 * math.pi * np.sin(edge / 2.0) / delta)))
 
 
 ORACLE_MAX_SITES = 4
+# Grid tuples the oracle may score: its work and memory grow with this count.
+ORACLE_MAX_POINTS = 2**18
 _ORACLE_DELTAS = {3: 0.03, 4: 0.15}
 
 
@@ -202,22 +204,28 @@ class GmeBracket:
 def gme_grid_oracle(state: PureState, delta: float | None = None) -> GmeBracket:
     """Exhaustive Bloch-grid bracket of E_g for up to ORACLE_MAX_SITES qubits.
 
-    Sites 3..n run over the grid (spacing `delta`, default per n). Given
-    them, the best vectors on sites 1 and 2 are the top singular pair of a
-    2x2 matrix, so those two sites are exact and add no covering error.
+    Sites 3..n run over the grid (spacing `delta`, default per n), at most
+    ORACLE_MAX_POINTS grid tuples in all. Given them, the best vectors on
+    sites 1 and 2 are the top singular pair of a 2x2 matrix, so those two
+    sites are exact and add no covering error.
     """
     n = state.n
     tensor = _qubit_tensor(state)
     if n == 1:
         return GmeBracket(1, 0.0, 0, 1.0, 1.0)
     if n > ORACLE_MAX_SITES:
-        raise ValueError(f"the exhaustive oracle is limited to {ORACLE_MAX_SITES} sites")
+        raise DomainError(f"the exhaustive oracle is limited to {ORACLE_MAX_SITES} sites")
     if n == 2:
         best = float(np.linalg.svd(tensor, compute_uv=False)[0] ** 2)
         return GmeBracket(2, 0.0, 0, best, best)
     if delta is None:
         delta = _ORACLE_DELTAS[n]
     grid = _oracle_grid(delta)
+    if grid.count ** (n - 2) > ORACLE_MAX_POINTS:
+        raise DomainError(
+            f"oracle spacing {delta} gives {grid.count}^{n - 2} grid points at n = {n}, "
+            f"above the supported maximum {ORACLE_MAX_POINTS}"
+        )
     gc = np.conj(grid.states(np.arange(grid.count)))
     t = tensor
     for _ in range(n - 2):  # eats the last site axis, prepends a grid axis
@@ -317,9 +325,9 @@ def symmetric_weight_qfi(profile: SymmetrizedAmplitudes, delta: float) -> float:
 
 def _check_threshold_hypothesis(n: int, c: float) -> None:
     if not 1.0 < c < 2.0:
-        raise ValueError(f"exponent c = {c} violates 1 < c < 2")
+        raise DomainError(f"exponent c = {c} violates 1 < c < 2")
     if n ** (c - 1.0) <= math.log(n):
-        raise ValueError(f"n^(c-1) = {n ** (c - 1.0)} does not exceed ln n = {math.log(n)}")
+        raise DomainError(f"n^(c-1) = {n ** (c - 1.0)} does not exceed ln n = {math.log(n)}")
 
 
 def gme_threshold(n: int, c: float) -> float:
@@ -335,7 +343,7 @@ def gme_threshold(n: int, c: float) -> float:
 def amplitude_cap(n: int, c: float) -> float:
     """Per-weight squared-amplitude cap 2^(-n + 2 n^(c-1)/ln 2 - (2-c) ln n/ln 2)."""
     if c >= 2.0:
-        raise ValueError(f"exponent c = {c} must be below 2")
+        raise DomainError(f"exponent c = {c} must be below 2")
     ln2 = math.log(2.0)
     exponent = -float(n) + 2.0 * n ** (c - 1.0) / ln2 - (2.0 - c) * math.log(n) / ln2
     return 2.0**exponent
@@ -344,7 +352,7 @@ def amplitude_cap(n: int, c: float) -> float:
 def qfi_cap(n: int, c: float, delta: float) -> float:
     """QFI ceiling 6 delta^2 n^c implied by the amplitude cap."""
     if c >= 2.0:
-        raise ValueError(f"exponent c = {c} must be below 2")
+        raise DomainError(f"exponent c = {c} must be below 2")
     return 6.0 * delta**2 * n**c
 
 
@@ -360,7 +368,7 @@ def cap_state(n: int, c: float, kind: str = "uniform") -> tuple[SymmetrizedAmpli
     comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
     if kind == "uniform":
         if 2.0**-n > cap * (1.0 + 1e-12):
-            raise ValueError("uniform mass per weight would exceed the amplitude cap")
+            raise DomainError(f"uniform mass per weight exceeds the amplitude cap at (n, c) = ({n}, {c})")
         b2 = np.full(n + 1, 2.0**-n)
     elif kind == "extremal":
         b2 = np.zeros(n + 1)
@@ -373,9 +381,9 @@ def cap_state(n: int, c: float, kind: str = "uniform") -> tuple[SymmetrizedAmpli
             if remaining <= 0.0:
                 break
         if remaining > 1e-9:
-            raise ValueError("the amplitude cap cannot carry unit mass at this (n, c)")
+            raise DomainError(f"the amplitude cap cannot carry unit mass at (n, c) = ({n}, {c})")
     else:
-        raise ValueError(f"unknown construction kind {kind!r}")
+        raise DomainError(f"unknown construction kind {kind!r}")
     b2 = b2 / float(np.sum(comb * b2))
     b = np.sqrt(b2)
     profile = SymmetrizedAmplitudes(n, b.copy(), b)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonians import GraphHamiltonian, _normalize_hyperedges
+from .numerics import DomainError
 from .qfi import ProductScan, max_qfi_symmetric_product, product_qfi_closed_form
 
 GAP_RATIO = 0.25
@@ -89,16 +90,16 @@ class DegreeVector:
 def star_graph(n: int) -> InteractionGraph:
     """Vertex 1 coupled to every other vertex."""
     if n < 2:
-        raise ValueError("a star needs at least two vertices")
+        raise DomainError("a star needs at least two vertices")
     return InteractionGraph(n, tuple((1, i) for i in range(2, n + 1)))
 
 
 def chain_graph(n: int, k: int = 2) -> InteractionGraph:
     """Consecutive windows {i, ..., i+k-1} along a path."""
     if k < 2:
-        raise ValueError("arity must be at least 2")
+        raise DomainError("arity must be at least 2")
     if n < k:
-        raise ValueError(f"a {k}-body chain needs at least {k} vertices")
+        raise DomainError(f"a {k}-body chain needs at least {k} vertices")
     return InteractionGraph(
         n, tuple(tuple(range(i, i + k)) for i in range(1, n - k + 2))
     )
@@ -107,9 +108,9 @@ def chain_graph(n: int, k: int = 2) -> InteractionGraph:
 def ring_graph(n: int, k: int = 2) -> InteractionGraph:
     """Cyclic windows of k consecutive vertices."""
     if k < 2:
-        raise ValueError("arity must be at least 2")
+        raise DomainError("arity must be at least 2")
     if n < k + 1:
-        raise ValueError(f"a {k}-body ring needs at least {k + 1} vertices")
+        raise DomainError(f"a {k}-body ring needs at least {k + 1} vertices")
     edges = tuple(
         tuple((i + j) % n + 1 for j in range(k)) for i in range(n)
     )
@@ -119,9 +120,9 @@ def ring_graph(n: int, k: int = 2) -> InteractionGraph:
 def complete_graph(n: int, k: int = 2) -> InteractionGraph:
     """Every k-subset of vertices coupled."""
     if k < 2:
-        raise ValueError("arity must be at least 2")
+        raise DomainError("arity must be at least 2")
     if n < k:
-        raise ValueError(f"need at least {k} vertices")
+        raise DomainError(f"need at least {k} vertices")
     return InteractionGraph(n, tuple(itertools.combinations(range(1, n + 1), k)))
 
 
@@ -131,7 +132,7 @@ GRAPH_SHAPES = ("star", "chain", "ring", "complete")
 def preset_graph(shape: str, n: int, k: int = 2) -> InteractionGraph:
     if shape == "star":
         if k != 2:
-            raise ValueError("the star preset is 2-body only")
+            raise DomainError("the star preset is 2-body only")
         return star_graph(n)
     if shape == "chain":
         return chain_graph(n, k)
@@ -139,7 +140,7 @@ def preset_graph(shape: str, n: int, k: int = 2) -> InteractionGraph:
         return ring_graph(n, k)
     if shape == "complete":
         return complete_graph(n, k)
-    raise ValueError(f"unknown graph shape {shape!r}")
+    raise DomainError(f"unknown graph shape {shape!r}")
 
 
 # --- census, three routes ------------------------------------------------------
@@ -151,7 +152,7 @@ def census_bruteforce(g: InteractionGraph) -> PairCensus:
     _CENSUS_BLOCK_WORDS words."""
     s = g.s
     if s * s > MAX_BRUTEFORCE_PAIRS:
-        raise ValueError(f"{s}^2 ordered pairs exceeds the brute-force cap")
+        raise DomainError(f"{s}^2 ordered pairs exceeds the brute-force cap")
     words = (g.n + 63) // 64
     vertex = np.array(g.edges, dtype=np.int64) - 1
     masks = np.zeros((s, words), dtype=np.uint64)
@@ -189,7 +190,7 @@ def census_by_degrees(deg: DegreeVector) -> PairCensus:
     """
     total = sum(deg.d)
     if total % 2 != 0:
-        raise ValueError(f"degree sum {total} is odd; not a 2-body graph")
+        raise DomainError(f"degree sum {total} is odd; not a 2-body graph")
     s = total // 2
     connected = sum(x * (x - 1) for x in deg.d)
     disjoint = s * s - s - connected
@@ -204,7 +205,7 @@ def preset_census(shape: str, n: int, k: int = 2) -> PairCensus:
     """
     if shape == "star":
         if k != 2:
-            raise ValueError("the star preset is 2-body only")
+            raise DomainError("the star preset is 2-body only")
         s = n - 1
         connected = (n - 1) * (n - 2)
         return PairCensus(s, s * s - s - connected, connected, s * s)
@@ -216,7 +217,7 @@ def preset_census(shape: str, n: int, k: int = 2) -> PairCensus:
         return census_bruteforce(chain_graph(n, k))
     if shape == "ring":
         if n < 2 * k - 1:
-            raise ValueError(f"the ring count formula needs n >= {2 * k - 1}")
+            raise DomainError(f"the ring count formula needs n >= {2 * k - 1}")
         s = n
         disjoint = n * (n - 2 * k + 1)
         return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
@@ -224,7 +225,7 @@ def preset_census(shape: str, n: int, k: int = 2) -> PairCensus:
         s = math.comb(n, k)
         disjoint = s * math.comb(n - k, k)
         return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
-    raise ValueError(f"unknown graph shape {shape!r}")
+    raise DomainError(f"unknown graph shape {shape!r}")
 
 
 # --- degree scaling ------------------------------------------------------------

@@ -31,10 +31,12 @@ from .hamiltonians import (
     to_spec_text,
 )
 from .numerics import (
+    DomainError,
     Rng,
     check_power_dim,
     check_words,
     complex_normals,
+    grid_size,
     haar_unitaries,
     kron_fold,
     row_dot,
@@ -74,9 +76,9 @@ class CoefficientGrid:
 
     def __post_init__(self):
         if not (self.B > self.A > 0.0):
-            raise ValueError(f"need B > A > 0, got A={self.A}, B={self.B}")
+            raise DomainError(f"need B > A > 0, got A={self.A}, B={self.B}")
         if self.eps_c <= 0.0:
-            raise ValueError(f"eps_c must be positive, got {self.eps_c}")
+            raise DomainError(f"eps_c must be positive, got {self.eps_c}")
         pts = np.asarray(self.points, dtype=float)
         ladder = pts[: pts.size // 2]
         if pts.ndim != 1 or not ladder.size or pts.size % 2 or np.any(np.diff(ladder) >= 0) \
@@ -109,10 +111,10 @@ class CoefficientGrid:
 def coefficient_grid(A: float, B: float, eps_c: float) -> CoefficientGrid:
     """Grid {+-B -+ 2 eps_c k, k = 0..ceil((B-A)/(2 eps_c))}, both signs."""
     if not (B > A > 0.0):
-        raise ValueError(f"need B > A > 0, got A={A}, B={B}")
+        raise DomainError(f"need B > A > 0, got A={A}, B={B}")
     if eps_c <= 0.0:
-        raise ValueError(f"eps_c must be positive, got {eps_c}")
-    k = np.arange(math.ceil((B - A) / (2.0 * eps_c)) + 1, dtype=float)
+        raise DomainError(f"eps_c must be positive, got {eps_c}")
+    k = np.arange(grid_size((B - A) / (2.0 * eps_c), "coefficient ladder rungs") + 1, dtype=float)
     ladder = B - 2.0 * eps_c * k
     return CoefficientGrid(A, B, eps_c, np.concatenate([ladder, -ladder]))
 
@@ -128,9 +130,9 @@ def pure_state_net_qubit(eps_p: float) -> BlochGrid:
     which closes the bound.
     """
     if not (0.0 < eps_p < 1.0):
-        raise ValueError(f"eps_p must lie in (0, 1), got {eps_p}")
+        raise DomainError(f"eps_p must lie in (0, 1), got {eps_p}")
     delta = 2.0 * eps_p
-    rows = math.ceil(math.pi / delta)
+    rows = grid_size(math.pi / delta, "Bloch net rows")
     thetas = BlochGrid.polar_angle(np.arange(rows), rows)
     counts = np.maximum(1, np.ceil(2.0 * math.pi * np.sin(thetas) / delta)).astype(np.int64)
     net = BlochGrid(counts)
@@ -164,14 +166,14 @@ class BoundParams:
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be positive integers")
+            raise DomainError("n and d must be positive integers")
         for name in ("s_coff", "s_basis", "a", "c", "eps"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise DomainError(f"{name} must be positive")
         if not (self.B > self.A > 0.0):
-            raise ValueError(f"need B > A > 0, got A={self.A}, B={self.B}")
+            raise DomainError(f"need B > A > 0, got A={self.A}, B={self.B}")
         if self.norm_A0 < 0.0:
-            raise ValueError("norm_A0 must be non-negative")
+            raise DomainError("norm_A0 must be non-negative")
 
 
 def epsilon_choices(
@@ -187,11 +189,11 @@ def epsilon_choices(
     show up as the squared base in eps_p and the longer eps_c denominators.
     """
     if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise DomainError(f"eps must be positive, got {eps}")
     if prop6_c <= 0.0:
-        raise ValueError(f"prop6_c must be positive, got {prop6_c}")
+        raise DomainError(f"prop6_c must be positive, got {prop6_c}")
     if mode not in EPSILON_MODES:
-        raise ValueError(f"mode must be one of {EPSILON_MODES}, got {mode!r}")
+        raise DomainError(f"mode must be one of {EPSILON_MODES}, got {mode!r}")
     p = params
     base = p.s_coff * p.B * p.a + p.norm_A0
     if mode == "prop7":
@@ -218,10 +220,10 @@ def net_size_bound(params: BoundParams, which: str, prop6_c: float = PROP6_C) ->
     returned in log domain because the exponents run to d*n and beyond.
     """
     if which not in SIZE_KINDS:
-        raise ValueError(f"which must be one of {SIZE_KINDS}, got {which!r}")
+        raise DomainError(f"which must be one of {SIZE_KINDS}, got {which!r}")
     eps_p, eps_c = epsilon_choices(params.eps, params, which, prop6_c)
     if eps_p == 0.0 or eps_c == 0.0:
-        raise ValueError(f"eps = {params.eps} is too small: a net accuracy underflows to 0")
+        raise DomainError(f"eps = {params.eps} is too small: a net accuracy underflows to 0")
     # Differences of logs: the quotients overflow once eps is near DBL_MIN.
     coeff_log = math.log(params.B - params.A + 4.0 * eps_c) - math.log(eps_c)
     basis_log = math.log(5.0) - math.log(eps_p)
@@ -259,12 +261,14 @@ def theorem_bound(
     deviation margin c - eps + d_min enters squared; when it is not
     positive the tail saturates at one and only the prefactor survives.
     d_min defaults to the conservative zero (the mean-gap term it stands
-    for is non-negative, so dropping it can only loosen the bound).
+    for is non-negative, so dropping it can only loosen the bound).  A bound
+    whose logs are not finite doubles (d^n past 2^1020, a net accuracy that
+    over- or underflows) raises DomainError: a float cannot hold it.
     """
     if which not in THEOREM_KINDS:
-        raise ValueError(f"which must be one of {THEOREM_KINDS}, got {which!r}")
+        raise DomainError(f"which must be one of {THEOREM_KINDS}, got {which!r}")
     if d_min < 0.0:
-        raise ValueError(f"d_min must be non-negative, got {d_min}")
+        raise DomainError(f"d_min must be non-negative, got {d_min}")
     p = params
     if which == "thm7":
         size_log = net_size_bound(p, "result1", prop6_c)
@@ -289,6 +293,11 @@ def theorem_bound(
         )
         log_exponential = -2.0 * dimf * dev * dev / denom
     log_total = log_prefactor + log_exponential
+    if not (math.isfinite(log_exponential) and math.isfinite(log_total)):
+        raise DomainError(
+            f"the {which} bound at n = {p.n}, d = {p.d} is not a finite double "
+            f"(log_exponential {log_exponential}, log_total {log_total})"
+        )
     return TheoremBound(which, log_prefactor, log_exponential, log_total, log_total >= 0.0)
 
 
@@ -335,7 +344,7 @@ def build_linear_net(
 ) -> LinearFamilyNet:
     """Constructed net at the printed choices; qubit sites only."""
     if params.d != 2:
-        raise ValueError("constructive nets are implemented for d = 2 only")
+        raise DomainError("constructive nets are implemented for d = 2 only")
     eps_p, eps_c = epsilon_choices(params.eps, params, mode, prop6_c)
     return LinearFamilyNet(
         params.n, params.d, coefficient_grid(params.A, params.B, eps_c),
@@ -346,7 +355,7 @@ def build_linear_net(
 def _banded(u: np.ndarray, A: float, B: float) -> np.ndarray:
     """Magnitudes uniform in [A, B] from the first half of each row of u, signs from the second."""
     if not (B > A > 0.0):
-        raise ValueError(f"need B > A > 0, got A={A}, B={B}")
+        raise DomainError(f"need B > A > 0, got A={A}, B={B}")
     half = u.shape[-1] // 2
     mags = A + (B - A) * u[:, :half]
     return mags * np.where(u[:, half:] < 0.5, -1.0, 1.0)
@@ -462,9 +471,9 @@ def property_audit(
     crash.
     """
     if which not in AUDIT_KINDS:
-        raise ValueError(f"which must be one of {AUDIT_KINDS}, got {which!r}")
+        raise DomainError(f"which must be one of {AUDIT_KINDS}, got {which!r}")
     if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise DomainError(f"eps must be positive, got {eps}")
     n, d = net.n, net.d
     h_words = linear_banded_words(n, d)
     basis = dicke_basis(n, d) if which == "prop8" else None

@@ -2,23 +2,39 @@
 
 Everything operates on plain numpy arrays in complex128. Dense objects are
 capped at MAX_DIM = 4096 per axis so an oversized tensor product fails with
-a clear error instead of exhausting memory.
+a clear error instead of exhausting memory, and grids (net ladders, Bloch
+rows) at MAX_GRID entries per axis.  A size, index or parameter outside the
+domain a routine documents raises DomainError, the one ValueError subclass
+that means "bad input" rather than a failed internal check.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 MAX_DIM = 4096
+MAX_GRID = 2**20
 
 HERMITIAN_ATOL = 1e-10
 
 
-class DimensionError(ValueError):
+class DomainError(ValueError):
+    """An argument lies outside the domain the routine documents."""
+
+
+class DimensionError(DomainError):
     """A requested dense object would exceed the supported size."""
+
+
+def grid_size(extent: float, what: str) -> int:
+    """ceil(extent) entries of a grid axis, validated against MAX_GRID before anything is allocated."""
+    if not extent <= MAX_GRID:  # `not <=` so that a NaN extent is rejected too
+        raise DomainError(f"{what}: {extent:.3g} entries exceed the supported maximum {MAX_GRID}")
+    return math.ceil(extent)
 
 
 def check_dim(dim: int) -> int:
@@ -221,8 +237,12 @@ class Rng:
     def __init__(self, seed: int, path: Sequence[int] = ()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        """The stream's own generator, built on first use: block draws read only seed and path."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(ss))
 
     def substream(self, index: int) -> "Rng":
         """Independent child stream; substream(i) is stable across runs."""
@@ -268,7 +288,7 @@ class Rng:
         if min(trials[0], trials[-1]) < 0:
             raise ValueError("substream index must be non-negative")
         if max(trials[0], trials[-1]) > _MASK32:
-            raise ValueError("a block of substreams needs indices below 2**32")
+            raise DomainError("a block of substreams needs indices below 2**32")
         k0, k1 = _seed_keys(self.seed, self.path, np.arange(trials.start, trials.stop, trials.step))
         step = max(1, _PHILOX_PASS_WORDS // max(1, words))
         if words < _ARRAY_ROW_WORDS:

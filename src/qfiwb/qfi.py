@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_power_dim, ensure_hermitian, kron_fold, row_dot, spectral_norm
+from .numerics import DomainError, check_power_dim, ensure_hermitian, kron_fold, row_dot, spectral_norm
 from .hamiltonians import (
     GraphHamiltonian,
     LinearHamiltonian,
@@ -87,9 +87,13 @@ def _unit_rows(amplitudes: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _clipped_qfi(second: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """4 (<H^2> - <H>^2), with a negative variance beyond rounding an error."""
+    """4 (<H^2> - <H>^2), with a negative variance beyond rounding an error.
+
+    Rounding in the difference scales with <H^2>, so the tolerance is
+    QFI_CLIP_ATOL times max(1, 4 <H^2>).
+    """
     raw = 4.0 * (second - mean**2)
-    if np.any(raw < -QFI_CLIP_ATOL):
+    if np.any(raw < -QFI_CLIP_ATOL * np.maximum(1.0, 4.0 * second)):
         raise ArithmeticError(
             f"negative variance {raw.min()} exceeds the numerical-consistency tolerance"
         )
@@ -271,12 +275,14 @@ class ConcentrationBound:
 def levy_bound(h, dim: int, epsilon: float) -> ConcentrationBound:
     """Concentration bounds at sphere dimension `dim` (full or symmetric)."""
     if dim < 1:
-        raise ValueError("dim must be positive")
+        raise DomainError("dim must be positive")
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise DomainError("epsilon must be positive")
     lip = lipschitz_constant(h)
-    # lip = 0 means H = 0: the QFI is constant and both tails are exactly 0.
-    x = math.inf if lip == 0.0 else 2.0 * dim * epsilon**2 / (9.0 * math.pi**3 * lip**2)
+    # lip^2 = 0 means H = 0 (or a scale whose square underflows): the tails
+    # are exactly 0.
+    scale = 9.0 * math.pi**3 * lip**2
+    x = math.inf if scale == 0.0 else 2.0 * dim * epsilon**2 / scale
     two = 2.0 * math.exp(-x)
     one = 2.0 * math.exp(-x / math.log(2.0))
     return ConcentrationBound(float(epsilon), int(dim), lip, two, one)

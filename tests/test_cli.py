@@ -1,6 +1,8 @@
 """Config parsing, CSV plumbing, and end-to-end runs of the experiment driver."""
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import re
@@ -23,8 +25,11 @@ from qfiwb.cli import (
     ExperimentResult,
     _cell,
     _coerce,
+    _interval,
     _state_qfis,
     build_config,
+    describe_domain,
+    in_domain,
     main,
     parse_config_text,
     write_csv,
@@ -64,11 +69,13 @@ def test_parse_config_text_rejects_malformed_lines():
 
 
 def test_build_config_defaults_and_unknown_keys():
-    fields = {"n": ("int", 3), "tol": ("float", 1e-9)}
+    fields = {"n": ("int", 3, "[1, inf)"), "tol": ("float", 1e-9, "[0, 1]")}
     cfg = build_config("demo", fields, {"n": "5"})
     assert cfg == {"n": 5, "tol": 1e-9}
     with pytest.raises(ConfigError, match="known keys: n, tol"):
         build_config("demo", fields, {"m": "5"})
+    with pytest.raises(ConfigError, match=r"config key 'tol': -1.0 is outside \[0, 1\]"):
+        build_config("demo", fields, {"tol": "-1"})
 
 
 def test_coerce_typed_values():
@@ -314,12 +321,13 @@ def test_main_missing_config_file(tmp_path: Path, capsys):
 
 
 def test_main_domain_error_maps_to_config_exit(tmp_path: Path, capsys):
-    # The growth exponent fails the threshold's hypothesis at (n=4, c=1.2);
-    # the library's ValueError must surface as a clean config failure.
+    # The growth exponent fails the threshold's hypothesis at (n=4, c=1.2):
+    # c lies in its declared domain (1, 2), and the library's DomainError
+    # must surface as a clean config failure.
     cfg = cfg_file(tmp_path, "n = 4\nc = 1.2\n")
     rc = main(["result2-verify", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("qfiwb: config error: n^(c-1) = ")
 
 
 def test_main_concentration_with_zero_hamiltonian(tmp_path: Path):
@@ -340,16 +348,19 @@ def test_main_large_hamiltonian_scale_is_not_a_config_error(tmp_path: Path):
 
 
 def test_main_internal_error_exit(tmp_path: Path, capsys, monkeypatch):
-    def crash(cfg, rng):
-        raise ArithmeticError("boom")
-
+    # Only ConfigError and DomainError mean a bad config; a bare ValueError
+    # (numpy's own, or a failed internal check) is a crash.
     fields, _ = EXPERIMENTS["ghz-baseline"]
-    monkeypatch.setitem(EXPERIMENTS, "ghz-baseline", (fields, crash))
     cfg = cfg_file(tmp_path, "")
-    rc = main(["ghz-baseline", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == EXIT_INTERNAL == 3
-    err = capsys.readouterr().err
-    assert err == "qfiwb: internal error: ArithmeticError: boom\n"
+    for error in (ArithmeticError, ValueError):
+        def crash(cfg, rng):
+            raise error("boom")
+
+        monkeypatch.setitem(EXPERIMENTS, "ghz-baseline", (fields, crash))
+        rc = main(["ghz-baseline", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_INTERNAL == 3
+        err = capsys.readouterr().err
+        assert err == f"qfiwb: internal error: {error.__name__}: boom\n"
 
 
 def test_main_violation_exit(tmp_path: Path):
@@ -477,13 +488,100 @@ def test_readme_experiment_table_matches_registry():
 
 
 def test_registry_fields_are_well_formed():
-    kinds = {"int", "float", "bool", "str"}
+    kinds = {"int", "float", "str", "list"}
     for name, (fields, runner) in EXPERIMENTS.items():
         assert "seed" in fields
-        for key, (kind, default) in fields.items():
+        for key, (kind, default, domain) in fields.items():
             assert kind in kinds, f"{name}.{key}"
             assert default is not None
+            # strings take a tuple of choices, numbers an interval, floats with finite ends
+            assert isinstance(domain, tuple) == (kind in ("str", "list")), f"{name}.{key}"
+            if kind == "float":
+                assert "inf" not in domain, f"{name}.{key}"
+            assert in_domain(kind, domain, default), f"{name}.{key}"
         assert callable(runner)
+
+
+# Counts that keep every drawn config to milliseconds; the key under test
+# overrides its own entry.
+_SMALL_COUNTS = {"trials": 3, "hamiltonians": 2, "states": 3, "restarts": 2}
+# Integer keys with no cap are drawn from [low, low + _INT_SPAN].
+_INT_SPAN = 5
+
+
+def _inside(kind: str, domain):
+    """Values of a key inside its domain, its edges and float caps included."""
+    if kind == "str":
+        return st.sampled_from(domain)
+    if kind == "list":
+        return st.lists(st.sampled_from(domain), min_size=1, unique=True).map(",".join)
+    low, open_low, high, open_high = _interval(domain)
+    if kind == "int":
+        low, high = int(low) + open_low, high - open_high
+        span = st.integers(low, int(min(high, low + _INT_SPAN)))
+        return span if math.isinf(high) else st.one_of(st.just(int(high)), span)
+    edges = [np.nextafter(low, math.inf) if open_low else low,
+             np.nextafter(high, -math.inf) if open_high else high]
+    return st.one_of(
+        st.sampled_from([float(e) for e in edges]),
+        st.floats(low, high, exclude_min=open_low, exclude_max=open_high),
+    )
+
+
+def _outside(kind: str, domain) -> list:
+    """The values one step outside a domain: past each finite end, or an unknown choice."""
+    if kind == "str":
+        return ["no-such-choice"]
+    if kind == "list":
+        return [domain[0] + ",no-such-choice", ","]
+    low, open_low, high, open_high = _interval(domain)
+    if kind == "int":
+        return [int(low) - (not open_low)] + ([] if math.isinf(high) else [int(high) + (not open_high)])
+    return [
+        low if open_low else float(np.nextafter(low, -math.inf)),
+        high if open_high else float(np.nextafter(high, math.inf)),
+    ]
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_declared_domains_decide_the_config_exit(tmp_path_factory, experiment, data):
+    # One key set at a time: inside its domain the run ends in a verdict
+    # (0 or 1) or a cross-key or library DomainError (2), never a crash;
+    # one step outside, the config is rejected before the driver runs.
+    fields, _ = EXPERIMENTS[experiment]
+    key = data.draw(st.sampled_from(sorted(fields)), label="key")
+    kind, _, domain = fields[key]
+    inside = data.draw(st.booleans(), label="inside")
+    values = _inside(kind, domain) if inside else st.sampled_from(_outside(kind, domain))
+    value = data.draw(values, label="value")
+    config = {k: v for k, v in _SMALL_COUNTS.items() if k in fields}
+    config[key] = repr(value) if isinstance(value, float) else value
+    tmp = tmp_path_factory.mktemp("domain")
+    text = "".join(f"{k} = {v}\n" for k, v in config.items())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([experiment, "--config", cfg_file(tmp, text), "--out", str(tmp)])
+    if inside:
+        assert rc in (EXIT_PASS, EXIT_VIOLATION, EXIT_CONFIG), err.getvalue()
+    else:
+        assert rc == EXIT_CONFIG
+        assert err.getvalue().startswith(f"qfiwb: config error: config key {key!r}: "), err.getvalue()
+
+
+def test_readme_domain_table_matches_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n")[2]
+    row = r"^\| `([^`]+)` \| `([^`]+)` \| (\w+) \| `([^`]+)` \| (.+) \|$"
+    rows = re.findall(row, table, flags=re.MULTILINE)
+    want = [
+        (name, key, kind, str(default), describe_domain(kind, domain))
+        for name, (fields, _) in EXPERIMENTS.items()
+        for key, (kind, default, domain) in fields.items()
+        if key != "seed"
+    ]
+    assert rows == want
 
 
 def test_perfbench_tracer_finds_every_traced_name(monkeypatch):

@@ -30,7 +30,7 @@ from qfiwb.nets import (
     theorem_bound,
     trace_distance_qubit,
 )
-from qfiwb.numerics import Rng
+from qfiwb.numerics import DomainError, Rng
 from qfiwb.qfi import expected_qfi_symmetric_linear, max_separable_linear, qfi
 from qfiwb.states import MAX_MATERIALIZED_FRAMES, dicke_basis, sample_haar, sample_symmetric
 
@@ -292,15 +292,15 @@ def test_theorem_bound_dimension_monotonicity():
     assert e9[1] < e9[0] < 0.0
 
 
-def test_theorem_bound_huge_dimension_saturates_to_minus_inf():
+def test_theorem_bound_huge_dimension_raises_domain_error():
+    # 2^1100 exceeds every double, so the true exponent (about -1e331) has
+    # no float value; the bound rejects the parameters instead of saying -inf.
     p = BoundParams(
         n=1100, d=2, s_coff=1.0, s_basis=1.0, A=1.0, B=2.0,
         a=1.0, norm_A0=0.0, c=2.0, eps=0.5,
     )
-    tb = theorem_bound(p, "thm9")
-    assert tb.log_exponential == -math.inf
-    assert tb.log_total == -math.inf
-    assert not tb.vacuous
+    with pytest.raises(DomainError, match="thm9 bound at n = 1100, d = 2 is not a finite double"):
+        theorem_bound(p, "thm9")
     # The symmetric count at the same n stays tiny, so thm7 remains finite.
     assert math.isfinite(theorem_bound(p, "thm7").log_total)
 

@@ -6,6 +6,7 @@ from qfiwb.numerics import (
     _PHILOX_PASS_WORDS,
     MAX_DIM,
     DimensionError,
+    DomainError,
     Rng,
     _philox_words,
     _seed_keys,
@@ -352,6 +353,8 @@ def test_uniform_blocks_row_does_not_depend_on_the_other_trials(words):
     whole = rng.substream_uniforms(range(20), words)
     assert _same_bits(rng.substream_uniforms(range(5, 20), words), whole[5:])
     assert _same_bits(rng.substream_uniforms(range(19, 4, -7), words), whole[[19, 12, 5]])
+    # block draws read only seed and path: the stream's own generator is never built
+    assert "_gen" not in vars(rng)
 
 
 @pytest.mark.parametrize("words", [3, 64])
@@ -359,7 +362,8 @@ def test_uniform_blocks_reject_indices_outside_32_bits(words):
     rng = Rng(0)
     _check_blocks(rng, range(U32, U32 + 1), words)
     assert list(rng.uniform_blocks(range(0), words)) == []
-    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+    # a trial count past 2^32 is a config outside the stream domain (exit 2)
+    with pytest.raises(DomainError, match="below 2\\*\\*32"):
         list(rng.uniform_blocks(range(U32, U32 + 2), words))
     with pytest.raises(ValueError, match="below 2\\*\\*32"):
         list(rng.uniform_blocks(range(2**40, 2**40 + 1), words))

@@ -93,6 +93,12 @@ def test_qfi_batch_edges():
     rows[1] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match="norm"):
         qfi_batch(h, rows)
+    # A constant spectrum at 1e40: <H^2> - <H>^2 rounds to about +-1e64, which
+    # the clip tolerance, relative to <H^2>, takes for rounding, not an error.
+    flat = LinearHamiltonian.from_site(3, SingleSiteOperator.computational((1e40, 1e40)))
+    z = Rng(2).complex_normal((20, 8))
+    q = qfi_batch(flat, z / np.linalg.norm(z, axis=1)[:, None])
+    assert np.all(q >= 0.0) and np.all(q <= 1e-12 * (3e40) ** 2)
 
 
 def test_qfi_batch_rejects_nan_rows():
@@ -339,6 +345,10 @@ def test_levy_bound_zero_hamiltonian_has_zero_tails():
     bound = levy_bound(np.zeros((2, 2)), 16, 0.1)
     assert bound.lipschitz == 0.0
     assert bound.two_sided == 0.0 and bound.one_sided == 0.0
+    # A Lipschitz scale whose square underflows has zero tails too.
+    tiny = levy_bound(np.diag([0.0, 1e-160]), 16, 0.1)
+    assert tiny.lipschitz > 0.0
+    assert tiny.two_sided == 0.0 and tiny.one_sided == 0.0
 
 
 def test_levy_bound_monotonicity_and_vacuity():
