@@ -58,9 +58,11 @@ from .graphs import (
     GRAPH_SHAPES,
     census_bruteforce,
     census_by_degrees,
+    check_pair_cap,
     degree_norms,
     degree_vector,
     preset_census,
+    preset_edge_count,
     preset_graph,
     scaling_report,
 )
@@ -151,12 +153,6 @@ def _coerce(kind: str, raw: str, key: str):
             if not math.isfinite(v):
                 raise ValueError("not finite")
             return v
-        if kind == "bool":
-            if raw.lower() in ("true", "1"):
-                return True
-            if raw.lower() in ("false", "0"):
-                return False
-            raise ValueError("expected true/false")
         return raw
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind} ({exc})")
@@ -665,11 +661,17 @@ def run_table_census(cfg, rng: Rng) -> ExperimentResult:
     skipped = []
     for shape in GRAPH_SHAPES:
         try:
-            g = preset_graph(shape, n, k)
-            closed = preset_census(shape, n, k)
+            s = preset_edge_count(shape, n, k)
         except DomainError:
             skipped.append(shape)
             continue
+        check_pair_cap(s)  # a defined preset too large to census exits 2 unbuilt
+        try:
+            closed = preset_census(shape, n, k)
+        except DomainError:  # the ring's count formula needs n >= 2k - 1
+            skipped.append(shape)
+            continue
+        g = preset_graph(shape, n, k)
         brute = census_bruteforce(g)
         deg = degree_vector(g)
         routes = [closed, brute]
@@ -699,10 +701,11 @@ def run_scaling_report(cfg, rng: Rng) -> ExperimentResult:
     for shape in shapes:
         for n in range(n_min, n_max + 1):
             try:
-                g = preset_graph(shape, n, 2)
+                s = preset_edge_count(shape, n, 2)
             except DomainError:
                 continue
-            rep = scaling_report(g)
+            check_pair_cap(s)
+            rep = scaling_report(preset_graph(shape, n, 2))
             rows.append(
                 (shape, n, rep.census.s, rep.norm1_sq, rep.norm2_sq, rep.ratio,
                  rep.verdict)

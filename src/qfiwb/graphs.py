@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hamiltonians import GraphHamiltonian, _normalize_hyperedges
+from .hamiltonians import GraphHamiltonian, normalize_hyperedges
 from .numerics import DomainError
 from .qfi import ProductScan, max_qfi_symmetric_product, product_qfi_closed_form
 
@@ -27,24 +27,28 @@ _CENSUS_BLOCK_WORDS = 2**20  # per block of pair tests (8 MiB)
 
 @dataclass(frozen=True, eq=False)
 class InteractionGraph:
-    """Hypergraph of coupling terms: vertices 1..n, uniform-arity edge sets."""
+    """Hypergraph of coupling terms: vertices 1..n, uniform-arity edge sets.
+
+    `edges` is any sequence of vertex tuples on input and a read-only (s, k)
+    int64 array once built: each row sorted, rows in input order.
+    """
 
     n: int
-    edges: tuple[tuple[int, ...], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         n = int(self.n)
         if n < 1:
             raise ValueError("need at least one vertex")
-        edges = _normalize_hyperedges(self.edges, n)
-        if len(edges[0]) < 2:
+        edges = normalize_hyperedges(self.edges, n)
+        if edges.shape[1] < 2:
             raise ValueError("edges need at least two vertices (no self-loops)")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
     @property
     def k(self) -> int:
-        return len(self.edges[0])
+        return self.edges.shape[1]
 
     @property
     def s(self) -> int:
@@ -87,63 +91,83 @@ class DegreeVector:
 
 # --- builders ----------------------------------------------------------------
 
+GRAPH_SHAPES = ("star", "chain", "ring", "complete")
+
+
+def preset_edge_count(shape: str, n: int, k: int = 2) -> int:
+    """Edge count s of a preset in closed form, without building it.
+
+    Raises DomainError where the preset is undefined at (n, k), with the
+    message its builder gives.
+    """
+    if shape not in GRAPH_SHAPES:
+        raise DomainError(f"unknown graph shape {shape!r}")
+    if shape == "star":
+        if k != 2:
+            raise DomainError("the star preset is 2-body only")
+        if n < 2:
+            raise DomainError("a star needs at least two vertices")
+        return n - 1
+    if k < 2:
+        raise DomainError("arity must be at least 2")
+    if shape == "chain":
+        if n < k:
+            raise DomainError(f"a {k}-body chain needs at least {k} vertices")
+        return n - k + 1
+    if shape == "ring":
+        if n < k + 1:
+            raise DomainError(f"a {k}-body ring needs at least {k + 1} vertices")
+        return n
+    if n < k:
+        raise DomainError(f"need at least {k} vertices")
+    return math.comb(n, k)
+
+
 def star_graph(n: int) -> InteractionGraph:
     """Vertex 1 coupled to every other vertex."""
-    if n < 2:
-        raise DomainError("a star needs at least two vertices")
-    return InteractionGraph(n, tuple((1, i) for i in range(2, n + 1)))
+    s = preset_edge_count("star", n)
+    return InteractionGraph(n, np.stack([np.ones(s, dtype=np.int64), np.arange(2, n + 1)], axis=1))
 
 
 def chain_graph(n: int, k: int = 2) -> InteractionGraph:
     """Consecutive windows {i, ..., i+k-1} along a path."""
-    if k < 2:
-        raise DomainError("arity must be at least 2")
-    if n < k:
-        raise DomainError(f"a {k}-body chain needs at least {k} vertices")
-    return InteractionGraph(
-        n, tuple(tuple(range(i, i + k)) for i in range(1, n - k + 2))
-    )
+    s = preset_edge_count("chain", n, k)
+    return InteractionGraph(n, np.arange(1, s + 1)[:, None] + np.arange(k))
 
 
 def ring_graph(n: int, k: int = 2) -> InteractionGraph:
-    """Cyclic windows of k consecutive vertices."""
-    if k < 2:
-        raise DomainError("arity must be at least 2")
-    if n < k + 1:
-        raise DomainError(f"a {k}-body ring needs at least {k + 1} vertices")
-    edges = tuple(
-        tuple((i + j) % n + 1 for j in range(k)) for i in range(n)
-    )
-    return InteractionGraph(n, edges)
+    """Cyclic windows of k consecutive vertices, window i starting at vertex i + 1."""
+    preset_edge_count("ring", n, k)
+    return InteractionGraph(n, (np.arange(n)[:, None] + np.arange(k)) % n + 1)
 
 
 def complete_graph(n: int, k: int = 2) -> InteractionGraph:
-    """Every k-subset of vertices coupled."""
-    if k < 2:
-        raise DomainError("arity must be at least 2")
-    if n < k:
-        raise DomainError(f"need at least {k} vertices")
-    return InteractionGraph(n, tuple(itertools.combinations(range(1, n + 1), k)))
-
-
-GRAPH_SHAPES = ("star", "chain", "ring", "complete")
+    """Every k-subset of vertices coupled, in `itertools.combinations` order."""
+    s = preset_edge_count("complete", n, k)
+    if k == 2:
+        return InteractionGraph(n, np.stack(np.triu_indices(n, 1), axis=1) + 1)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), k))
+    return InteractionGraph(n, np.fromiter(subsets, np.int64, s * k).reshape(s, k))
 
 
 def preset_graph(shape: str, n: int, k: int = 2) -> InteractionGraph:
+    preset_edge_count(shape, n, k)  # the star's arity and unknown shapes; builders check the rest
     if shape == "star":
-        if k != 2:
-            raise DomainError("the star preset is 2-body only")
         return star_graph(n)
     if shape == "chain":
         return chain_graph(n, k)
     if shape == "ring":
         return ring_graph(n, k)
-    if shape == "complete":
-        return complete_graph(n, k)
-    raise DomainError(f"unknown graph shape {shape!r}")
+    return complete_graph(n, k)
 
 
 # --- census, three routes ------------------------------------------------------
+
+def check_pair_cap(s: int) -> None:
+    """DomainError if a census of s edges would test more than MAX_BRUTEFORCE_PAIRS pairs."""
+    if s * s > MAX_BRUTEFORCE_PAIRS:
+        raise DomainError(f"{s}^2 ordered pairs exceeds the brute-force cap")
+
 
 def census_bruteforce(g: InteractionGraph) -> PairCensus:
     """Exact ordered-pair counts by direct intersection tests.
@@ -151,10 +175,9 @@ def census_bruteforce(g: InteractionGraph) -> PairCensus:
     Edge bit masks are ceil(n/64) uint64 words, tested in blocks of about
     _CENSUS_BLOCK_WORDS words."""
     s = g.s
-    if s * s > MAX_BRUTEFORCE_PAIRS:
-        raise DomainError(f"{s}^2 ordered pairs exceeds the brute-force cap")
+    check_pair_cap(s)
     words = (g.n + 63) // 64
-    vertex = np.array(g.edges, dtype=np.int64) - 1
+    vertex = g.edges - 1
     masks = np.zeros((s, words), dtype=np.uint64)
     rows = np.broadcast_to(np.arange(s)[:, None], vertex.shape)
     np.bitwise_or.at(masks, (rows, vertex // 64), np.uint64(1) << (vertex % 64).astype(np.uint64))
@@ -169,11 +192,7 @@ def census_bruteforce(g: InteractionGraph) -> PairCensus:
 
 
 def degree_vector(g: InteractionGraph) -> DegreeVector:
-    counts = [0] * g.n
-    for e in g.edges:
-        for v in e:
-            counts[v - 1] += 1
-    return DegreeVector(tuple(counts))
+    return DegreeVector(tuple(np.bincount(g.edges.ravel() - 1, minlength=g.n).tolist()))
 
 
 def degree_norms(deg: DegreeVector) -> tuple[float, float]:
@@ -201,31 +220,25 @@ def preset_census(shape: str, n: int, k: int = 2) -> PairCensus:
     """Closed-form census per shape; the k-body chain is enumerated exactly.
 
     Ring disjoint count n(n-2k+1) needs n >= 2k-1; the complete-graph count
-    is C(n,k)*C(n-k,k) ordered.
+    is C(n,k)*C(n-k,k) ordered. DomainError where the preset is undefined.
     """
+    s = preset_edge_count(shape, n, k)
     if shape == "star":
-        if k != 2:
-            raise DomainError("the star preset is 2-body only")
-        s = n - 1
         connected = (n - 1) * (n - 2)
         return PairCensus(s, s * s - s - connected, connected, s * s)
     if shape == "chain":
         if k == 2:
-            s = n - 1
             disjoint = n * n - 5 * n + 6
             return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
+        check_pair_cap(s)
         return census_bruteforce(chain_graph(n, k))
     if shape == "ring":
         if n < 2 * k - 1:
             raise DomainError(f"the ring count formula needs n >= {2 * k - 1}")
-        s = n
         disjoint = n * (n - 2 * k + 1)
         return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
-    if shape == "complete":
-        s = math.comb(n, k)
-        disjoint = s * math.comb(n - k, k)
-        return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
-    raise DomainError(f"unknown graph shape {shape!r}")
+    disjoint = s * math.comb(n - k, k)
+    return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
 
 
 # --- degree scaling ------------------------------------------------------------
@@ -265,7 +278,7 @@ def to_hamiltonian(
 ) -> GraphHamiltonian:
     """Homogeneous coupling Hamiltonian on this graph with levels (lam0, lam1)."""
     return GraphHamiltonian.shared(
-        g.n, g.edges, (lam0, lam1), basis=basis, positive_levels=True
+        g.n, g.edges.tolist(), (lam0, lam1), basis=basis, positive_levels=True
     )
 
 
@@ -328,7 +341,7 @@ def product_qfi_at(g: InteractionGraph, lam0: float, lam1: float, p: float) -> f
 
 def graph_to_text(g: InteractionGraph) -> str:
     lines = [f"{g.n} {g.k}"]
-    lines.extend(" ".join(str(v) for v in e) for e in g.edges)
+    lines.extend(" ".join(map(str, e)) for e in g.edges.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -361,12 +374,9 @@ def read_graph(path: str | Path) -> InteractionGraph:
 
 def sample_graph(n: int, s: int, rng, k: int = 2) -> InteractionGraph:
     """Uniform sample of s distinct k-edges on n vertices."""
-    pool = list(itertools.combinations(range(1, n + 1), k))
+    pool = complete_graph(n, k).edges
     if s < 1 or s > len(pool):
         raise ValueError(f"cannot place {s} distinct edges (pool {len(pool)})")
-    chosen: list[tuple[int, ...]] = []
-    remaining = list(pool)
-    for _ in range(s):
-        i = min(int(rng.random() * len(remaining)), len(remaining) - 1)
-        chosen.append(remaining.pop(i))
-    return InteractionGraph(n, tuple(chosen))
+    remaining = list(range(len(pool)))
+    chosen = [remaining.pop(min(int(u * len(remaining)), len(remaining) - 1)) for u in rng.random(s)]
+    return InteractionGraph(n, pool[chosen])

@@ -274,28 +274,49 @@ class ProductDiagonalHamiltonian:
         return (w * self.coeffs) @ w.conj().T
 
 
-def _normalize_hyperedges(hyperedges: Iterable[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    arity: int | None = None
-    for raw in hyperedges:
-        e = tuple(int(s) for s in raw)
-        if arity is None:
-            arity = len(e)
-        if len(e) != arity:
-            raise ValueError(f"hyperedge {e} has arity {len(e)}, expected {arity}")
-        if len(set(e)) != len(e):
-            raise ValueError(f"hyperedge {e} repeats a site")
-        if any(s < 1 or s > n for s in e):
-            raise ValueError(f"hyperedge {e} has sites outside 1..{n}")
-        key = tuple(sorted(e))
-        if key in seen:
-            raise ValueError(f"duplicate hyperedge {e} (hyperedges compare as sets)")
-        seen.add(key)
-        out.append(key)
-    if not out:
+def normalize_hyperedges(hyperedges: Iterable[Sequence[int]] | np.ndarray, n: int) -> np.ndarray:
+    """Hyperedges as a read-only (s, k) int64 array: each row sorted, rows in input order.
+
+    Every hyperedge must have the first one's arity, distinct sites in 1..n
+    and a site set that no earlier hyperedge has. The ValueError names the
+    first hyperedge in input order that breaks a rule, and the first rule it
+    breaks in that order; a (s, k) array is read as it is.
+    """
+    if isinstance(hyperedges, np.ndarray) and hyperedges.ndim == 2:
+        rows, raw = hyperedges, hyperedges.astype(np.int64, copy=False)
+    else:
+        rows = list(hyperedges)
+        if not rows:
+            raise ValueError("need at least one hyperedge")
+        arity = np.fromiter(map(len, rows), np.int64, len(rows))
+        cut = int(np.argmax(arity != arity[0])) or len(rows)
+        try:
+            raw = np.array(rows[:cut], dtype=np.int64).reshape(cut, arity[0])
+        except OverflowError:
+            raise ValueError(f"a hyperedge has a site outside 1..{n} that does not fit int64") from None
+    if not len(raw):
         raise ValueError("need at least one hyperedge")
-    return tuple(out)
+    keys = np.sort(raw, axis=1)
+    order = np.lexsort(np.vstack([np.arange(len(keys)), keys.T[::-1]]))  # equal keys in input order
+    ordered = keys[order]
+    duplicate = np.zeros(len(keys), dtype=bool)
+    duplicate[order[1:]] = (ordered[1:] == ordered[:-1]).all(axis=1)
+    repeats = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+    outside = ((raw < 1) | (raw > n)).any(axis=1)
+    bad = repeats | outside | duplicate
+    if bad.any():
+        i = int(np.argmax(bad))
+        e = tuple(raw[i].tolist())
+        if repeats[i]:
+            raise ValueError(f"hyperedge {e} repeats a site")
+        if outside[i]:
+            raise ValueError(f"hyperedge {e} has sites outside 1..{n}")
+        raise ValueError(f"duplicate hyperedge {e} (hyperedges compare as sets)")
+    if len(raw) < len(rows):
+        e = tuple(int(v) for v in rows[len(raw)])
+        raise ValueError(f"hyperedge {e} has arity {len(e)}, expected {raw.shape[1]}")
+    keys.setflags(write=False)
+    return keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +338,7 @@ class GraphHamiltonian:
         n = int(self.n)
         if n < 2:
             raise ValueError("graph Hamiltonians need at least two sites")
-        edges = _normalize_hyperedges(self.hyperedges, n)
+        edges = normalize_hyperedges(self.hyperedges, n)
         ops = tuple(self.site_ops)
         if len(ops) != n:
             raise ValueError(f"expected {n} site operators, got {len(ops)}")
@@ -331,7 +352,7 @@ class GraphHamiltonian:
                         f"site {i + 1} violates 0 < lam0 < lam1: levels {op.levels}"
                     )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "hyperedges", edges)
+        object.__setattr__(self, "hyperedges", tuple(map(tuple, edges.tolist())))
         object.__setattr__(self, "site_ops", ops)
 
     @property

@@ -135,6 +135,36 @@ def product_overlap_scan(amplitudes: np.ndarray, n: int, points: int = 10) -> fl
     return float(np.max(np.abs(m) ** 2))
 
 
+def normalize_hyperedges_scan(hyperedges, n: int) -> list[tuple[int, ...]]:
+    """Sorted hyperedges in input order, checked one edge at a time.
+
+    The first edge that has another arity than the first one, repeats a
+    site, has a site outside 1..n or repeats an earlier edge as a set
+    raises, naming the first of those rules it breaks.
+    """
+    seen: set[tuple[int, ...]] = set()
+    out: list[tuple[int, ...]] = []
+    arity = None
+    for raw in hyperedges:
+        e = tuple(int(s) for s in raw)
+        if arity is None:
+            arity = len(e)
+        if len(e) != arity:
+            raise ValueError(f"hyperedge {e} has arity {len(e)}, expected {arity}")
+        if len(set(e)) != len(e):
+            raise ValueError(f"hyperedge {e} repeats a site")
+        if any(s < 1 or s > n for s in e):
+            raise ValueError(f"hyperedge {e} has sites outside 1..{n}")
+        key = tuple(sorted(e))
+        if key in seen:
+            raise ValueError(f"duplicate hyperedge {e} (hyperedges compare as sets)")
+        seen.add(key)
+        out.append(key)
+    if not out:
+        raise ValueError("need at least one hyperedge")
+    return out
+
+
 def census_pairs(edges: list[tuple[int, ...]]) -> tuple[int, int, int, int]:
     """Ordered-pair counts (same, disjoint, connected, all) by direct loops."""
     sets = [frozenset(e) for e in edges]

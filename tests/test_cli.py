@@ -81,8 +81,6 @@ def test_build_config_defaults_and_unknown_keys():
 def test_coerce_typed_values():
     assert _coerce("int", "12", "k") == 12
     assert _coerce("float", "1e3", "k") == 1000.0
-    assert _coerce("bool", "true", "k") is True
-    assert _coerce("bool", "0", "k") is False
     assert _coerce("str", "ring", "k") == "ring"
     with pytest.raises(ConfigError):
         _coerce("int", "12.5", "k")
@@ -90,8 +88,6 @@ def test_coerce_typed_values():
         _coerce("float", "nan", "k")
     with pytest.raises(ConfigError):
         _coerce("float", "inf", "k")
-    with pytest.raises(ConfigError):
-        _coerce("bool", "yes", "k")
 
 
 # --- CSV plumbing -------------------------------------------------------------
@@ -328,6 +324,26 @@ def test_main_domain_error_maps_to_config_exit(tmp_path: Path, capsys):
     rc = main(["result2-verify", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("qfiwb: config error: n^(c-1) = ")
+
+
+@pytest.mark.parametrize("experiment, text, s", [
+    # star is undefined at k = 5 and skipped; chain and ring are built.
+    ("table-census", "n = 40\nk = 5\n", 658008),
+    # A skipped complete graph would leave the star row and exit 0.
+    ("scaling-report", "shapes = star,complete\nn_min = 142\nn_max = 142\n", 10011),
+])
+def test_main_census_cap_exits_before_building(tmp_path: Path, capsys, monkeypatch, experiment, text, s):
+    # The complete graph's edge count is closed form, so a preset past the
+    # pair cap exits 2 without a single edge built.
+    def unbuilt(n, k=2):
+        raise AssertionError("the complete graph was built")
+
+    monkeypatch.setattr(importlib.import_module("qfiwb.graphs"), "complete_graph", unbuilt)
+    rc = main([experiment, "--config", cfg_file(tmp_path, text), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"qfiwb: config error: {s}^2 ordered pairs exceeds the brute-force cap\n"
+    )
 
 
 def test_main_concentration_with_zero_hamiltonian(tmp_path: Path):

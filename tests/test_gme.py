@@ -153,6 +153,37 @@ def test_grid_oracle_brackets_exact_two_site_value():
         assert bracket.gme_upper >= truth - 1e-12
 
 
+def _gram_test_stacks() -> dict[str, np.ndarray]:
+    rng = Rng(11)
+    random = rng.substream(0).complex_normal((400, 2, 2))
+    scale = 10.0 ** (6.0 * rng.substream(1).random(400) - 3.0)
+    unitary = np.array([haar_unitary(2, rng.substream(2).substream(i)) for i in range(400)])
+    left = rng.substream(3).complex_normal((400, 2))
+    right = rng.substream(4).complex_normal((400, 2))
+    return {
+        "random": random,
+        "scaled unitary": scale[:, None, None] * unitary,  # two equal singular values
+        "rank 1": left[:, :, None] * right[:, None, :].conj(),
+        "near degenerate": unitary + 1e-7 * random,
+    }
+
+
+@pytest.mark.parametrize("kind", ["random", "scaled unitary", "rank 1", "near degenerate"])
+def test_oracle_top_singular_value_matches_svd(kind):
+    m = _gram_test_stacks()[kind]
+    want = np.linalg.svd(m, compute_uv=False)[:, 0] ** 2
+    got = gme_module._top_singular_sq(m)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    for i in range(3):  # the n = 2 bracket is the closed form of its 2x2 tensor
+        psi = normalized_state(2, 2, m[i].reshape(-1))
+        best = np.linalg.svd(psi.amplitudes.reshape(2, 2), compute_uv=False)[0] ** 2
+        assert gme_grid_oracle(psi).best_overlap_sq == pytest.approx(best, rel=1e-14)
+
+
+def test_oracle_top_singular_value_of_zero_matrix():
+    assert gme_module._top_singular_sq(np.zeros((3, 2, 2), dtype=complex)).tolist() == [0.0] * 3
+
+
 def test_grid_oracle_brackets_ghz3():
     bracket = gme_grid_oracle(ghz(3))
     assert bracket.gme_lower <= 1.0 <= bracket.gme_upper
@@ -164,6 +195,23 @@ def locally_rotated(state: PureState, rng: Rng) -> PureState:
     return normalized_state(state.n, 2, local @ state.amplitudes)
 
 
+def known_gme(n: int, kind: str) -> tuple[PureState, float]:
+    """A state with a known E_g and that value."""
+    if kind == "ghz":
+        return ghz(n), 1.0
+    if kind == "w":
+        return w_state(n), -math.log2((1.0 - 1.0 / n) ** (n - 1))
+    return product_state([plus_vector()] * n), 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["ghz", "w", "product"])
+def test_grid_oracle_brackets_known_values(n, kind):
+    state, truth = known_gme(n, kind)
+    bracket = gme_grid_oracle(state)
+    assert bracket.gme_lower - 1e-12 <= truth <= bracket.gme_upper + 1e-12
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     n=st.integers(2, 4),
@@ -173,12 +221,7 @@ def locally_rotated(state: PureState, rng: Rng) -> PureState:
 def test_grid_oracle_brackets_known_values_under_local_unitaries(n, kind, seed):
     # E_g is invariant under local unitaries, so the known values must stay
     # inside the bracket of every rotated copy.
-    known = {
-        "ghz": (ghz(n), 1.0),
-        "w": (w_state(n), -math.log2((1.0 - 1.0 / n) ** (n - 1))),
-        "product": (product_state([plus_vector()] * n), 0.0),
-    }
-    state, truth = known[kind]
+    state, truth = known_gme(n, kind)
     psi = locally_rotated(state, Rng(seed))
     bracket = gme_grid_oracle(psi)
     assert bracket.gme_lower - 1e-12 <= truth <= bracket.gme_upper + 1e-12

@@ -1,4 +1,6 @@
 import importlib
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from qfiwb.graphs import (
     graph_from_text,
     graph_to_text,
     preset_census,
+    preset_edge_count,
     preset_graph,
     product_qfi_at,
     qfi_witnesses,
@@ -40,8 +43,36 @@ def test_builder_shapes():
     assert chain_graph(5).s == 4
     assert ring_graph(5).s == 5
     assert complete_graph(5).s == 10
-    assert (1, 2, 8) in ring_graph(8, 3).edges  # wrap-around window, stored sorted
+    assert [1, 2, 8] in ring_graph(8, 3).edges.tolist()  # wrap-around window, stored sorted
     assert chain_graph(8, 3).s == 6
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_complete_graph_rows_in_combinations_order(k):
+    g = complete_graph(7, k)
+    assert g.edges.tolist() == [list(e) for e in itertools.combinations(range(1, 8), k)]
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+
+
+def test_window_presets_match_per_edge_windows():
+    for n, k in ((5, 2), (8, 3), (9, 4)):
+        chain = [list(range(i, i + k)) for i in range(1, n - k + 2)]
+        ring = [sorted((i + j) % n + 1 for j in range(k)) for i in range(n)]
+        assert chain_graph(n, k).edges.tolist() == chain
+        assert ring_graph(n, k).edges.tolist() == ring
+    assert star_graph(5).edges.tolist() == [[1, 2], [1, 3], [1, 4], [1, 5]]
+
+
+def test_preset_edge_count_matches_built_presets():
+    for shape in ("star", "chain", "ring", "complete"):
+        for n, k in ((5, 2), (8, 2), (8, 3), (9, 4)):
+            try:
+                s = preset_edge_count(shape, n, k)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    preset_graph(shape, n, k)
+                continue
+            assert preset_graph(shape, n, k).s == s
 
 
 def test_builder_guards():
@@ -97,7 +128,7 @@ def test_frozen_kbody_census_n8():
 
 def test_census_matches_pair_oracle():
     g = ring_graph(7)
-    same, disjoint, connected, total = oracles.census_pairs(list(g.edges))
+    same, disjoint, connected, total = oracles.census_pairs(g.edges.tolist())
     got = census_bruteforce(g)
     assert (got.s, got.disjoint, got.connected, got.all) == (
         same, disjoint, connected, total,
@@ -115,7 +146,7 @@ def test_three_routes_agree_on_random_graphs():
         brute = census_bruteforce(g)
         by_deg = census_by_degrees(degree_vector(g))
         assert brute == by_deg
-        ora = oracles.census_pairs(list(g.edges))
+        ora = oracles.census_pairs(g.edges.tolist())
         assert (brute.s, brute.disjoint, brute.connected, brute.all) == ora
 
 
@@ -136,7 +167,7 @@ def test_census_multiword_masks_match_pair_oracle(monkeypatch, block_words):
         r = rng.substream(t)
         g = _random_hypergraph(n, 513 + int(r.random() * 100), 2 + t % 3, r)
         c = census_bruteforce(g)
-        assert (c.s, c.disjoint, c.connected, c.all) == oracles.census_pairs(list(g.edges))
+        assert (c.s, c.disjoint, c.connected, c.all) == oracles.census_pairs(g.edges.tolist())
 
 
 def test_census_vectorized_block_path():
@@ -248,7 +279,7 @@ def test_graph_file_roundtrip(tmp_path):
     path = tmp_path / "g.txt"
     write_graph(path, g)
     back = read_graph(path)
-    assert back.n == g.n and back.edges == g.edges
+    assert back.n == g.n and back.edges.tolist() == g.edges.tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,7 +287,7 @@ def test_graph_file_roundtrip(tmp_path):
 def test_graph_text_roundtrip_through_comments_and_blank_lines(seed, k, data):
     g = sample_graph(6, 5, Rng(seed), k)
     back = graph_from_text(data.draw(commented(graph_to_text(g))))
-    assert back.n == g.n and back.edges == g.edges
+    assert back.n == g.n and back.edges.tolist() == g.edges.tolist()
 
 
 def test_graph_from_text_guards():
@@ -274,7 +305,7 @@ def test_graph_from_text_skips_comments_and_blank_lines():
     from qfiwb.graphs import graph_from_text
 
     g = graph_from_text("# c\n3 2\n\n1 2  # e\n# trailing\n2 3\n")
-    assert g.n == 3 and g.edges == ((1, 2), (2, 3))
+    assert g.n == 3 and g.edges.tolist() == [[1, 2], [2, 3]]
 
 
 # --- sampler -----------------------------------------------------------------------
@@ -284,6 +315,6 @@ def test_sample_graph_properties():
     assert g.s == 5 and g.k == 2
     assert len({frozenset(e) for e in g.edges}) == 5
     again = sample_graph(6, 5, Rng(9))
-    assert g.edges == again.edges
+    assert g.edges.tolist() == again.edges.tolist()
     with pytest.raises(ValueError):
         sample_graph(4, 7, Rng(0))

@@ -14,6 +14,7 @@ from qfiwb.hamiltonians import (
     _ensure_unitaries,
     from_spec_text,
     linear_words,
+    normalize_hyperedges,
     product_diagonal_words,
     read_spec,
     sample_linear,
@@ -117,6 +118,53 @@ def test_permutation_matrix_group_law():
         for sigma in perms:
             composed = tuple(pi[sigma[i]] for i in range(3))
             assert np.allclose(v(3, 2, pi) @ v(3, 2, sigma), v(3, 2, composed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_normalize_hyperedges_matches_per_edge_scan(data):
+    # Valid k-edge lists with up to two edges broken by one rule each; the
+    # array normaliser must return the scan's rows or raise its first message.
+    n = data.draw(st.integers(2, 8))
+    k = data.draw(st.integers(2, min(n, 4)))
+    site = st.integers(1, n)
+    edges = data.draw(st.lists(st.lists(site, min_size=k, max_size=k, unique=True), min_size=1, max_size=12))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(edges) - 1))
+        e = list(edges[i])
+        fault = data.draw(st.sampled_from(["arity", "repeat", "range", "duplicate"]))
+        if fault == "arity":  # an earlier fault may have shortened this edge already
+            e = e[:-1] if len(e) > 1 and data.draw(st.booleans()) else e + [data.draw(site)]
+        elif fault == "repeat":
+            e[-1] = e[0]
+        elif fault == "range":
+            e[data.draw(st.integers(0, len(e) - 1))] = data.draw(st.sampled_from([0, -1, n + 1, 10 * n]))
+        else:
+            e = edges[data.draw(st.integers(0, len(edges) - 1))][::-1]
+        edges[i] = e
+    inputs = [edges, [tuple(e) for e in edges]]
+    if len({len(e) for e in edges}) == 1:
+        inputs.append(np.array(edges))
+    try:
+        want = oracles.normalize_hyperedges_scan(edges, n)
+    except ValueError as exc:
+        for given_edges in inputs:
+            with pytest.raises(ValueError) as got:
+                normalize_hyperedges(given_edges, n)
+            assert str(got.value) == str(exc)
+        return
+    for given_edges in inputs:
+        got = normalize_hyperedges(given_edges, n)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == [list(e) for e in want]
+
+
+def test_normalize_hyperedges_rejects_empty_lists_and_int64_overflow():
+    for empty in ([], np.zeros((0, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="need at least one hyperedge"):
+            normalize_hyperedges(empty, 3)
+    with pytest.raises(ValueError, match=r"outside 1\.\.3 that does not fit int64"):
+        normalize_hyperedges([(1, 2), (1, 2**70)], 3)
 
 
 def test_graph_hamiltonian_diagonal_matches_dense():
