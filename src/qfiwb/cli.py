@@ -23,9 +23,11 @@ falls out of cache, and a thm11-check row is bound by one LAPACK eigh of
 a 2^n x 2^n matrix, which a stacked eigh does not speed up.  `--threads`
 and QFIWB_THREADS are accepted and validated but have no effect.
 
-The CSV writer checks each column once and formats every row with one
-printf string: floats as %.17g (the same bytes as format(v, ".17g")),
-ints as %d, and bool, str and mixed columns cell by cell.
+Every driver returns its CSV as named columns, each a 1-D numpy array or
+a scalar that repeats on every row.  The writer formats a scalar once and
+an array by its dtype: float64 as %.17g after one finiteness check (the
+same bytes as format(v, ".17g")), ints as %d, bools as true/false, and str
+labels as they are, each distinct label checked once.
 
 Every config key declares its domain in the registry, next to its kind
 and default: an interval, whose float ends are finite caps that keep every
@@ -87,7 +89,7 @@ from .nets import (
     sample_product_banded_arrays,
     theorem_bound,
 )
-from .numerics import DomainError, Rng, check_power_dim, complex_normals, hermitian_parts
+from .numerics import DomainError, Rng, check_power_dim, complex_normals, content_lines, hermitian_parts
 from .qfi import (
     expected_qfi_haar,
     expected_qfi_haar_diagonals,
@@ -128,16 +130,13 @@ class ConfigError(Exception):
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
+            raise ConfigError(f"line {lineno}: empty key or value in {line!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
@@ -215,80 +214,74 @@ def _require(cond: bool, message: str) -> None:
 
 @dataclass
 class ExperimentResult:
-    header: tuple[str, ...]
-    rows: list[tuple]
+    """CSV columns in header order, each a 1-D array or a scalar repeated on every row."""
+
+    columns: dict[str, object]
     summary: dict
     passed: bool
 
 
-# Floats are written with 17 significant digits, which round-trip every
-# double; "%.17g" % v and format(v, ".17g") give the same bytes.
-_FLOAT_SPEC = ".17g"
-_FLOAT_TYPES = frozenset((float, np.float64))
-_INT_TYPES = frozenset((int, np.int64))
-_BOOL_TYPES = frozenset((bool, np.bool_))
-_STR_TYPES = frozenset((str,))
+def _labels(cells: list[str]) -> list[str]:
+    """Str cells, each distinct label checked once in first-seen order, so the first bad one is reported."""
+    for label in dict.fromkeys(cells):
+        if "," in label or "\n" in label:
+            raise ValueError(f"string cell {label!r} would break the CSV")
+    return cells
 
 
-def _non_finite(value: float) -> ArithmeticError:
-    return ArithmeticError(f"non-finite value {value!r} in CSV output")
+def _format(values: np.ndarray) -> list[str]:
+    """The cells of an array column, by its dtype.
 
-
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            raise _non_finite(v)
-        return format(v, _FLOAT_SPEC)
-    if isinstance(value, str):
-        if "," in value or "\n" in value:
-            raise ValueError(f"string cell {value!r} would break the CSV")
-        return value
-    raise TypeError(f"unsupported CSV cell type {type(value).__name__}")
-
-
-def _column_spec(column: tuple) -> tuple[str, tuple]:
-    """One printf spec for a whole column, and the values it formats.
-
-    All-float columns are checked for finiteness in one pass, all-int
-    columns need no check, all-bool and all-str columns go through `_cell`
-    once per distinct value, in first-seen order so the first bad value is
-    the one reported, and mixed columns cell by cell (1, 1.0 and True hash
-    alike, so their values cannot be shared).
+    Floats are written with 17 significant digits, which round-trip every
+    double ("%.17g" % v and format(v, ".17g") give the same bytes).
     """
-    types = set(map(type, column))
-    if types <= _FLOAT_TYPES:
-        finite = np.isfinite(np.array(column, dtype=np.float64))
+    kind = values.dtype.kind
+    if kind == "f":
+        finite = np.isfinite(values)
         if not finite.all():
-            raise _non_finite(float(column[int(np.argmin(finite))]))
-        return "%" + _FLOAT_SPEC, column
-    if types <= _INT_TYPES:
-        return "%d", column
-    if types <= _BOOL_TYPES or types <= _STR_TYPES:
-        cells = {v: _cell(v) for v in dict.fromkeys(column)}
-        return "%s", tuple(map(cells.__getitem__, column))
-    return "%s", tuple(map(_cell, column))
+            raise ArithmeticError(f"non-finite value {float(values[np.argmin(finite)])!r} in CSV output")
+        return list(map("%.17g".__mod__, values.tolist()))
+    if kind in "iu":
+        return list(map(str, values.tolist()))
+    if kind == "b":
+        return np.where(values, "true", "false").tolist()
+    if kind == "U":
+        return _labels(values.tolist())
+    raise TypeError(f"unsupported CSV column dtype {values.dtype}")
 
 
-def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
+def _scalar_cell(value) -> str:
+    """The one cell of a scalar column.
+
+    A Python int and a str are written as they are: a seed can pass 2^63,
+    where numpy would need an object array, and a numpy str array drops a
+    label's trailing NULs.  Any other scalar is formatted as a one-element
+    array.
+    """
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, str):
+        return _labels([value])[0]
+    return _format(np.array([value]))[0]
+
+
+def write_csv(path: Path, columns: dict[str, object]) -> int:
     """Header line, then one line per row; every column is checked before writing.
 
-    Raises ArithmeticError for a non-finite float, ValueError for a row of
-    the wrong width or a string that would break the CSV, and TypeError for
-    any other cell type; with several bad cells, the first bad column wins.
+    A column is a 1-D array or a scalar that repeats on every row, and a
+    scalar is formatted once.  The rows are the arrays' common length, or
+    one when every column is a scalar.  Raises ValueError for arrays of
+    unequal length or a label that would break the CSV, ArithmeticError for
+    a non-finite float, and TypeError for any other dtype; with several bad
+    columns, the first one wins.  Returns the number of rows.
     """
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError("row width does not match header")
-    lines = [",".join(header)]
-    if rows:
-        specs, columns = zip(*map(_column_spec, zip(*rows)))
-        line = ",".join(specs)
-        lines += [line % row for row in zip(*columns)]
-    path.write_text("\n".join(lines) + "\n")
+    lengths = {len(c) for c in columns.values() if isinstance(c, np.ndarray)}
+    if len(lengths) > 1:
+        raise ValueError(f"array columns of unequal lengths {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 1
+    cells = [_format(c) if isinstance(c, np.ndarray) else [_scalar_cell(c)] * rows for c in columns.values()]
+    path.write_text("\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n")
+    return rows
 
 
 # State rows per qfi_batch block are capped at this many amplitudes (16 MiB).
@@ -326,6 +319,11 @@ def _block_qfis(hs: list, z: np.ndarray, basis: DickeBasis | None) -> np.ndarray
     return np.array([qfi_batch(h, amplitudes) for h in hs])
 
 
+def _columns_of(items: list, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Columns named after attributes, each holding that attribute of every item in order."""
+    return {name: np.array([getattr(item, name) for item in items]) for name in names}
+
+
 def _mean_se(values: list[float]) -> tuple[float, float]:
     count = len(values)
     mean = math.fsum(values) / count
@@ -341,44 +339,34 @@ def run_ghz_baseline(cfg, rng: Rng) -> ExperimentResult:
     n_min, n_max = cfg["n_min"], cfg["n_max"]
     _require(n_min <= n_max, "need n_min <= n_max")
     lam0, lam1, tol = cfg["lam0"], cfg["lam1"], cfg["tol"]
-    gap2 = (lam1 - lam0) ** 2
-    rows = []
-    worst = 0.0
-    for n in range(n_min, n_max + 1):
-        probe = ghz(n).amplitudes[None, :]
-        for family, site, closed in (
-            ("computational", SingleSiteOperator.computational((lam0, lam1)), n * n * gap2),
-            ("plus_minus", SingleSiteOperator.plus_minus((lam0, lam1)), n * gap2),
-        ):
-            h = LinearHamiltonian.from_site(n, site)
-            value = float(qfi_batch(h, probe)[0])
-            dev = abs(value - closed)
-            worst = max(worst, dev)
-            rows.append((n, family, lam0, lam1, value, closed, dev, dev <= tol))
-    passed = worst <= tol
+    sites = (SingleSiteOperator.computational((lam0, lam1)), SingleSiteOperator.plus_minus((lam0, lam1)))
+    # each n has a computational row, closed form n^2 gap^2, then a plus_minus row, n gap^2
+    qfis = np.array([
+        qfi_batch(LinearHamiltonian.from_site(n, site), ghz(n).amplitudes[None, :])[0]
+        for n in range(n_min, n_max + 1) for site in sites
+    ])
+    ns = np.arange(n_min, n_max + 1).repeat(2)
+    computational = np.arange(ns.size) % 2 == 0
+    closed = np.where(computational, ns * ns, ns) * ((lam1 - lam0) ** 2)
+    dev = np.abs(qfis - closed)
+    worst = float(dev.max())
     return ExperimentResult(
-        ("n", "family", "lam0", "lam1", "qfi", "closed_form", "abs_dev", "pass"),
-        rows,
+        {"n": ns, "family": np.where(computational, "computational", "plus_minus"), "lam0": lam0,
+         "lam1": lam1, "qfi": qfis, "closed_form": closed, "abs_dev": dev, "pass": dev <= tol},
         {"worst_abs_dev": worst, "tolerance": tol},
-        passed,
+        worst <= tol,
     )
 
 
 def _montecarlo_result(
     cfg, family: str, values: np.ndarray, closed: float
 ) -> ExperimentResult:
-    """Rows and the 3-sigma verdict of a Monte Carlo mean against its closed form.
+    """Columns and the 3-sigma verdict of a Monte Carlo mean against its closed form.
 
     With zero spread the verdict is exact equality, and z_score is 0.0 when
     it holds and None (JSON null) when it does not.
     """
-    n, d, seed = cfg["n"], cfg["d"], cfg["seed"]
-    values = values.tolist()
-    rows = [
-        (seed, t, n, d, family, value, closed, abs(value - closed))
-        for t, value in enumerate(values)
-    ]
-    mean, se = _mean_se(values)
+    mean, se = _mean_se(values.tolist())
     if se > 0.0:
         z = abs(mean - closed) / se
         passed = z <= 3.0
@@ -386,8 +374,8 @@ def _montecarlo_result(
         passed = mean == closed
         z = 0.0 if passed else None
     return ExperimentResult(
-        ("seed", "trial", "n", "d", "family", "qfi", "closed_form", "abs_dev"),
-        rows,
+        {"seed": cfg["seed"], "trial": np.arange(values.size), "n": cfg["n"], "d": cfg["d"],
+         "family": family, "qfi": values, "closed_form": closed, "abs_dev": np.abs(values - closed)},
         {
             "closed_form": closed,
             "empirical_mean": mean,
@@ -433,7 +421,7 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     f_mean = expected_qfi_haar(h) / 4.0
     bound = levy_bound(h, dim, eps)
 
-    rows = []
+    f = np.empty(trials)
     # |z_k|^2 of the state complex_normal(dim) would draw: Box-Muller reads
     # the first dim words as u1 and |z_k|^2 = r_k^2 / 2 = -log(1 - u1_k), so
     # the angles (the next dim words) never matter.
@@ -442,20 +430,20 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
             w = -np.log(1.0 - row)
             w = w / w.sum()
             m1 = float(w @ diag)
-            m2 = float(w @ diag_sq)
-            f = m2 - m1 * m1
-            dev = f - f_mean
-            rows.append((t, f, f_mean, dev, abs(dev) > eps, dev < -eps))
-    freq_two = sum(1 for r in rows if r[4]) / trials
-    freq_one = sum(1 for r in rows if r[5]) / trials
+            f[t] = float(w @ diag_sq) - m1 * m1
+    dev = f - f_mean
+    exceed_two = np.abs(dev) > eps
+    exceed_one = dev < -eps
+    freq_two = int(np.count_nonzero(exceed_two)) / trials
+    freq_one = int(np.count_nonzero(exceed_one)) / trials
     checks = []
     if not bound.vacuous_two_sided:
         checks.append(freq_two <= bound.two_sided)
     if not bound.vacuous_one_sided:
         checks.append(freq_one <= bound.one_sided)
     return ExperimentResult(
-        ("trial", "f_value", "f_mean", "deviation", "exceed_two", "exceed_one"),
-        rows,
+        {"trial": np.arange(trials), "f_value": f, "f_mean": f_mean, "deviation": dev,
+         "exceed_two": exceed_two, "exceed_one": exceed_one},
         {
             "dim": dim,
             "epsilon": eps,
@@ -472,16 +460,15 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
 
 
 def _audit_result(
-    header: tuple[str, ...], n: int, d: int, values: tuple[np.ndarray, ...], margin: np.ndarray, tol: float
+    n: int, d: int, values: dict[str, np.ndarray], margin: np.ndarray, tol: float
 ) -> ExperimentResult:
-    """Rows (trial, n, d, *values, margin, pass) of a margin audit; pass is margin >= -tol."""
+    """Columns (trial, n, d, *values, margin, pass) of a margin audit; pass is margin >= -tol."""
     passed = margin >= -tol
-    trials = len(margin)
-    rows = list(zip(range(trials), [n] * trials, [d] * trials,
-                    *(v.tolist() for v in values), margin.tolist(), passed.tolist()))
-    violations = trials - int(passed.sum())
+    violations = int(np.count_nonzero(~passed))
     return ExperimentResult(
-        header, rows, {"violations": violations, "min_margin": float(margin.min())}, violations == 0,
+        {"trial": np.arange(margin.size), "n": n, "d": d, **values, "margin": margin, "pass": passed},
+        {"violations": violations, "min_margin": float(margin.min())},
+        violations == 0,
     )
 
 
@@ -493,8 +480,7 @@ def run_prop4_audit(cfg, rng: Rng) -> ExperimentResult:
     haar_mean = expected_qfi_haar_diagonals(coeffs)
     reference = separable_reference_diagonals(coeffs)
     return _audit_result(
-        ("trial", "n", "d", "haar_mean", "separable_reference", "margin", "pass"),
-        n, d, (haar_mean, reference), reference - haar_mean, tol,
+        n, d, {"haar_mean": haar_mean, "separable_reference": reference}, reference - haar_mean, tol,
     )
 
 
@@ -507,8 +493,7 @@ def run_prop5_audit(cfg, rng: Rng) -> ExperimentResult:
     # the permutation average of a linear H has every row at the column means
     e_averaged = expected_qfi_symmetric_levels(tables.mean(axis=-2), n)
     return _audit_result(
-        ("trial", "n", "d", "e_sym_linear", "e_sym_averaged", "margin", "pass"),
-        n, d, (e_linear, e_averaged), e_linear - e_averaged, tol,
+        n, d, {"e_sym_linear": e_linear, "e_sym_averaged": e_averaged}, e_linear - e_averaged, tol,
     )
 
 
@@ -531,29 +516,26 @@ def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     tables, bases = sample_linear_banded_arrays(u, n, d, cfg["A"], cfg["B"])
     hams = [LinearHamiltonian(table, basis) for table, basis in zip(tables, bases)]
     # the permutation average of a linear H has every row at the column means
-    sym_means = expected_qfi_symmetric_levels(tables.mean(axis=-2), n).tolist()
+    sym_means = expected_qfi_symmetric_levels(tables.mean(axis=-2), n).repeat(n_s)
     basis = dicke_basis(n, d)
     # pair (i, j) is trial i n_s + j: every pair's Dicke-frame Gaussians come
     # from one draw, and Hamiltonian i scores its own n_s rows in the blocks
     # _state_qfis would use
     frames = rng.substream(1).substream_normals(range(n_h * n_s), basis.size).reshape(n_h, n_s, -1)
     step = max(1, _BLOCK_AMPLITUDES // basis.matrix.shape[0])
-    rows = []
-    for i in range(n_h):
-        trials = range(i * n_s, (i + 1) * n_s)
-        values = np.concatenate([
-            _block_qfis([hams[i]], frames[i, j:j + step], basis)[0] for j in range(0, n_s, step)
-        ]).tolist()
-        threshold = sym_means[i] - c
-        rows += [
-            (t, i, j, value, sym_means[i], threshold, value < threshold)
-            for j, (t, value) in enumerate(zip(trials, values))
-        ]
-    fraction = sum(1 for r in rows if r[6]) / len(rows)
+    qfis = np.concatenate([
+        _block_qfis([h], frames[i, j:j + step], basis)[0]
+        for i, h in enumerate(hams) for j in range(0, n_s, step)
+    ])
+    threshold = sym_means - c
+    below = qfis < threshold
+    fraction = int(np.count_nonzero(below)) / qfis.size
     summary, passed = _demo_bound(cfg, "thm7", float(d * n), 1.0, fraction)
     return ExperimentResult(
-        ("trial", "h_index", "state_index", "qfi", "sym_mean", "threshold", "below"),
-        rows, {"fraction_below": fraction, "pairs": len(rows), **summary}, passed,
+        {"trial": np.arange(qfis.size), "h_index": np.arange(n_h).repeat(n_s),
+         "state_index": np.tile(np.arange(n_s), n_h), "qfi": qfis, "sym_mean": sym_means,
+         "threshold": threshold, "below": below},
+        {"fraction_below": fraction, "pairs": qfis.size, **summary}, passed,
     )
 
 
@@ -565,13 +547,13 @@ def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
     hams = [ProductDiagonalHamiltonian(c, tuple(b)) for c, b in zip(coeffs, bases)]
     refs = np.array([optimal_separable_reference(h) for h in hams])
     qfis = _state_qfis(rng, range(n_s), hams)
-    gaps = (qfis - refs[:, None]).max(axis=0).tolist()
-    rows = [(t, gap, c, gap > c) for t, gap in enumerate(gaps)]
-    exceed = sum(1 for r in rows if r[3])
-    summary, passed = _demo_bound(cfg, "thm9", float(d**n), float(n), exceed / n_s)
+    gaps = (qfis - refs[:, None]).max(axis=0)
+    exceed = gaps > c
+    count = int(np.count_nonzero(exceed))
+    summary, passed = _demo_bound(cfg, "thm9", float(d**n), float(n), count / n_s)
     return ExperimentResult(
-        ("trial", "max_gap", "c", "exceed"), rows,
-        {"exceedances": exceed, "rate": exceed / n_s, **summary}, passed,
+        {"trial": np.arange(n_s), "max_gap": gaps, "c": c, "exceed": exceed},
+        {"exceedances": count, "rate": count / n_s, **summary}, passed,
     )
 
 
@@ -579,20 +561,21 @@ def run_thm11_check(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     dim = check_power_dim(d, n)
     h_words = 2 * dim * dim
-    rows = []
+    target, achieved, degenerate = np.empty(trials), np.empty(trials), np.empty(trials, dtype=bool)
     # trial t reads the words random_hermitian, then sample_haar, would from stream (1, t)
     for block, u in rng.substream(1).uniform_blocks(range(trials), h_words + 2 * dim):
         for t, row in zip(block, u):
             h = hermitian_parts(complex_normals(row[:h_words]).reshape(dim, dim))
             psi = normalized_state(n, d, complex_normals(row[h_words:]))
             res = global_unitary_transport(psi, h)
-            dev = abs(res.check - res.target)
-            rows.append((t, n, d, res.target, res.check, dev, res.degenerate, dev <= tol))
-    violations = sum(1 for r in rows if not r[7])
+            target[t], achieved[t], degenerate[t] = res.target, res.check, res.degenerate
+    dev = np.abs(achieved - target)
+    passed = dev <= tol
+    violations = int(np.count_nonzero(~passed))
     return ExperimentResult(
-        ("trial", "n", "d", "target", "achieved", "abs_dev", "degenerate", "pass"),
-        rows,
-        {"violations": violations, "worst_abs_dev": max(r[5] for r in rows)},
+        {"trial": np.arange(trials), "n": n, "d": d, "target": target, "achieved": achieved,
+         "abs_dev": dev, "degenerate": degenerate, "pass": passed},
+        {"violations": violations, "worst_abs_dev": float(dev.max())},
         violations == 0,
     )
 
@@ -619,14 +602,10 @@ def _run_result2(cfg, rng: Rng) -> Result2Report:
 
 def run_gme_scan(cfg, rng: Rng) -> ExperimentResult:
     report = _run_result2(cfg, rng)
-    row = (
-        rng.seed, report.n, report.c, report.gme_estimate.value, report.threshold,
-        report.qfi_state, report.qfi_sym, report.qfi_cap, report.hypothesis_established,
-    )
     return ExperimentResult(
-        ("seed", "n", "c", "gme_estimate", "threshold", "qfi_state", "qfi_sym",
-         "qfi_cap", "hypothesis_established"),
-        [row],
+        {"seed": rng.seed, "n": report.n, "c": report.c, "gme_estimate": report.gme_estimate.value,
+         "threshold": report.threshold, "qfi_state": report.qfi_state, "qfi_sym": report.qfi_sym,
+         "qfi_cap": report.qfi_cap, "hypothesis_established": report.hypothesis_established},
         {"certified_gme": report.certified_gme, "oracle_used": report.oracle_used,
          "implication_holds": report.implication_holds},
         report.implication_holds is not False,
@@ -638,17 +617,12 @@ def run_result2_verify(cfg, rng: Rng) -> ExperimentResult:
     implication = "none" if report.implication_holds is None else (
         "true" if report.implication_holds else "false"
     )
-    row = (
-        report.n, report.c, report.delta, cfg["state"], report.gme_estimate.value,
-        report.certified_gme, report.oracle_used, report.threshold,
-        report.hypothesis_established, report.qfi_state, report.qfi_sym,
-        report.qfi_cap, implication,
-    )
     return ExperimentResult(
-        ("n", "c", "delta", "state", "gme_estimate", "certified_gme", "oracle_used",
-         "threshold", "hypothesis_established", "qfi_state", "qfi_sym", "qfi_cap",
-         "implication_holds"),
-        [row],
+        {"n": report.n, "c": report.c, "delta": report.delta, "state": cfg["state"],
+         "gme_estimate": report.gme_estimate.value, "certified_gme": report.certified_gme,
+         "oracle_used": report.oracle_used, "threshold": report.threshold,
+         "hypothesis_established": report.hypothesis_established, "qfi_state": report.qfi_state,
+         "qfi_sym": report.qfi_sym, "qfi_cap": report.qfi_cap, "implication_holds": implication},
         {"restarts_converged": report.gme_estimate.converged},
         report.implication_holds is not False,
     )
@@ -656,9 +630,7 @@ def run_result2_verify(cfg, rng: Rng) -> ExperimentResult:
 
 def run_table_census(cfg, rng: Rng) -> ExperimentResult:
     n, k = cfg["n"], cfg["k"]
-    rows = []
-    mismatches = []
-    skipped = []
+    shapes, censuses, norms, mismatches, skipped = [], [], [], [], []
     for shape in GRAPH_SHAPES:
         try:
             s = preset_edge_count(shape, n, k)
@@ -666,28 +638,25 @@ def run_table_census(cfg, rng: Rng) -> ExperimentResult:
             skipped.append(shape)
             continue
         check_pair_cap(s)  # a defined preset too large to census exits 2 unbuilt
-        try:
-            closed = preset_census(shape, n, k)
-        except DomainError:  # the ring's count formula needs n >= 2k - 1
-            skipped.append(shape)
-            continue
         g = preset_graph(shape, n, k)
         brute = census_bruteforce(g)
         deg = degree_vector(g)
-        routes = [closed, brute]
-        if k == 2:
-            routes.append(census_by_degrees(deg))
+        routes = [census_by_degrees(deg)] if k == 2 else []
+        try:
+            routes.append(preset_census(shape, n, k))
+        except DomainError:  # the ring's count formula needs n >= 2k - 1
+            pass
         if any(r != brute for r in routes):
             mismatches.append(shape)
-        norm1_sq, norm2_sq = degree_norms(deg)
-        rows.append(
-            (shape, n, k, brute.s, brute.disjoint, brute.connected, brute.all,
-             norm1_sq, norm2_sq)
-        )
-    _require(bool(rows), f"no preset is defined at n={n}, k={k}")
+        shapes.append(shape)
+        censuses.append(brute)
+        norms.append(degree_norms(deg))
+    _require(bool(shapes), f"no preset is defined at n={n}, k={k}")
+    norm1_sq, norm2_sq = np.array(norms).T
     return ExperimentResult(
-        ("shape", "n", "k", "s", "disjoint", "connected", "all", "norm1_sq", "norm2_sq"),
-        rows,
+        {"shape": np.array(shapes), "n": n, "k": k,
+         **_columns_of(censuses, ("s", "disjoint", "connected", "all")),
+         "norm1_sq": norm1_sq, "norm2_sq": norm2_sq},
         {"route_mismatches": mismatches, "skipped_shapes": skipped},
         not mismatches,
     )
@@ -697,7 +666,7 @@ def run_scaling_report(cfg, rng: Rng) -> ExperimentResult:
     shapes = _list_items(cfg["shapes"])
     n_min, n_max = cfg["n_min"], cfg["n_max"]
     _require(n_min <= n_max, "need n_min <= n_max")
-    rows = []
+    labels, ns, reports = [], [], []
     for shape in shapes:
         for n in range(n_min, n_max + 1):
             try:
@@ -705,15 +674,13 @@ def run_scaling_report(cfg, rng: Rng) -> ExperimentResult:
             except DomainError:
                 continue
             check_pair_cap(s)
-            rep = scaling_report(preset_graph(shape, n, 2))
-            rows.append(
-                (shape, n, rep.census.s, rep.norm1_sq, rep.norm2_sq, rep.ratio,
-                 rep.verdict)
-            )
-    _require(bool(rows), "no (shape, n) pair in range is valid")
+            labels.append(shape)
+            ns.append(n)
+            reports.append(scaling_report(preset_graph(shape, n, 2)))
+    _require(bool(reports), "no (shape, n) pair in range is valid")
     return ExperimentResult(
-        ("shape", "n", "s", "norm1_sq", "norm2_sq", "ratio", "verdict"),
-        rows,
+        {"shape": np.array(labels), "n": np.array(ns), "s": np.array([rep.census.s for rep in reports]),
+         **_columns_of(reports, ("norm1_sq", "norm2_sq", "ratio", "verdict"))},
         {"shapes": shapes},
         True,
     )
@@ -730,8 +697,8 @@ def run_net_audit(cfg, rng: Rng) -> ExperimentResult:
     net = build_linear_net(params, net_modes[audit], cfg["prop6_c"])
     report = property_audit(net, eps, trials, audit, rng.substream(1))
     return ExperimentResult(
-        ("trial", "distance_to_net", "eps", "pass"),
-        [(t, v, eps, v <= eps) for t, v in enumerate(report.values.tolist())],
+        {"trial": np.arange(report.values.size), "distance_to_net": report.values, "eps": eps,
+         "pass": report.values <= eps},
         {
             "audit": audit,
             "max_distance_to_net": report.max_value,
@@ -750,8 +717,9 @@ def run_bound_sweep(cfg, rng: Rng) -> ExperimentResult:
     # theorem"; the defaults put the downturn inside a 4..64 sweep.
     d = cfg["d"] if cfg["d"] > 0 else (14 if which == "thm7" else 2)
     c = cfg["c"] if cfg["c"] > 0 else (40.0 if which == "thm7" else 2.0)
-    rows = []
-    for n in range(n_min, n_max + 1, step):
+    ns = range(n_min, n_max + 1, step)
+    bounds = []
+    for n in ns:
         if which == "thm7":
             params = BoundParams(
                 n=n, d=d, s_coff=float(d * n), s_basis=1.0, A=cfg["A"], B=cfg["B"],
@@ -763,17 +731,16 @@ def run_bound_sweep(cfg, rng: Rng) -> ExperimentResult:
                 a=float(n), norm_A0=1.0, c=c, eps=cfg["eps"],
                 a_provenance="linear-growth model",
             )
-        tb = theorem_bound(params, which, cfg["d_min"], cfg["prop6_c"])
-        rows.append((n, d, tb.log_prefactor, tb.log_exponential, tb.log_total, tb.vacuous))
-    totals = [r[4] for r in rows]
-    peak = max(range(len(totals)), key=lambda i: totals[i])
-    tail = totals[peak:]
-    tail_monotone = all(b < a for a, b in zip(tail, tail[1:]))
+        bounds.append(theorem_bound(params, which, cfg["d_min"], cfg["prop6_c"]))
+    columns = {"n": np.array(ns), "d": d,
+               **_columns_of(bounds, ("log_prefactor", "log_exponential", "log_total", "vacuous"))}
+    totals = columns["log_total"]
+    peak = int(np.argmax(totals))
+    tail_monotone = bool(np.all(totals[peak + 1:] < totals[peak:-1]))
     turned_over = peak < len(totals) - 1
     return ExperimentResult(
-        ("n", "d", "log_prefactor", "log_exponential", "log_total", "vacuous"),
-        rows,
-        {"which": which, "c": c, "peak_n": rows[peak][0], "turned_over": turned_over,
+        columns,
+        {"which": which, "c": c, "peak_n": ns[peak], "turned_over": turned_over,
          "tail_monotone": tail_monotone},
         turned_over and tail_monotone,
     )
@@ -945,12 +912,12 @@ def main(argv: list[str] | None = None) -> int:
     csv_path = out_dir / f"{args.experiment}.csv"
     summary_path = out_dir / f"{args.experiment}.summary.json"
     try:
-        write_csv(csv_path, result.header, result.rows)
+        rows = write_csv(csv_path, result.columns)
         summary = {
             "experiment": args.experiment,
             "seed": cfg["seed"],
             "config": {k: cfg[k] for k in sorted(cfg)},
-            "rows": len(result.rows),
+            "rows": rows,
             "passed": result.passed,
             **result.summary,
         }
@@ -965,7 +932,7 @@ def main(argv: list[str] | None = None) -> int:
         return _internal_error(exc)
 
     status = "pass" if result.passed else "FAIL"
-    print(f"{args.experiment}: {status} ({len(result.rows)} rows) -> {csv_path}")
+    print(f"{args.experiment}: {status} ({rows} rows) -> {csv_path}")
     return EXIT_PASS if result.passed else EXIT_VIOLATION
 
 

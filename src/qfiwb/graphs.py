@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonians import GraphHamiltonian, normalize_hyperedges
-from .numerics import DomainError
+from .numerics import DomainError, content_lines
 from .qfi import ProductScan, max_qfi_symmetric_product, product_qfi_closed_form
 
 GAP_RATIO = 0.25
@@ -262,10 +262,11 @@ class ScalingReport:
 def scaling_report(g: InteractionGraph) -> ScalingReport:
     if g.k != 2:
         raise ValueError("degree scaling applies to 2-body graphs")
-    norm1_sq, norm2_sq = degree_norms(degree_vector(g))
+    deg = degree_vector(g)
+    norm1_sq, norm2_sq = degree_norms(deg)
     ratio = norm2_sq / norm1_sq
     verdict = "gap" if ratio <= GAP_RATIO else "no-gap"
-    return ScalingReport(norm1_sq, norm2_sq, ratio, census_bruteforce(g), verdict)
+    return ScalingReport(norm1_sq, norm2_sq, ratio, census_by_degrees(deg), verdict)
 
 
 # --- QFI witnesses ---------------------------------------------------------------
@@ -346,7 +347,7 @@ def graph_to_text(g: InteractionGraph) -> str:
 
 
 def graph_from_text(text: str) -> InteractionGraph:
-    rows = [ln for ln in (s.split("#", 1)[0].strip() for s in text.splitlines()) if ln]
+    rows = [line for _, line in content_lines(text)]
     if not rows:
         raise ValueError("empty graph file")
     head = rows[0].split()

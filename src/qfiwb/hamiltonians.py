@@ -24,6 +24,7 @@ from .numerics import (
     as_complex,
     check_power_dim,
     check_words,
+    content_lines,
     haar_unitaries,
     kron_all,
     kron_fold,
@@ -589,17 +590,6 @@ def _basis_cols(key: str, basis: np.ndarray, d: int) -> list[str]:
     return lines
 
 
-def _parse_lines(text: str) -> list[tuple[str, list[str]]]:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        rows.append((parts[0], parts[1:]))
-    return rows
-
-
 def _complex_col(tokens: list[str], d: int) -> np.ndarray:
     vals = [float(t) for t in tokens]
     if len(vals) != 2 * d:
@@ -613,7 +603,7 @@ def from_spec_text(text: str):
     The scalar keys (family, n, d, k, basis, positivity) take exactly one
     value; a trailing token is an error, not ignored.
     """
-    rows = _parse_lines(text)
+    rows = [(parts[0], parts[1:]) for parts in (line.split() for _, line in content_lines(text))]
     if not rows or rows[0][0] != "family" or len(rows[0][1]) != 1:
         raise ValueError("first non-comment line must be 'family <name>'")
     family = rows[0][1][0]

@@ -70,6 +70,15 @@ def check_power_dim(d: int, n: int) -> int:
     return d**n
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, text) of each non-blank line, its '#' comment and outer blanks removed.
+
+    The one line tokenizer of the text formats: configs, Hamiltonians, states and graphs.
+    """
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
+
+
 # numpy's SeedSequence hash (bit_generator.pyx): four-word pool, uint32 mixing.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .numerics import Rng, as_complex, check_power_dim, kron_fold
+from .numerics import Rng, as_complex, check_power_dim, content_lines, kron_fold
 
 NORM_ATOL = 1e-12
 
@@ -310,8 +310,7 @@ def write_state(state: PureState, path: str) -> None:
 
 def read_state(path: str) -> PureState:
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.split("#", 1)[0].strip() for ln in f]
-    lines = [ln for ln in lines if ln]
+        lines = [line for _, line in content_lines(f.read())]
     if not lines:
         raise ValueError("empty state file")
     head = lines[0].split()

@@ -280,3 +280,21 @@ def uniform_superposition_product(h):
     d = h.site_bases[0].shape[0]
     uniform = np.ones(d, dtype=np.complex128) / math.sqrt(d)
     return product_state([b @ uniform for b in h.site_bases])
+
+
+def csv_cell(value) -> str:
+    """One CSV cell, formatted from the value's own type, the slow way."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if not math.isfinite(v):
+            raise ArithmeticError(f"non-finite value {v!r} in CSV output")
+        return format(v, ".17g")
+    if isinstance(value, str):
+        if "," in value or "\n" in value:
+            raise ValueError(f"string cell {value!r} would break the CSV")
+        return value
+    raise TypeError(f"unsupported CSV cell type {type(value).__name__}")

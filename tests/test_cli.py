@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import csv_cell
 import qfiwb.cli as cli
 from qfiwb.cli import (
     EXIT_CONFIG,
@@ -23,7 +24,6 @@ from qfiwb.cli import (
     THREADS_ENV,
     ConfigError,
     ExperimentResult,
-    _cell,
     _coerce,
     _interval,
     _state_qfis,
@@ -93,67 +93,89 @@ def test_coerce_typed_values():
 # --- CSV plumbing -------------------------------------------------------------
 
 def test_cell_formats():
-    assert _cell(True) == "true"
-    assert _cell(np.bool_(False)) == "false"
-    assert _cell(7) == "7"
-    assert _cell(np.int64(-3)) == "-3"
-    assert _cell(0.1) == format(0.1, ".17g")
-    assert _cell(np.float64(2.0)) == "2"
-    assert _cell("ring") == "ring"
+    # the per-cell reference that the columnar writer is checked against
+    assert csv_cell(True) == "true"
+    assert csv_cell(np.bool_(False)) == "false"
+    assert csv_cell(7) == "7"
+    assert csv_cell(np.int64(-3)) == "-3"
+    assert csv_cell(0.1) == format(0.1, ".17g")
+    assert csv_cell(np.float64(2.0)) == "2"
+    assert csv_cell("ring") == "ring"
     with pytest.raises(ArithmeticError):
-        _cell(math.nan)
+        csv_cell(math.nan)
     with pytest.raises(ArithmeticError):
-        _cell(math.inf)
+        csv_cell(math.inf)
     with pytest.raises(ValueError):
-        _cell("a,b")
+        csv_cell("a,b")
     with pytest.raises(ValueError):
-        _cell("a\nb")
+        csv_cell("a\nb")
     with pytest.raises(TypeError):
-        _cell([1])
+        csv_cell([1])
 
 
 def test_write_csv(tmp_path: Path):
     path = tmp_path / "out.csv"
-    write_csv(path, ("a", "b"), [(1, True), (2, False)])
-    assert path.read_text() == "a,b\n1,true\n2,false\n"
-    with pytest.raises(ValueError, match="row width"):
-        write_csv(path, ("a", "b"), [(1,)])
+    assert write_csv(path, {"a": np.array([1, 2]), "b": np.array([True, False]), "c": "x"}) == 2
+    assert path.read_text() == "a,b,c\n1,true,x\n2,false,x\n"
+    # all scalars make one row; a Python int of any size is written whole
+    assert write_csv(path, {"a": 1.5, "seed": 2**70}) == 1
+    assert path.read_text() == "a,seed\n1.5,1180591620717411303424\n"
+    assert write_csv(path, {"a": np.array([], dtype=np.int64), "b": 1.0}) == 0
+    assert path.read_text() == "a,b\n"
 
 
 _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e308, -1e308, 0.1]),
 )
-_FLOAT_CELLS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
-_INT_CELLS = st.one_of(
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+_STRS = st.text(st.characters(blacklist_characters=",\n", blacklist_categories=("Cs",)))
+# dtype of an array column -> its values
+_ARRAY_VALUES = {
+    np.float64: _FLOATS,
+    np.int64: st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    np.bool_: st.booleans(),
+    str: _STRS,
+}
+_SCALARS = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64),
+    st.integers(min_value=-(2**70), max_value=2**70), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(), st.booleans().map(np.bool_),
+    _STRS,
 )
-_BOOL_CELLS = st.one_of(st.booleans(), st.booleans().map(np.bool_))
-_STR_CELLS = st.text(st.characters(blacklist_characters=",\n", blacklist_categories=("Cs",)))
-_CELLS = st.one_of(_BOOL_CELLS, _INT_CELLS, _FLOAT_CELLS, _STR_CELLS)
 
 
 @st.composite
-def _csv_rows(draw):
-    """Rows whose columns are all-float, all-int, all-bool, all-str or mixed cells."""
+def _csv_columns(draw):
+    """One to four float, int, bool or str columns: arrays of one length from 0 to 6, or scalars."""
     count = draw(st.integers(min_value=0, max_value=6))
-    cells = st.sampled_from([_FLOAT_CELLS, _INT_CELLS, _BOOL_CELLS, _STR_CELLS, _CELLS])
-    columns = [
-        draw(st.lists(draw(cells), min_size=count, max_size=count))
-        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    columns = {}
+    for j in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            dtype = draw(st.sampled_from(list(_ARRAY_VALUES)))
+            values = draw(st.lists(_ARRAY_VALUES[dtype], min_size=count, max_size=count))
+            columns[f"c{j}"] = np.array(values, dtype=dtype)
+        else:
+            columns[f"c{j}"] = draw(_SCALARS)
+    return columns
+
+
+def _reference_csv(columns: dict) -> bytes:
+    """The CSV bytes of `columns`, cell by cell through the per-cell reference."""
+    arrays = [c for c in columns.values() if isinstance(c, np.ndarray)]
+    rows = len(arrays[0]) if arrays else 1
+    lines = [",".join(columns)] + [
+        ",".join(csv_cell(c[i] if isinstance(c, np.ndarray) else c) for c in columns.values())
+        for i in range(rows)
     ]
-    return list(zip(*columns))
+    return ("\n".join(lines) + "\n").encode()
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=_csv_rows())
-def test_write_csv_matches_per_cell_reference(tmp_path_factory, rows):
+@given(columns=_csv_columns())
+def test_write_csv_matches_per_cell_reference(tmp_path_factory, columns):
     path = tmp_path_factory.mktemp("csv") / "out.csv"
-    header = tuple(f"c{j}" for j in range(len(rows[0]))) if rows else ("c0",)
-    write_csv(path, header, rows)
-    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    write_csv(path, columns)
+    assert path.read_bytes() == _reference_csv(columns)
 
 
 @pytest.mark.parametrize(
@@ -164,40 +186,58 @@ def test_write_csv_matches_per_cell_reference(tmp_path_factory, rows):
         ([(1, -math.inf)], ArithmeticError),
         ([(1.0, "a,b")], ValueError),
         ([("ok", 1), ("a\nb", 2)], ValueError),
-        ([(1, [1])], TypeError),
+        ([(1, None)], TypeError),
         # the first bad column wins, not the first bad cell in row order
         ([(1.0, "a,b"), (math.nan, "x")], ArithmeticError),
     ],
 )
 def test_write_csv_rejects_bad_cells(tmp_path: Path, rows, error):
+    # each case is written row by row and passed as one array column per position
     path = tmp_path / "out.csv"
     with pytest.raises(error):
-        write_csv(path, ("a", "b"), rows)
+        write_csv(path, {f"c{j}": np.array(column) for j, column in enumerate(zip(*rows))})
     assert not path.exists()
 
 
-def test_write_csv_formats_each_distinct_label_once(tmp_path: Path, monkeypatch):
-    rows = [
-        (("linear", "product")[t % 2], t % 3 == 0, np.bool_(t % 5 == 0), float(t))
-        for t in range(10_000)
-    ]
-    header = ("family", "flag", "np_flag", "x")
+@pytest.mark.parametrize(
+    "columns, error",
+    [
+        ({"a": np.arange(3), "b": np.arange(2.0)}, ValueError),
+        ({"a": np.arange(3), "b": math.nan}, ArithmeticError),
+        ({"a": np.arange(3), "b": "a,b"}, ValueError),
+        ({"a": np.arange(3), "b": None}, TypeError),
+        ({"a": np.arange(3), "b": np.arange(3, dtype=np.complex128)}, TypeError),
+        # the first bad column wins, a scalar one too
+        ({"a": -math.inf, "b": np.array(["a,b"] * 3)}, ArithmeticError),
+    ],
+)
+def test_write_csv_rejects_bad_columns(tmp_path: Path, columns, error):
     path = tmp_path / "out.csv"
-    calls = []
-    monkeypatch.setattr(cli, "_cell", lambda v: calls.append(v) or _cell(v))
-    write_csv(path, header, rows)
-    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-    assert len(calls) == 6
-    rows[5000] = ("a,b",) + rows[5000][1:]
-    rows[7000] = ("c,d",) + rows[7000][1:]
+    with pytest.raises(error):
+        write_csv(path, columns)
+    assert not path.exists()
+
+
+def test_write_csv_formats_each_distinct_label_once(tmp_path: Path):
+    t = np.arange(10_000)
+    columns = {
+        "family": np.where(t % 2 == 0, "linear", "product"),
+        "flag": t % 3 == 0,
+        "np_flag": t % 5 == 0,
+        "x": t.astype(np.float64),
+    }
+    path = tmp_path / "out.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == _reference_csv(columns)
+    columns["family"][5000] = "a,b"
+    columns["family"][7000] = "c,d"
     with pytest.raises(ValueError, match=r"string cell 'a,b' would break the CSV"):
-        write_csv(tmp_path / "bad.csv", header, rows)
+        write_csv(tmp_path / "bad.csv", columns)
 
 
 def test_main_non_finite_cell_is_internal_error(tmp_path: Path, capsys, monkeypatch):
     def non_finite(cfg, rng):
-        return ExperimentResult(("x",), [(1.0,), (math.nan,)], {}, True)
+        return ExperimentResult({"x": np.array([1.0, math.nan])}, {}, True)
 
     fields, _ = EXPERIMENTS["ghz-baseline"]
     monkeypatch.setitem(EXPERIMENTS, "ghz-baseline", (fields, non_finite))
@@ -344,6 +384,20 @@ def test_main_census_cap_exits_before_building(tmp_path: Path, capsys, monkeypat
     assert capsys.readouterr().err == (
         f"qfiwb: config error: {s}^2 ordered pairs exceeds the brute-force cap\n"
     )
+
+
+def test_main_table_census_keeps_a_ring_without_closed_form(tmp_path: Path):
+    # At n = 4, k = 3 the ring exists but its closed-form count needs
+    # n >= 2k - 1; its brute-force census is still listed and checked.
+    rc = main(["table-census", "--config", cfg_file(tmp_path, "n = 4\nk = 3\n"), "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    summary = json.loads((tmp_path / "table-census.summary.json").read_text())
+    assert summary["skipped_shapes"] == ["star"]
+    assert summary["route_mismatches"] == []
+    header, *lines = (tmp_path / "table-census.csv").read_text().splitlines()
+    rows = {line.split(",")[0]: dict(zip(header.split(","), line.split(","))) for line in lines}
+    assert list(rows) == ["chain", "ring", "complete"]
+    assert (rows["ring"]["s"], rows["ring"]["disjoint"], rows["ring"]["connected"]) == ("4", "0", "12")
 
 
 def test_main_concentration_with_zero_hamiltonian(tmp_path: Path):

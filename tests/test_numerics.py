@@ -11,6 +11,7 @@ from qfiwb.numerics import (
     _philox_words,
     _seed_keys,
     check_words,
+    content_lines,
     ensure_hermitian,
     haar_qr,
     haar_unitaries,
@@ -369,3 +370,9 @@ def test_uniform_blocks_reject_indices_outside_32_bits(words):
         list(rng.uniform_blocks(range(2**40, 2**40 + 1), words))
     with pytest.raises(ValueError, match="non-negative"):
         list(rng.uniform_blocks(range(-1, 2), words))
+
+
+def test_content_lines_drop_comments_and_blank_lines():
+    text = "# header comment\n\n  n = 4  # trailing\r\n\t\nfamily linear\n#"
+    assert content_lines(text) == [(3, "n = 4"), (5, "family linear")]
+    assert content_lines("") == []
