@@ -17,17 +17,18 @@ blocks of states through `Rng.substream_normals`.  The audits
 and result3-demo, and the GME restarts read `Rng.substream_uniforms`, and
 the array samplers take each trial's Hamiltonian (and net-audit's state)
 at fixed offsets, exactly the words the per-trial samplers read.
-concentration and thm11-check keep their arithmetic per row within each
-block: a block of 4096-word concentration rows evaluated as one array
-falls out of cache, and a thm11-check row is bound by one LAPACK eigh of
-a 2^n x 2^n matrix, which a stacked eigh does not speed up.  `--threads`
-and QFIWB_THREADS are accepted and validated but have no effect.
+concentration and thm11-check evaluate each block as arrays: one GEMM of
+the block's logs against the centred spectrum's powers, and one stacked
+eigh of the block's Hamiltonians with the transport as row arrays.
+`--threads` and QFIWB_THREADS are accepted and validated but have no
+effect.
 
 Every driver returns its CSV as named columns, each a 1-D numpy array or
 a scalar that repeats on every row.  The writer formats a scalar once and
 an array by its dtype: float64 as %.17g after one finiteness check (the
 same bytes as format(v, ".17g")), ints as %d, bools as true/false, and str
-labels as they are, each distinct label checked once.
+labels as they are, each distinct label checked once.  A run of
+bit-identical floats is formatted once.
 
 Every config key declares its domain in the registry, next to its kind
 and default: an interval, whose float ends are finite caps that keep every
@@ -64,6 +65,7 @@ from .graphs import (
     degree_norms,
     degree_vector,
     preset_census,
+    preset_degrees,
     preset_edge_count,
     preset_graph,
     scaling_report,
@@ -89,24 +91,24 @@ from .nets import (
     sample_product_banded_arrays,
     theorem_bound,
 )
-from .numerics import DomainError, Rng, check_power_dim, complex_normals, content_lines, hermitian_parts
+from .numerics import (DomainError, Rng, check_power_dim, complex_normals, content_lines, hermitian_parts,
+                       row_norms)
 from .qfi import (
     expected_qfi_haar,
     expected_qfi_haar_diagonals,
     expected_qfi_symmetric_levels,
     expected_qfi_symmetric_linear,
     expected_qfi_symmetric_tables,
-    global_unitary_transport,
     levy_bound,
     optimal_separable_reference,
     qfi_batch,
     separable_reference_diagonals,
+    transport_batch,
 )
 from .states import (
     DickeBasis,
     dicke_basis,
     ghz,
-    normalized_state,
     plus_vector,
     product_state,
     sample_haar,
@@ -233,14 +235,21 @@ def _format(values: np.ndarray) -> list[str]:
     """The cells of an array column, by its dtype.
 
     Floats are written with 17 significant digits, which round-trip every
-    double ("%.17g" % v and format(v, ".17g") give the same bytes).
+    double ("%.17g" % v and format(v, ".17g") give the same bytes), and
+    each run of bit-identical values is formatted once; comparing the bits
+    keeps -0.0 apart from 0.0.
     """
     kind = values.dtype.kind
     if kind == "f":
         finite = np.isfinite(values)
         if not finite.all():
             raise ArithmeticError(f"non-finite value {float(values[np.argmin(finite)])!r} in CSV output")
-        return list(map("%.17g".__mod__, values.tolist()))
+        bits = values.view(np.int64)
+        starts = np.flatnonzero(np.diff(bits, prepend=bits[:1] ^ 1))
+        cells = list(map("%.17g".__mod__, values[starts].tolist()))
+        if len(cells) == values.size:
+            return cells
+        return np.repeat(np.array(cells, dtype=object), np.diff(starts, append=values.size)).tolist()
     if kind in "iu":
         return list(map(str, values.tolist()))
     if kind == "b":
@@ -324,12 +333,13 @@ def _columns_of(items: list, names: tuple[str, ...]) -> dict[str, np.ndarray]:
     return {name: np.array([getattr(item, name) for item in items]) for name in names}
 
 
-def _mean_se(values: list[float]) -> tuple[float, float]:
-    count = len(values)
-    mean = math.fsum(values) / count
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error by exact sums; np.float_power squares as a scalar ** 2 does."""
+    count = values.size
+    mean = math.fsum(values.tolist()) / count
     if count < 2:
         return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+    var = math.fsum(np.float_power(values - mean, 2).tolist()) / (count - 1)
     return mean, math.sqrt(var / count)
 
 
@@ -366,7 +376,7 @@ def _montecarlo_result(
     With zero spread the verdict is exact equality, and z_score is 0.0 when
     it holds and None (JSON null) when it does not.
     """
-    mean, se = _mean_se(values.tolist())
+    mean, se = _mean_se(values)
     if se > 0.0:
         z = abs(mean - closed) / se
         passed = z <= 3.0
@@ -417,20 +427,22 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     h = LinearHamiltonian.from_site(n, SingleSiteOperator.computational(tuple(levels)))
     diag = h.diagonal()
     dim = diag.size
-    diag_sq = diag**2
     f_mean = expected_qfi_haar(h) / 4.0
     bound = levy_bound(h, dim, eps)
-
-    f = np.empty(trials)
     # |z_k|^2 of the state complex_normal(dim) would draw: Box-Muller reads
     # the first dim words as u1 and |z_k|^2 = r_k^2 / 2 = -log(1 - u1_k), so
-    # the angles (the next dim words) never matter.
-    for block, u in rng.substream(1).uniform_blocks(range(trials), dim):
-        for t, row in zip(block, u):
-            w = -np.log(1.0 - row)
-            w = w / w.sum()
-            m1 = float(w @ diag)
-            f[t] = float(w @ diag_sq) - m1 * m1
+    # the angles (the next dim words) never matter.  f is the variance of D
+    # under the weights |z_k|^2 / sum |z|^2, which a shift of D leaves as it
+    # is, so D is centred at its mid-range (a constant D gives exactly 0).
+    # One GEMM of a block's log(1 - u1) against -[1, c, c^2] gives each
+    # row's sum s and moments m1, m2; the two minus signs cancel.
+    c = diag - (diag.max() + diag.min()) / 2.0
+    moments = -np.stack([np.ones(dim), c, c * c], axis=1)
+    s, m1, m2 = np.concatenate([
+        np.log(np.subtract(1.0, u, out=u), out=u) @ moments
+        for _, u in rng.substream(1).uniform_blocks(range(trials), dim)
+    ]).T
+    f = np.maximum(m2 / s - (m1 / s) ** 2, 0.0)  # a variance below 0 by rounding is 0
     dev = f - f_mean
     exceed_two = np.abs(dev) > eps
     exceed_one = dev < -eps
@@ -511,7 +523,7 @@ def _demo_bound(cfg, which: str, s_coff: float, s_basis: float, observed: float)
 
 def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     n, d, n_h, n_s, c = cfg["n"], cfg["d"], cfg["hamiltonians"], cfg["states"], cfg["c"]
-    # Hamiltonian i reads the words sample_linear_banded would from stream (0, i)
+    # Hamiltonian i reads a linear_banded_words row of stream (0, i)
     u = rng.substream(0).substream_uniforms(range(n_h), linear_banded_words(n, d))
     tables, bases = sample_linear_banded_arrays(u, n, d, cfg["A"], cfg["B"])
     hams = [LinearHamiltonian(table, basis) for table, basis in zip(tables, bases)]
@@ -541,7 +553,7 @@ def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
 
 def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
     n, d, n_h, n_s, c = cfg["n"], cfg["d"], cfg["hamiltonians"], cfg["states"], cfg["c"]
-    # Hamiltonian i reads the words sample_product_banded would from stream (0, i)
+    # Hamiltonian i reads a product_banded_words row of stream (0, i)
     u = rng.substream(0).substream_uniforms(range(n_h), product_banded_words(n, d))
     coeffs, bases = sample_product_banded_arrays(u, n, d, cfg["A"], cfg["B"])
     hams = [ProductDiagonalHamiltonian(c, tuple(b)) for c, b in zip(coeffs, bases)]
@@ -561,14 +573,16 @@ def run_thm11_check(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
     dim = check_power_dim(d, n)
     h_words = 2 * dim * dim
-    target, achieved, degenerate = np.empty(trials), np.empty(trials), np.empty(trials, dtype=bool)
-    # trial t reads the words random_hermitian, then sample_haar, would from stream (1, t)
-    for block, u in rng.substream(1).uniform_blocks(range(trials), h_words + 2 * dim):
-        for t, row in zip(block, u):
-            h = hermitian_parts(complex_normals(row[:h_words]).reshape(dim, dim))
-            psi = normalized_state(n, d, complex_normals(row[h_words:]))
-            res = global_unitary_transport(psi, h)
-            target[t], achieved[t], degenerate[t] = res.target, res.check, res.degenerate
+    parts = []
+    # trial t reads the words random_hermitian, then sample_haar, would from
+    # stream (1, t); each block is one stacked transport, row i bit for bit
+    # its one-trial call (the state's norm rounds as np.linalg.norm's)
+    for _, u in rng.substream(1).uniform_blocks(range(trials), h_words + 2 * dim):
+        h = hermitian_parts(complex_normals(u[:, :h_words]).reshape(-1, dim, dim))
+        psi = complex_normals(u[:, h_words:])
+        res = transport_batch(psi / row_norms(psi)[:, None], h)
+        parts.append((res.target, res.check, res.degenerate))
+    target, achieved, degenerate = (np.concatenate(column) for column in zip(*parts))
     dev = np.abs(achieved - target)
     passed = dev <= tol
     violations = int(np.count_nonzero(~passed))
@@ -676,7 +690,7 @@ def run_scaling_report(cfg, rng: Rng) -> ExperimentResult:
             check_pair_cap(s)
             labels.append(shape)
             ns.append(n)
-            reports.append(scaling_report(preset_graph(shape, n, 2)))
+            reports.append(scaling_report(preset_degrees(shape, n)))
     _require(bool(reports), "no (shape, n) pair in range is valid")
     return ExperimentResult(
         {"shape": np.array(labels), "n": np.array(ns), "s": np.array([rep.census.s for rep in reports]),

@@ -150,6 +150,14 @@ def complete_graph(n: int, k: int = 2) -> InteractionGraph:
     return InteractionGraph(n, np.fromiter(subsets, np.int64, s * k).reshape(s, k))
 
 
+def preset_degrees(shape: str, n: int) -> DegreeVector:
+    """Degree vector of a 2-body preset in closed form, without building it."""
+    s = preset_edge_count(shape, n)
+    inner = {"star": 1, "chain": 2, "ring": 2, "complete": n - 1}[shape]
+    first, last = {"star": (s, 1), "chain": (1, 1)}.get(shape, (inner, inner))
+    return DegreeVector((first, *[inner] * (n - 2), last))
+
+
 def preset_graph(shape: str, n: int, k: int = 2) -> InteractionGraph:
     preset_edge_count(shape, n, k)  # the star's arity and unknown shapes; builders check the rest
     if shape == "star":
@@ -259,10 +267,11 @@ class ScalingReport:
     verdict: str
 
 
-def scaling_report(g: InteractionGraph) -> ScalingReport:
-    if g.k != 2:
+def scaling_report(g: InteractionGraph | DegreeVector) -> ScalingReport:
+    """The report of a 2-body graph, or of its degree vector alone (see preset_degrees)."""
+    if isinstance(g, InteractionGraph) and g.k != 2:
         raise ValueError("degree scaling applies to 2-body graphs")
-    deg = degree_vector(g)
+    deg = g if isinstance(g, DegreeVector) else degree_vector(g)
     norm1_sq, norm2_sq = degree_norms(deg)
     ratio = norm2_sq / norm1_sq
     verdict = "gap" if ratio <= GAP_RATIO else "no-gap"

@@ -120,9 +120,7 @@ class SingleSiteOperator:
     @classmethod
     def plus_minus(cls, levels: Sequence[float]) -> "SingleSiteOperator":
         """Qubit operator diagonal in the Hadamard basis (columns |+>, |->)."""
-        levels = _ensure_levels(levels, d=2)
-        h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
-        return cls(levels, h)
+        return cls(_ensure_levels(levels, d=2), named_basis("plus_minus", 2))
 
     @classmethod
     def explicit(cls, levels: Sequence[float], basis: np.ndarray) -> "SingleSiteOperator":
@@ -524,10 +522,12 @@ def to_spec_text(h) -> str:
         lines.append("family linear")
         lines.append(f"n {h.n}")
         lines.append(f"d {h.d}")
-        lines.append(_basis_header(h.basis, h.d))
+        header = _basis_header(h.basis, h.d)
+        lines.append(header)
         for i in range(h.n):
             lines.append("lambda " + " ".join(_fmt(x) for x in h.table[i]))
-        lines.extend(_basis_cols("basis_col", h.basis, h.d))
+        if header == "basis explicit":
+            lines.extend(_basis_cols("basis_col", h.basis))
     elif isinstance(h, ProductDiagonalHamiltonian):
         lines.append("family product_diagonal")
         lines.append(f"n {h.n}")
@@ -537,9 +537,7 @@ def to_spec_text(h) -> str:
         else:
             lines.append("basis explicit")
             for i, b in enumerate(h.site_bases, start=1):
-                for j in range(h.d):
-                    col = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in b[:, j])
-                    lines.append(f"site_basis_col {i} {j} {col}")
+                lines.extend(_basis_cols(f"site_basis_col {i}", b))
         for start in range(0, h.coeffs.shape[0], 8):
             chunk = h.coeffs[start : start + 8]
             lines.append("coeffs " + " ".join(_fmt(x) for x in chunk))
@@ -558,11 +556,7 @@ def to_spec_text(h) -> str:
         else:
             lines.append("basis explicit")
             for i, op in enumerate(h.site_ops, start=1):
-                for j in range(2):
-                    col = " ".join(
-                        f"{_fmt(z.real)} {_fmt(z.imag)}" for z in op.basis[:, j]
-                    )
-                    lines.append(f"site_basis_col {i} {j} {col}")
+                lines.extend(_basis_cols(f"site_basis_col {i}", op.basis))
         if h.positive_levels:
             lines.append("positivity 1")
         for edge in h.hyperedges:
@@ -580,14 +574,10 @@ def _basis_header(basis: np.ndarray, d: int) -> str:
     return "basis explicit"
 
 
-def _basis_cols(key: str, basis: np.ndarray, d: int) -> list[str]:
-    if _basis_header(basis, d) != "basis explicit":
-        return []
-    lines = []
-    for j in range(d):
-        col = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in basis[:, j])
-        lines.append(f"{key} {j} {col}")
-    return lines
+def _basis_cols(key: str, basis: np.ndarray) -> list[str]:
+    """`key j re im re im ...` for each column j of an explicit basis."""
+    return [f"{key} {j} " + " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in col)
+            for j, col in enumerate(basis.T)]
 
 
 def _complex_col(tokens: list[str], d: int) -> np.ndarray:
@@ -639,8 +629,8 @@ def from_spec_text(text: str):
     if unknown:
         raise ValueError(f"unknown keys for family {family}: {sorted(unknown)}")
 
+    n = int(scalar("n"))
     if family == "linear":
-        n = int(scalar("n"))
         d = int(scalar("d"))
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
@@ -658,7 +648,6 @@ def from_spec_text(text: str):
         return LinearHamiltonian(table, basis)
 
     if family == "product_diagonal":
-        n = int(scalar("n"))
         d = int(scalar("d"))
         basis_name = scalar("basis")
         if basis_name == "computational":
@@ -672,7 +661,6 @@ def from_spec_text(text: str):
             coeffs.extend(float(x) for x in chunk)
         return ProductDiagonalHamiltonian(np.array(coeffs), bases)
 
-    n = int(scalar("n"))
     k = int(scalar("k"))
     basis_name = scalar("basis", "computational")
     positivity = bool(int(scalar("positivity", "0")))

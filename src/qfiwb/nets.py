@@ -24,7 +24,6 @@ import numpy as np
 
 from .hamiltonians import (
     LinearHamiltonian,
-    ProductDiagonalHamiltonian,
     _ensure_finite,
     _ensure_unitaries,
     _haar_site_bases,
@@ -362,7 +361,7 @@ def _banded(u: np.ndarray, A: float, B: float) -> np.ndarray:
 
 
 def linear_banded_words(n: int, d: int) -> int:
-    """Uniform words sample_linear_banded reads: n d magnitudes, n d signs, a Haar block of 2 d^2."""
+    """Uniform words of one banded linear draw: n d magnitudes, n d signs, a Haar block of 2 d^2."""
     check_power_dim(d, n)
     return 2 * n * d + 2 * d * d
 
@@ -370,10 +369,12 @@ def linear_banded_words(n: int, d: int) -> int:
 def sample_linear_banded_arrays(
     u: np.ndarray, n: int, d: int, A: float, B: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Level tables (T, n, d) and shared bases (T, d, d) of sample_linear_banded.
+    """Level tables (T, n, d) and shared bases (T, d, d) of banded linear family members.
 
-    Row t of the uniforms u (T, linear_banded_words(n, d)) holds trial t's
-    words in draw order: magnitudes and signs row by row, then the basis.
+    |levels| are uniform in [A, B] with random signs, under a Haar shared
+    basis. Row t of the uniforms u (T, linear_banded_words(n, d)) holds
+    trial t's words in draw order: magnitudes and signs row by row, then
+    the basis.
     """
     check_words(u, linear_banded_words(n, d))
     cells = 2 * n * d
@@ -382,46 +383,24 @@ def sample_linear_banded_arrays(
     return _ensure_finite(tables, "level tables"), _ensure_unitaries(bases, "shared bases")
 
 
-def sample_linear_banded(
-    n: int, d: int, rng: Rng, A: float, B: float
-) -> LinearHamiltonian:
-    """Random family member: |levels| uniform in [A, B], then a Haar shared basis.
-
-    The one-row case of sample_linear_banded_arrays.
-    """
-    u = rng.random((1, linear_banded_words(n, d)))
-    tables, bases = sample_linear_banded_arrays(u, n, d, A, B)
-    return LinearHamiltonian(tables[0], bases[0])
-
-
 def product_banded_words(n: int, d: int) -> int:
-    """Uniform words sample_product_banded reads: n Haar blocks of 2 d^2, d^n magnitudes, d^n signs."""
+    """Uniform words of one banded product draw: n Haar blocks of 2 d^2, d^n magnitudes, d^n signs."""
     return 2 * n * d * d + 2 * check_power_dim(d, n)
 
 
 def sample_product_banded_arrays(
     u: np.ndarray, n: int, d: int, A: float, B: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals (T, d^n) and site bases (T, n, d, d) of sample_product_banded.
+    """Diagonals (T, d^n) and site bases (T, n, d, d) of banded product-diagonal members.
 
-    Row t of the uniforms u (T, product_banded_words(n, d)) holds trial t's
-    words in draw order: the site bases, site 1 first, then the diagonal.
+    Haar site bases, then |coefficients| uniform in [A, B] with random
+    signs. Row t of the uniforms u (T, product_banded_words(n, d)) holds
+    trial t's words in draw order: the site bases, site 1 first, then the
+    diagonal.
     """
     check_words(u, product_banded_words(n, d))
     blocks = 2 * n * d * d
     return _ensure_finite(_banded(u[:, blocks:], A, B), "coeffs"), _haar_site_bases(u[:, :blocks], n, d)
-
-
-def sample_product_banded(
-    n: int, d: int, rng: Rng, A: float, B: float
-) -> ProductDiagonalHamiltonian:
-    """Haar product bases, then |coefficients| uniform in [A, B] with random signs.
-
-    The one-row case of sample_product_banded_arrays.
-    """
-    u = rng.random((1, product_banded_words(n, d)))
-    coeffs, bases = sample_product_banded_arrays(u, n, d, A, B)
-    return ProductDiagonalHamiltonian(coeffs[0], tuple(bases[0]))
 
 
 # --- audits -------------------------------------------------------------------
@@ -453,8 +432,8 @@ def property_audit(
 ) -> AuditReport:
     """Check a snapping property on sampled family members, eps per trial.
 
-    Trial t draws H from the net's own band with rng.substream(t), as
-    sample_linear_banded does, and snaps it to its net representative H'.
+    Trial t draws H from the net's own band, sample_linear_banded_arrays
+    on a row of rng.substream(t), and snaps it to its net representative H'.
     "cover" checks the distance ||H - H'|| itself; "prop8" compares the QFI
     of a random symmetric state against the symmetric-subspace mean at the
     permutation-averaged Hamiltonian, and "prop9" the QFI of a random pure

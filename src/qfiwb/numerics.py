@@ -359,8 +359,13 @@ def complex_normals(u: np.ndarray) -> np.ndarray:
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over the last axis, row by row; each row rounds as its 1-D a @ b."""
+    """a . b over the last axis, row by row; each row rounds as its 1-D a @ b (x.conj() . b as np.vdot)."""
     return (a[..., np.newaxis, :] @ b[..., :, np.newaxis])[..., 0, 0]
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """The 2-norm over the last axis, row by row; each row rounds as np.linalg.norm of it."""
+    return np.sqrt(row_dot(a.real, a.real) + row_dot(a.imag, a.imag))
 
 
 def as_complex(a: np.ndarray) -> np.ndarray:
@@ -368,20 +373,25 @@ def as_complex(a: np.ndarray) -> np.ndarray:
 
 
 def ensure_square(a: np.ndarray) -> np.ndarray:
+    """a as complex, if it is a square matrix or a stack (..., d, d) of them."""
     a = as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    check_dim(a.shape[0])
+    check_dim(a.shape[-1])
     return a
 
 
 def _hermitian_defect(a: np.ndarray, atol: float) -> float:
-    """max |a - a^dag| if above atol * max(1, max |a|), else 0.
+    """The largest max |a - a^dag| of a matrix, or of a stack's blocks, above atol * max(1, max |a|); else 0.
 
-    max |a| is computed only when the absolute test fails.
+    Each block is judged by its own max |a|, computed only when the
+    absolute test fails; a NaN defect always counts.
     """
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    return 0.0 if dev <= atol or dev <= atol * float(np.max(np.abs(a))) else dev
+    dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    bad = ~(dev <= atol)
+    if bad.any():
+        bad &= ~(dev <= atol * np.max(np.abs(a), axis=(-2, -1)))
+    return float(np.max(dev, where=bad, initial=0.0))
 
 
 def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, check_power_dim, ensure_hermitian, kron_fold, row_dot, spectral_norm
+from .numerics import (DomainError, check_power_dim, ensure_hermitian, kron_fold, row_dot, row_norms,
+                       spectral_norm)
 from .hamiltonians import (
     GraphHamiltonian,
     LinearHamiltonian,
@@ -45,7 +46,8 @@ def _eigenframe(h) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(site bases, real diagonal D) with H = W diag(D) W^dag.
 
     A typed Hamiltonian gives its product frame; a bare array is checked
-    for Hermiticity and diagonalised as one site, ((V,), w).
+    for Hermiticity and diagonalised as one site, ((V,), w); a stack of
+    them (rows, dim, dim), by one stacked eigh, gives V and w a row axis.
     """
     if isinstance(h, np.ndarray):
         w, v = np.linalg.eigh(ensure_hermitian(h))
@@ -104,14 +106,15 @@ def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
     """QFI of many states at once; rows of `amplitudes` are unit state vectors.
 
     A typed H is evaluated in its eigenframe (see qfi_frames); a bare array
-    is checked for Hermiticity and applied as a matrix. An empty (0, dim)
-    batch gives an empty result.
+    is checked for Hermiticity and applied as a matrix, and a stack of them
+    (rows, dim, dim) applies matrix i to row i, as its one-row call would
+    bit for bit. An empty (0, dim) batch gives an empty result.
     """
     if not isinstance(h, np.ndarray):
         return qfi_frames(amplitudes, *_product_frame(h))
     hm = ensure_hermitian(h)
-    a = _unit_rows(amplitudes, hm.shape[0])
-    y = a @ hm.T
+    a = _unit_rows(amplitudes, hm.shape[-1])
+    y = a @ hm.T if hm.ndim == 2 else (a[:, np.newaxis, :] @ hm.swapaxes(-1, -2))[:, 0]
     second = np.sum(np.abs(y) ** 2, axis=1)
     mean = np.real(np.sum(np.conjugate(a) * y, axis=1))
     return _clipped_qfi(second, mean)
@@ -290,25 +293,26 @@ def levy_bound(h, dim: int, epsilon: float) -> ConcentrationBound:
 
 # --- extremal states ---------------------------------------------------------
 
-def _extremal_witness(h) -> tuple[float, PureState, bool]:
-    """(spread(H)^2, tau, degenerate) from the eigenframe H = W diag(D) W^dag.
+def _extremal_witness(bases: tuple[np.ndarray, ...], diag: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(spread(H)^2, tau, degenerate) of each row of an eigenframe, diag (rows, dim).
 
-    tau = (w_max + w_min)/sqrt(2) over the product columns of W at the
+    A site basis (d, d) is shared by every row, one (rows, d, d) is row i's
+    own. tau = (w_max + w_min)/sqrt(2) over the product columns of W at the
     lowest index of D within DEGENERACY_ATOL of its maximum and of its
     minimum (just w_min if the two coincide, when D is constant);
     `degenerate` flags an extreme that D attains more than once.
     """
-    bases, diag = _eigenframe(h)
-    lo, hi = float(diag.min()), float(diag.max())
-    tol = DEGENERACY_ATOL * max(1.0, abs(lo), abs(hi))
-    at_min, at_max = diag <= lo + tol, diag >= hi - tol
-    i_min, i_max = int(np.argmax(at_min)), int(np.argmax(at_max))
-    dims = [b.shape[0] for b in bases]
-    ends = [kron_fold(np.multiply, [b[:, j] for b, j in zip(bases, np.unravel_index(i, dims))])
-            for i in {i_min, i_max}]
-    tau = sum(ends) / math.sqrt(len(ends))
-    degenerate = int(at_min.sum()) > 1 or int(at_max.sum()) > 1
-    return (hi - lo) ** 2, PureState(len(bases), dims[0], tau), degenerate
+    lo, hi = diag.min(axis=-1), diag.max(axis=-1)
+    tol = DEGENERACY_ATOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    at_min, at_max = diag <= (lo + tol)[:, None], diag >= (hi - tol)[:, None]
+    i_min, i_max = np.argmax(at_min, axis=-1), np.argmax(at_max, axis=-1)
+    dims, rows = [b.shape[-1] for b in bases], np.arange(len(diag))
+    stacks = [np.broadcast_to(b, (len(diag), d, d)) for b, d in zip(bases, dims)]
+    ends = [np.unravel_index(i, dims) for i in (i_min, i_max)]
+    w_min, w_max = [kron_fold(np.multiply, [b[rows, :, j] for b, j in zip(stacks, at)]) for at in ends]
+    tau = np.where((i_min == i_max)[:, None], w_min, (w_min + w_max) / math.sqrt(2.0))
+    degenerate = (at_min.sum(axis=-1) > 1) | (at_max.sum(axis=-1) > 1)
+    return _square(hi - lo), tau, degenerate
 
 
 def max_qfi_all_states(h) -> tuple[float, PureState]:
@@ -320,7 +324,9 @@ def max_qfi_all_states(h) -> tuple[float, PureState]:
     deterministic under degeneracy and is the tau of
     global_unitary_transport.
     """
-    return _extremal_witness(h)[:2]
+    bases, diag = _eigenframe(h)
+    target, tau, _ = _extremal_witness(bases, diag[None, :])
+    return float(target[0]), PureState(len(bases), bases[0].shape[0], tau[0])
 
 
 @dataclass(frozen=True)
@@ -332,7 +338,8 @@ class TransportResult:
     U^dag) = QFI(U^dag psi, H); `check` is that QFI, taken from U^dag psi
     without forming U, and should equal `target` = spread(H)^2. The unit
     `phase` makes the overlap of phase tau and psi real and non-negative,
-    so that the reflector swaps them.
+    so that the reflector swaps them. In transport_batch's result every
+    field holds one entry per state row.
     """
 
     phase: complex
@@ -342,18 +349,34 @@ class TransportResult:
     degenerate: bool
 
 
+def transport_batch(amplitudes: np.ndarray, h) -> TransportResult:
+    """The transport of each unit row of `amplitudes`, as arrays over the rows.
+
+    `h` is a typed Hamiltonian or a bare (dim, dim) array shared by every
+    row, or a stack of bare arrays (rows, dim, dim), one per row, which is
+    diagonalised by one stacked eigh. With a stack, row i's values equal
+    global_unitary_transport of row i under h[i], bit for bit.
+    """
+    bases, diag = _eigenframe(h)
+    psi = _unit_rows(amplitudes, diag.shape[-1])
+    target, tau, degenerate = _extremal_witness(bases, np.broadcast_to(diag, psi.shape))
+    overlap = row_dot(tau.conj(), psi)
+    # overlap / |overlap| as a complex scalar rounds it: times 1 / hypot
+    live = overlap != 0
+    phase = np.ones_like(overlap)
+    phase[live] = overlap[live] * (1.0 / np.hypot(overlap.real[live], overlap.imag[live]))
+    r = phase[:, None] * tau - psi
+    nrm = row_norms(r)[:, None]
+    r = np.divide(r, nrm, out=r, where=nrm > 0.0)
+    moved = np.conj(phase)[:, None] * (psi - 2.0 * r * row_dot(r.conj(), psi)[:, None])
+    return TransportResult(phase, r, qfi_batch(h, moved), target, degenerate)
+
+
 def global_unitary_transport(state: PureState, h) -> TransportResult:
-    target, tau, degenerate = _extremal_witness(h)
-    psi = state.amplitudes
-    overlap = np.vdot(tau.amplitudes, psi)
-    phase = overlap / abs(overlap) if overlap != 0 else 1.0
-    r = phase * tau.amplitudes - psi
-    nrm = float(np.linalg.norm(r))
-    if nrm > 0.0:
-        r = r / nrm
-    moved = np.conj(phase) * (psi - 2.0 * r * np.vdot(r, psi))
-    check = float(qfi_batch(h, moved[None, :])[0])
-    return TransportResult(complex(phase), r, check, target, degenerate)
+    """The one-row case of transport_batch."""
+    res = transport_batch(state.amplitudes[None, :], h)
+    return TransportResult(complex(res.phase[0]), res.reflector[0], float(res.check[0]),
+                           float(res.target[0]), bool(res.degenerate[0]))
 
 
 # --- separable references ----------------------------------------------------

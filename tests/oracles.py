@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 permutation sums, eigendecompositions, grid scans) and shares no code with
-the library beyond numpy itself.
+the library beyond numpy itself, except the per-trial samplers, which are
+the one-row cases of the library's array samplers.
 """
 
 import itertools
@@ -298,3 +299,29 @@ def csv_cell(value) -> str:
             raise ValueError(f"string cell {value!r} would break the CSV")
         return value
     raise TypeError(f"unsupported CSV cell type {type(value).__name__}")
+
+
+def sample_linear_banded(n: int, d: int, rng, A: float, B: float):
+    """Random family member: |levels| uniform in [A, B], then a Haar shared basis.
+
+    The one-row case of nets.sample_linear_banded_arrays, from rng's own words.
+    """
+    from qfiwb.hamiltonians import LinearHamiltonian
+    from qfiwb.nets import linear_banded_words, sample_linear_banded_arrays
+
+    u = rng.random((1, linear_banded_words(n, d)))
+    tables, bases = sample_linear_banded_arrays(u, n, d, A, B)
+    return LinearHamiltonian(tables[0], bases[0])
+
+
+def sample_product_banded(n: int, d: int, rng, A: float, B: float):
+    """Haar product bases, then |coefficients| uniform in [A, B] with random signs.
+
+    The one-row case of nets.sample_product_banded_arrays, from rng's own words.
+    """
+    from qfiwb.hamiltonians import ProductDiagonalHamiltonian
+    from qfiwb.nets import product_banded_words, sample_product_banded_arrays
+
+    u = rng.random((1, product_banded_words(n, d)))
+    coeffs, bases = sample_product_banded_arrays(u, n, d, A, B)
+    return ProductDiagonalHamiltonian(coeffs[0], tuple(bases[0]))

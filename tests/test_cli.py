@@ -5,15 +5,18 @@ import importlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import csv_cell
+from oracles import csv_cell, sample_linear_banded
 import qfiwb.cli as cli
 from qfiwb.cli import (
     EXIT_CONFIG,
@@ -34,8 +37,7 @@ from qfiwb.cli import (
     parse_config_text,
     write_csv,
 )
-from qfiwb.hamiltonians import from_spec_text
-from qfiwb.nets import sample_linear_banded
+from qfiwb.hamiltonians import LinearHamiltonian, SingleSiteOperator, from_spec_text
 from qfiwb.numerics import Rng, random_hermitian
 from qfiwb.qfi import qfi
 from qfiwb.states import dicke_basis, sample_haar, sample_symmetric
@@ -235,6 +237,16 @@ def test_write_csv_formats_each_distinct_label_once(tmp_path: Path):
         write_csv(tmp_path / "bad.csv", columns)
 
 
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, -1e300]), max_size=12))
+def test_write_csv_formats_a_run_of_equal_floats_as_its_cells(tmp_path_factory, values):
+    # a run of one value is formatted once; 0.0 and -0.0 are different bits
+    columns = {"x": np.array(values, dtype=np.float64), "t": np.arange(len(values))}
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == _reference_csv(columns)
+
+
 def test_main_non_finite_cell_is_internal_error(tmp_path: Path, capsys, monkeypatch):
     def non_finite(cfg, rng):
         return ExperimentResult({"x": np.array([1.0, math.nan])}, {}, True)
@@ -407,6 +419,75 @@ def test_main_concentration_with_zero_hamiltonian(tmp_path: Path):
     assert rc == EXIT_PASS
     summary = json.loads((tmp_path / "concentration.summary.json").read_text())
     assert summary["bound_two_sided"] == 0.0
+
+
+def _csv_column(path: Path, name: str) -> list[str]:
+    header, *lines = path.read_text().splitlines()
+    col = header.split(",").index(name)
+    return [line.split(",")[col] for line in lines]
+
+
+@pytest.mark.parametrize("n, lam0, lam1, seed", [
+    (12, 0.0, 1.0, 1), (8, -0.3, 1.7, 7), (4, 1e6, 1e6 + 3.0, 0),
+])
+def test_concentration_matches_an_exact_reference(tmp_path: Path, n, lam0, lam1, seed):
+    # f is the variance of D under weights log(1 - u) / sum log(1 - u);
+    # the reference takes the same float logs and D, and is exact.  The
+    # per-row dots on the uncentred D were up to 8e-15 off at n = 12.
+    trials = 12
+    cfg = cfg_file(tmp_path, f"n = {n}\ntrials = {trials}\nlam0 = {lam0!r}\nlam1 = {lam1!r}\n")
+    assert main(["concentration", "--config", cfg, "--seed", str(seed), "--out", str(tmp_path)]) == EXIT_PASS
+    got = [float(c) for c in _csv_column(tmp_path / "concentration.csv", "f_value")]
+    site = SingleSiteOperator.computational(tuple(np.linspace(lam0, lam1, 2)))
+    diag = [Fraction(x) for x in LinearHamiltonian.from_site(n, site).diagonal()]
+    logs = np.log(1.0 - Rng(seed).substream(1).substream_uniforms(range(trials), 2**n))
+    for t in range(trials):
+        w = [Fraction(x) for x in logs[t]]
+        s = sum(w)
+        m1 = sum(x * dx for x, dx in zip(w, diag)) / s
+        m2 = sum(x * dx * dx for x, dx in zip(w, diag)) / s
+        want = float(m2 - m1 * m1)
+        assert abs(got[t] - want) <= 2e-15 * want
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    scale=st.floats(1e-3, 1e6),
+    sign=st.sampled_from([1.0, -1.0]),
+    gap=st.sampled_from([0, 0, 1, 2**20]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_concentration_of_a_constant_spectrum_is_exactly_zero(tmp_path_factory, n, scale, sign, gap, seed):
+    # lam1 is lam0 or up to 2^20 ulps from it: f never goes below 0, and
+    # is exactly 0 when the spectrum is constant
+    lam0 = sign * scale
+    lam1 = float(lam0 + gap * np.spacing(lam0))
+    out = tmp_path_factory.mktemp("conc")
+    cfg = cfg_file(out, f"n = {n}\ntrials = 5\nlam0 = {lam0!r}\nlam1 = {lam1!r}\n")
+    assert main(["concentration", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == EXIT_PASS
+    f = np.array([float(c) for c in _csv_column(out / "concentration.csv", "f_value")])
+    assert np.all(f >= 0.0)
+    if lam1 == lam0:
+        assert _csv_column(out / "concentration.csv", "f_value") == ["0"] * 5
+
+
+@pytest.mark.parametrize("experiment, text", [
+    ("concentration", "n = 10\ntrials = 150\n"),
+    ("thm11-check", "n = 5\ntrials = 40\n"),
+])
+def test_block_kernels_write_the_same_bytes_at_any_blas_thread_count(tmp_path: Path, experiment, text):
+    cfg = cfg_file(tmp_path, text)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / f"blas{threads}"
+        subprocess.run([sys.executable, "-m", "qfiwb.cli", experiment, "--config", cfg, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append((out / f"{experiment}.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_main_large_hamiltonian_scale_is_not_a_config_error(tmp_path: Path):

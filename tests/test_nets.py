@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import sample_linear_banded, sample_product_banded
 from qfiwb import numerics
 from qfiwb.hamiltonians import LinearHamiltonian, from_spec_text
 from qfiwb.nets import (
@@ -23,9 +24,7 @@ from qfiwb.nets import (
     product_banded_words,
     property_audit,
     pure_state_net_qubit,
-    sample_linear_banded,
     sample_linear_banded_arrays,
-    sample_product_banded,
     sample_product_banded_arrays,
     theorem_bound,
     trace_distance_qubit,

@@ -38,8 +38,10 @@ from qfiwb.qfi import (
     separable_reference_diagonals,
     site_variance_term,
     symmetric_product_state,
+    transport_batch,
 )
 from qfiwb.states import (
+    PureState,
     dim_symmetric,
     ghz,
     product_state,
@@ -430,6 +432,43 @@ def test_degenerate_extremes_give_one_witness(h, want):
     assert res.degenerate
     u = _transport_unitary(res)
     assert np.allclose(u.conj().T @ psi.amplitudes, witness.amplitudes, atol=1e-12)
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.atleast_1d(a).view(np.uint8), np.atleast_1d(b).view(np.uint8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(["bare", "linear", "product", "graph"]),
+    n=st.integers(1, 4),
+    rows=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transport_batch_rows_match_the_one_row_transport(family, n, rows, seed):
+    r = Rng(seed)
+    if family == "graph":
+        n = max(n, 2)
+    psi = np.stack([sample_haar(n, 2, r.substream(100 + i)).amplitudes for i in range(rows)])
+    if family == "bare":
+        # a stack gives every row its own matrix, each row bit for bit its one-row call
+        h = np.stack([random_hermitian(2**n, r.substream(i)) for i in range(rows)])
+        batch = transport_batch(psi, h)
+        for i in range(rows):
+            one = global_unitary_transport(PureState(n, 2, psi[i]), h[i])
+            assert _same_bits(batch.target[i], one.target) and _same_bits(batch.check[i], one.check)
+            assert _same_bits(batch.phase[i], one.phase) and _same_bits(batch.reflector[i], one.reflector)
+            assert batch.degenerate[i] == one.degenerate
+        return
+    # a typed H is shared by every row, whose frame products may round apart
+    h = _random_typed_hamiltonian(family, n, 2, r)
+    batch = transport_batch(psi, h)
+    for i in range(rows):
+        one = global_unitary_transport(PureState(n, 2, psi[i]), h)
+        assert batch.target[i] == one.target and batch.degenerate[i] == one.degenerate
+        assert batch.check[i] == pytest.approx(one.check, rel=1e-12, abs=1e-12)
+        assert batch.phase[i] == pytest.approx(one.phase, rel=1e-12, abs=1e-12)
+        assert np.allclose(batch.reflector[i], one.reflector, rtol=0.0, atol=1e-12)
 
 
 def _forbidden(*args, **kwargs):
