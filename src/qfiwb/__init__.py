@@ -20,6 +20,7 @@ from .gme import (
 )
 from .graphs import (
     InteractionGraph,
+    census,
     census_bruteforce,
     census_by_degrees,
     preset_graph,

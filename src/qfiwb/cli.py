@@ -57,19 +57,8 @@ from typing import Callable
 import numpy as np
 
 from .gme import Result2Report, cap_state, verify_result2
-from .graphs import (
-    GRAPH_SHAPES,
-    census_bruteforce,
-    census_by_degrees,
-    check_pair_cap,
-    degree_norms,
-    degree_vector,
-    preset_census,
-    preset_degrees,
-    preset_edge_count,
-    preset_graph,
-    scaling_report,
-)
+from .graphs import (GRAPH_SHAPES, census, degree_norms, degree_vector, preset_census, preset_degrees, preset_graph,
+                     preset_sizes, scaling_report)
 from .hamiltonians import (
     LinearHamiltonian,
     ProductDiagonalHamiltonian,
@@ -644,34 +633,20 @@ def run_result2_verify(cfg, rng: Rng) -> ExperimentResult:
 
 def run_table_census(cfg, rng: Rng) -> ExperimentResult:
     n, k = cfg["n"], cfg["k"]
-    shapes, censuses, norms, mismatches, skipped = [], [], [], [], []
-    for shape in GRAPH_SHAPES:
-        try:
-            s = preset_edge_count(shape, n, k)
-        except DomainError:
-            skipped.append(shape)
-            continue
-        check_pair_cap(s)  # a defined preset too large to census exits 2 unbuilt
+    sizes = preset_sizes(GRAPH_SHAPES, n, k)  # every preset is sized and checked before any is built
+    _require(bool(sizes), f"no preset is defined at n={n}, k={k}")
+    censuses, norms = [], []
+    for shape in sizes:
         g = preset_graph(shape, n, k)
-        brute = census_bruteforce(g)
-        deg = degree_vector(g)
-        routes = [census_by_degrees(deg)] if k == 2 else []
-        try:
-            routes.append(preset_census(shape, n, k))
-        except DomainError:  # the ring's count formula needs n >= 2k - 1
-            pass
-        if any(r != brute for r in routes):
-            mismatches.append(shape)
-        shapes.append(shape)
-        censuses.append(brute)
-        norms.append(degree_norms(deg))
-    _require(bool(shapes), f"no preset is defined at n={n}, k={k}")
+        censuses.append(census(g))
+        norms.append(degree_norms(degree_vector(g)))
+    mismatches = [shape for shape, c in zip(sizes, censuses) if c != preset_census(shape, n, k)]
     norm1_sq, norm2_sq = np.array(norms).T
     return ExperimentResult(
-        {"shape": np.array(shapes), "n": n, "k": k,
+        {"shape": np.array(list(sizes)), "n": n, "k": k,
          **_columns_of(censuses, ("s", "disjoint", "connected", "all")),
          "norm1_sq": norm1_sq, "norm2_sq": norm2_sq},
-        {"route_mismatches": mismatches, "skipped_shapes": skipped},
+        {"route_mismatches": mismatches, "skipped_shapes": [sh for sh in GRAPH_SHAPES if sh not in sizes]},
         not mismatches,
     )
 
@@ -683,14 +658,10 @@ def run_scaling_report(cfg, rng: Rng) -> ExperimentResult:
     labels, ns, reports = [], [], []
     for shape in shapes:
         for n in range(n_min, n_max + 1):
-            try:
-                s = preset_edge_count(shape, n, 2)
-            except DomainError:
-                continue
-            check_pair_cap(s)
-            labels.append(shape)
-            ns.append(n)
-            reports.append(scaling_report(preset_degrees(shape, n)))
+            if preset_sizes((shape,), n):
+                labels.append(shape)
+                ns.append(n)
+                reports.append(scaling_report(preset_degrees(shape, n)))
     _require(bool(reports), "no (shape, n) pair in range is valid")
     return ExperimentResult(
         {"shape": np.array(labels), "n": np.array(ns), "s": np.array([rep.census.s for rep in reports]),

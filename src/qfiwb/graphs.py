@@ -3,8 +3,9 @@
 An interaction graph lists which site tuples carry a coupling term. Ordered
 pairs of hyperedges split into same / disjoint / connected classes whose
 counts drive both the product-state QFI closed form and the degree-vector
-scaling laws, so the same census is computed three independent ways here:
-brute force over edge pairs, degree arithmetic, and per-shape closed forms.
+scaling laws. `census` counts them exactly on any graph from co-degrees (the
+brute-force pair scan past its key budget), and `preset_census` gives each
+preset's counts in closed form, an independent check of it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .qfi import ProductScan, max_qfi_symmetric_product, product_qfi_closed_form
 
 GAP_RATIO = 0.25
 MAX_BRUTEFORCE_PAIRS = 10**8
+MAX_CENSUS_KEYS = 2**25  # int64 co-degree keys, about s * 2^k (256 MiB)
 _CENSUS_BLOCK_WORDS = 2**20  # per block of pair tests (8 MiB)
 
 
@@ -63,6 +65,10 @@ class PairCensus:
     disjoint: int
     connected: int
     all: int
+
+    @classmethod
+    def of(cls, s: int, connected: int) -> PairCensus:
+        return cls(s, s * s - s - connected, connected, s * s)
 
     def __post_init__(self):
         if self.all != self.s**2:
@@ -169,12 +175,53 @@ def preset_graph(shape: str, n: int, k: int = 2) -> InteractionGraph:
     return complete_graph(n, k)
 
 
-# --- census, three routes ------------------------------------------------------
+# --- census --------------------------------------------------------------------
 
-def check_pair_cap(s: int) -> None:
-    """DomainError if a census of s edges would test more than MAX_BRUTEFORCE_PAIRS pairs."""
-    if s * s > MAX_BRUTEFORCE_PAIRS:
-        raise DomainError(f"{s}^2 ordered pairs exceeds the brute-force cap")
+def check_census_size(s: int, k: int) -> None:
+    """DomainError if s k-edges fit neither census route: s * 2^k keys nor s^2 pairs."""
+    if s << k > MAX_CENSUS_KEYS and s * s > MAX_BRUTEFORCE_PAIRS:
+        raise DomainError(f"{s} edges of arity {k} exceed both census caps (s * 2^k keys, s^2 pairs)")
+
+
+def preset_sizes(shapes, n: int, k: int = 2) -> dict[str, int]:
+    """Edge count of each of `shapes` defined at (n, k), all checked by check_census_size."""
+    sizes = {}
+    for shape in shapes:
+        try:
+            sizes[shape] = preset_edge_count(shape, n, k)
+        except DomainError:
+            continue
+    for s in sizes.values():
+        check_census_size(s, k)
+    return sizes
+
+
+def census(g: InteractionGraph) -> PairCensus:
+    """Exact ordered-pair counts of any graph, by co-degree inclusion-exclusion.
+
+    Two distinct edges meet iff (-1)^(|T|+1) summed over the nonempty T in
+    their intersection is 1, so connected = sum over j < k of (-1)^(j+1)
+    sum_{|T|=j} c_T (c_T - 1), c_T being the number of edges that contain T.
+    Past MAX_CENSUS_KEYS keys (s * 2^k) the pair scan runs instead."""
+    s, k, n = g.s, g.k, g.n
+    check_census_size(s, k)
+    if s << k > MAX_CENSUS_KEYS:
+        return census_bruteforce(g)
+    vertex = np.ascontiguousarray(g.edges.T) - 1  # (k, s): row i holds each edge's i-th vertex
+    if n > 2**31:  # rank sparse labels, so that a re-ranked key times n fits int64
+        vertex, n = np.unique(vertex, return_inverse=True)[1].reshape(k, s), s * k
+    connected = 0
+    for j in range(1, k):
+        positions = np.array(list(itertools.combinations(range(k), j))).T  # (j, C(k, j))
+        key, bound = vertex[positions[0]].ravel(), n
+        for column in positions[1:]:
+            if bound * n >= 2**63:  # re-rank the partial key before it can wrap
+                ranks, key = np.unique(key, return_inverse=True)
+                key, bound = key.ravel(), len(ranks)
+            key, bound = key * n + vertex[column].ravel(), bound * n
+        c = np.bincount(key) if bound <= len(key) else np.unique(key, return_counts=True)[1]
+        connected -= (-1) ** j * int((c * (c - 1)).sum())
+    return PairCensus.of(s, connected)
 
 
 def census_bruteforce(g: InteractionGraph) -> PairCensus:
@@ -183,7 +230,8 @@ def census_bruteforce(g: InteractionGraph) -> PairCensus:
     Edge bit masks are ceil(n/64) uint64 words, tested in blocks of about
     _CENSUS_BLOCK_WORDS words."""
     s = g.s
-    check_pair_cap(s)
+    if s * s > MAX_BRUTEFORCE_PAIRS:
+        raise DomainError(f"{s}^2 ordered pairs exceeds the brute-force cap")
     words = (g.n + 63) // 64
     vertex = g.edges - 1
     masks = np.zeros((s, words), dtype=np.uint64)
@@ -194,9 +242,7 @@ def census_bruteforce(g: InteractionGraph) -> PairCensus:
     for lo in range(0, s, step):
         block = masks[lo : lo + step, None, :] & masks[None, :, :]
         overlap += int(np.count_nonzero(block.any(axis=-1)))
-    connected = overlap - s  # the diagonal self-overlaps
-    disjoint = s * s - s - connected
-    return PairCensus(s, disjoint, connected, s**2)
+    return PairCensus.of(s, overlap - s)  # less the diagonal self-overlaps
 
 
 def degree_vector(g: InteractionGraph) -> DegreeVector:
@@ -209,44 +255,23 @@ def degree_norms(deg: DegreeVector) -> tuple[float, float]:
 
 
 def census_by_degrees(deg: DegreeVector) -> PairCensus:
-    """Census of any realizing 2-body graph from the degree sequence alone.
-
-    Connected ordered pairs correspond to picking a shared vertex and two
-    distinct incident edges, hence sum d(d-1); the rest is forced by the
-    partition identities.
-    """
+    """Census of any realizing 2-body graph from its degrees: `census` at k = 2, sum d(d-1)."""
     total = sum(deg.d)
     if total % 2 != 0:
         raise DomainError(f"degree sum {total} is odd; not a 2-body graph")
-    s = total // 2
-    connected = sum(x * (x - 1) for x in deg.d)
-    disjoint = s * s - s - connected
-    return PairCensus(s, disjoint, connected, s**2)
+    return PairCensus.of(total // 2, sum(x * (x - 1) for x in deg.d))
 
 
 def preset_census(shape: str, n: int, k: int = 2) -> PairCensus:
-    """Closed-form census per shape; the k-body chain is enumerated exactly.
+    """Closed-form census of a preset at any (n, k) where it is defined.
 
-    Ring disjoint count n(n-2k+1) needs n >= 2k-1; the complete-graph count
-    is C(n,k)*C(n-k,k) ordered. DomainError where the preset is undefined.
-    """
+    A chain window meets the m = min(k-1, s-1) nearest windows on each side,
+    a ring window min(n-1, 2k-2) others, and a complete-graph edge misses
+    C(n-k, k) edges. DomainError where the preset is undefined."""
     s = preset_edge_count(shape, n, k)
-    if shape == "star":
-        connected = (n - 1) * (n - 2)
-        return PairCensus(s, s * s - s - connected, connected, s * s)
-    if shape == "chain":
-        if k == 2:
-            disjoint = n * n - 5 * n + 6
-            return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
-        check_pair_cap(s)
-        return census_bruteforce(chain_graph(n, k))
-    if shape == "ring":
-        if n < 2 * k - 1:
-            raise DomainError(f"the ring count formula needs n >= {2 * k - 1}")
-        disjoint = n * (n - 2 * k + 1)
-        return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
-    disjoint = s * math.comb(n - k, k)
-    return PairCensus(s, disjoint, s * s - s - disjoint, s * s)
+    m = min(k - 1, s - 1)
+    return PairCensus.of(s, {"star": s * (s - 1), "chain": m * (2 * s - m - 1), "ring": n * min(n - 1, 2 * k - 2),
+                             "complete": s * (s - 1 - math.comb(n - k, k))}[shape])
 
 
 # --- degree scaling ------------------------------------------------------------
@@ -321,9 +346,9 @@ def qfi_witnesses(g: InteractionGraph, lam0: float, lam1: float) -> WitnessRepor
     # With 0 < lam0 < lam1, the all-lam1 and all-lam0 level strings maximise
     # and minimise every edge term lam_a * lam_b at once.
     max_all = (g.s * (lam1**2 - lam0**2)) ** 2
-    census = census_bruteforce(g)
-    scan = max_qfi_symmetric_product(census.s, census.connected, lam0, lam1)
-    all_count, prod_count = census.witness_counts
+    pairs = census(g)
+    scan = max_qfi_symmetric_product(pairs.s, pairs.connected, lam0, lam1)
+    all_count, prod_count = pairs.witness_counts
     p = scan.p
     mu = (lam0 - lam1) * p + lam1
     m2 = (lam0**2 - lam1**2) * p + lam1**2
@@ -331,7 +356,7 @@ def qfi_witnesses(g: InteractionGraph, lam0: float, lam1: float) -> WitnessRepor
     return WitnessReport(
         max_all,
         scan.value,
-        census,
+        pairs,
         scan,
         all_count,
         prod_count,
@@ -342,9 +367,11 @@ def qfi_witnesses(g: InteractionGraph, lam0: float, lam1: float) -> WitnessRepor
 
 
 def product_qfi_at(g: InteractionGraph, lam0: float, lam1: float, p: float) -> float:
-    """Closed-form product-state QFI on this graph at mixing weight p."""
-    census = census_bruteforce(g)
-    return product_qfi_closed_form(census.s, census.connected, lam0, lam1, p)
+    """Closed-form product-state QFI on this 2-body graph at mixing weight p."""
+    if g.k != 2:
+        raise ValueError("the product-state closed form covers 2-body graphs")
+    pairs = census(g)
+    return product_qfi_closed_form(pairs.s, pairs.connected, lam0, lam1, p)
 
 
 # --- file format -----------------------------------------------------------------

@@ -378,15 +378,16 @@ def test_main_domain_error_maps_to_config_exit(tmp_path: Path, capsys):
     assert capsys.readouterr().err.startswith("qfiwb: config error: n^(c-1) = ")
 
 
-@pytest.mark.parametrize("experiment, text, s", [
-    # star is undefined at k = 5 and skipped; chain and ring are built.
-    ("table-census", "n = 40\nk = 5\n", 658008),
+@pytest.mark.parametrize("experiment, text, s, k", [
+    # star is undefined at k = 10 and skipped; chain and ring would fit.
+    pytest.param("table-census", "n = 200\nk = 10\n", math.comb(200, 10), 10, id="table-census"),
     # A skipped complete graph would leave the star row and exit 0.
-    ("scaling-report", "shapes = star,complete\nn_min = 142\nn_max = 142\n", 10011),
+    pytest.param("scaling-report", "shapes = star,complete\nn_min = 5000\nn_max = 5000\n", 12497500, 2,
+                 id="scaling-report"),
 ])
-def test_main_census_cap_exits_before_building(tmp_path: Path, capsys, monkeypatch, experiment, text, s):
-    # The complete graph's edge count is closed form, so a preset past the
-    # pair cap exits 2 without a single edge built.
+def test_main_census_cap_exits_before_building(tmp_path: Path, capsys, monkeypatch, experiment, text, s, k):
+    # The complete graph's edge count is closed form, so a preset past both
+    # census caps (s * 2^k keys, s^2 pairs) exits 2 without a single edge built.
     def unbuilt(n, k=2):
         raise AssertionError("the complete graph was built")
 
@@ -394,13 +395,43 @@ def test_main_census_cap_exits_before_building(tmp_path: Path, capsys, monkeypat
     rc = main([experiment, "--config", cfg_file(tmp_path, text), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"qfiwb: config error: {s}^2 ordered pairs exceeds the brute-force cap\n"
+        f"qfiwb: config error: {s} edges of arity {k} exceed both census caps (s * 2^k keys, s^2 pairs)\n"
     )
 
 
+def test_main_table_census_sizes_every_preset_before_any_census(tmp_path: Path, capsys, monkeypatch):
+    # At n = 10000, k = 14 the chain and ring fit the pair scan, but the
+    # complete graph fits no route: the run exits 2 before any census.
+    def unreached(*args, **kwargs):
+        raise AssertionError("a preset was built or censused")
+
+    graphs = importlib.import_module("qfiwb.graphs")
+    for module, name in ((graphs, "census_bruteforce"), (graphs, "census"), (cli, "census"), (cli, "preset_graph")):
+        monkeypatch.setattr(module, name, unreached)
+    rc = main(["table-census", "--config", cfg_file(tmp_path, "n = 10000\nk = 14\n"), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"qfiwb: config error: {math.comb(10000, 14)} edges of arity 14 ")
+
+
+@pytest.mark.parametrize("text", [
+    # 658008 complete-graph edges: past the pair cap, inside the key cap.
+    pytest.param("n = 40\nk = 5\n", id="co-degree"),
+    # 26 edges of arity 25: past the key cap, so the pair scan counts them.
+    pytest.param("n = 26\nk = 25\n", id="pair-scan"),
+])
+def test_main_table_census_matches_closed_forms_on_either_route(tmp_path: Path, text):
+    rc = main(["table-census", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    summary = json.loads((tmp_path / "table-census.summary.json").read_text())
+    assert summary["route_mismatches"] == []
+    assert summary["skipped_shapes"] == ["star"]
+    rows = (tmp_path / "table-census.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["chain", "ring", "complete"]
+
+
 def test_main_table_census_keeps_a_ring_without_closed_form(tmp_path: Path):
-    # At n = 4, k = 3 the ring exists but its closed-form count needs
-    # n >= 2k - 1; its brute-force census is still listed and checked.
+    # At n = 4, k = 3 the ring lies below n = 2k - 1, where every window
+    # meets every other; it is listed and checked against its closed form.
     rc = main(["table-census", "--config", cfg_file(tmp_path, "n = 4\nk = 3\n"), "--out", str(tmp_path)])
     assert rc == EXIT_PASS
     summary = json.loads((tmp_path / "table-census.summary.json").read_text())

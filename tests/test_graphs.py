@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import re
 
 import numpy as np
@@ -10,7 +11,9 @@ import oracles
 from formats import commented
 from qfiwb.graphs import (
     GAP_RATIO,
+    MAX_CENSUS_KEYS,
     InteractionGraph,
+    census,
     census_bruteforce,
     census_by_degrees,
     chain_graph,
@@ -31,8 +34,8 @@ from qfiwb.graphs import (
     to_hamiltonian,
     write_graph,
 )
-from qfiwb.numerics import Rng
-from qfiwb.qfi import max_qfi_symmetric_product, qfi
+from qfiwb.numerics import DomainError, Rng
+from qfiwb.qfi import max_qfi_symmetric_product, product_qfi_closed_form, qfi, symmetric_product_state
 from qfiwb.states import sample_haar
 
 
@@ -124,6 +127,33 @@ def test_frozen_kbody_census_n8():
         got = census_bruteforce(preset_graph(shape, 8, 3))
         assert (got.s, got.disjoint, got.connected, got.all) == want, shape
         assert preset_census(shape, 8, 3) == got
+        assert census(preset_graph(shape, 8, 3)) == got
+    # Every preset at every (n, k) where it is defined, the ring below
+    # n = 2k - 1 and the chains of one or two windows included.
+    defined = 0
+    for k, n, shape in itertools.product(range(2, 6), range(2, 16), ("star", "chain", "ring", "complete")):
+        try:
+            closed = preset_census(shape, n, k)
+        except DomainError:
+            continue
+        g = preset_graph(shape, n, k)
+        assert closed == census_bruteforce(g) == census(g), (shape, n, k)
+        defined += 1
+    assert defined == 160
+
+
+@pytest.mark.parametrize("shape, n", [("chain", 10**5), ("ring", 10**5), ("chain", 2**16)])
+def test_census_keys_never_wrap(shape, n):
+    # n^5 > 2^63: the five-vertex keys of the k = 6 windows need a re-rank.
+    # At n = 2^16 a wrapped key would lose its first vertex exactly.
+    assert census(preset_graph(shape, n, 6)) == preset_census(shape, n, 6)
+
+
+def test_census_ranks_sparse_vertex_labels():
+    # Labels past 2^38 would wrap even a re-ranked key times n.
+    far = 2**62
+    g = InteractionGraph(far, ((1, 2, far), (2, 5, far - 1), (3, far - 1, far), (4, 5, 6)))
+    assert census(g) == census_bruteforce(InteractionGraph(8, ((1, 2, 8), (2, 5, 7), (3, 7, 8), (4, 5, 6))))
 
 
 def test_census_matches_pair_oracle():
@@ -155,6 +185,19 @@ def _random_hypergraph(n: int, s: int, k: int, r: Rng) -> InteractionGraph:
     while len(edges) < s:
         edges.add(tuple(sorted(int(v) + 1 for v in np.argsort(r.random(n))[:k])))
     return InteractionGraph(n, tuple(sorted(edges)))
+
+
+@pytest.mark.parametrize("max_keys", [MAX_CENSUS_KEYS, 1])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(2, 4), n=st.integers(4, 11), fill=st.floats(0.0, 1.0))
+def test_census_matches_pair_oracle_on_random_kgraphs(max_keys, seed, k, n, fill):
+    # A cap of 1 key sends every graph down the brute-force route.
+    s = 1 + int(fill * (math.comb(n, k) - 1))
+    g = _random_hypergraph(n, s, k, Rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("qfiwb.graphs"), "MAX_CENSUS_KEYS", max_keys)
+        c = census(g)
+    assert (c.s, c.disjoint, c.connected, c.all) == oracles.census_pairs(g.edges.tolist())
 
 
 @pytest.mark.parametrize("block_words", [2**20, 1000])
@@ -263,6 +306,18 @@ def test_witness_max_all_achieved_by_some_state():
     for seed in range(5):
         psi = sample_haar(4, 2, Rng(seed))
         assert qfi(psi, h) <= rep.max_all + 1e-9
+
+
+@pytest.mark.parametrize("g", [chain_graph(5, 3), ring_graph(6, 3)], ids=["chain", "ring"])
+def test_product_qfi_at_rejects_kbody_graphs(g):
+    # The 2-body formula misses the dense product-state QFI of a 3-body
+    # graph (chain 15.04 vs 36.51, ring 44.60 vs 101.90 at p = 0.3).
+    c = census(g)
+    h = to_hamiltonian(g, 0.5, 1.5)
+    dense = qfi(symmetric_product_state(h, 0.3), h)
+    assert product_qfi_closed_form(c.s, c.connected, 0.5, 1.5, 0.3) < dense / 2
+    with pytest.raises(ValueError, match="2-body"):
+        product_qfi_at(g, 0.5, 1.5, 0.3)
 
 
 def test_product_qfi_at_matches_scan_value():
