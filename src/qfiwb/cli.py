@@ -57,8 +57,8 @@ from typing import Callable
 import numpy as np
 
 from .gme import Result2Report, cap_state, verify_result2
-from .graphs import (GRAPH_SHAPES, census, degree_norms, degree_vector, preset_census, preset_degrees, preset_graph,
-                     preset_sizes, scaling_report)
+from .graphs import (GRAPH_SHAPES, census, degree_norms, degree_vector, preset_census, preset_degrees,
+                     preset_edge_count, preset_graph, preset_sizes, scaling_report)
 from .hamiltonians import (
     LinearHamiltonian,
     ProductDiagonalHamiltonian,
@@ -80,8 +80,8 @@ from .nets import (
     sample_product_banded_arrays,
     theorem_bound,
 )
-from .numerics import (DomainError, Rng, check_power_dim, complex_normals, content_lines, hermitian_parts,
-                       row_norms)
+from .numerics import (DomainError, Rng, block_rows, check_bytes, check_dense_power, check_power_dim, complex_normals,
+                       content_lines, hermitian_parts, row_norms)
 from .qfi import (
     expected_qfi_haar,
     expected_qfi_haar_diagonals,
@@ -282,10 +282,6 @@ def write_csv(path: Path, columns: dict[str, object]) -> int:
     return rows
 
 
-# State rows per qfi_batch block are capped at this many amplitudes (16 MiB).
-_BLOCK_AMPLITUDES = 2**20
-
-
 def _state_qfis(rng: Rng, trials: range, hs: list, basis: DickeBasis | None = None) -> np.ndarray:
     """QFI of each trial's random state under every operator in `hs`.
 
@@ -293,15 +289,15 @@ def _state_qfis(rng: Rng, trials: range, hs: list, basis: DickeBasis | None = No
     eigenframes, or bare arrays. Trial t's state is the normalised complex
     Gaussian of the seed's stream (1, t): the state sample_haar draws, or
     with `basis` the state sample_symmetric draws in that Dicke frame.
-    Blocks of at most _BLOCK_AMPLITUDES amplitudes are drawn in one
-    vectorised pass, and each block is one qfi_batch call per operator.
+    Each block of `numerics.block_rows` states is drawn in one vectorised
+    pass and is one qfi_batch call per operator.
     Returns shape (len(hs), len(trials)).
     """
     streams = rng.substream(1)
-    first = hs[0]
-    dim = first.shape[0] if isinstance(first, np.ndarray) else first.d**first.n
+    dim = hs[0].shape[0] if isinstance(hs[0], np.ndarray) else check_power_dim(hs[0].d, hs[0].n)
     width = dim if basis is None else basis.size
-    step = max(1, _BLOCK_AMPLITUDES // dim)
+    step = block_rows(16 * dim)
+    check_bytes(8 * len(hs) * len(trials), f"QFI values of {len(hs)} operators x {len(trials)} trials")
     out = np.empty((len(hs), len(trials)))
     for start in range(0, len(trials), step):
         block = trials[start:start + step]
@@ -311,8 +307,7 @@ def _state_qfis(rng: Rng, trials: range, hs: list, basis: DickeBasis | None = No
 
 def _block_qfis(hs: list, z: np.ndarray, basis: DickeBasis | None) -> np.ndarray:
     """QFI (len(hs), rows) of z's rows normalised, lifted from the Dicke frame when `basis` is given."""
-    # each frame row has one nonzero entry, so the lift is exact
-    amplitudes = z if basis is None else z @ basis.matrix.T
+    amplitudes = z if basis is None else basis.lift(z)
     amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
     return np.array([qfi_batch(h, amplitudes) for h in hs])
 
@@ -426,6 +421,7 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     # One GEMM of a block's log(1 - u1) against -[1, c, c^2] gives each
     # row's sum s and moments m1, m2; the two minus signs cancel.
     c = diag - (diag.max() + diag.min()) / 2.0
+    check_bytes(3 * diag.nbytes, f"spectral moments of {dim} levels")
     moments = -np.stack([np.ones(dim), c, c * c], axis=1)
     s, m1, m2 = np.concatenate([
         np.log(np.subtract(1.0, u, out=u), out=u) @ moments
@@ -523,7 +519,7 @@ def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     # from one draw, and Hamiltonian i scores its own n_s rows in the blocks
     # _state_qfis would use
     frames = rng.substream(1).substream_normals(range(n_h * n_s), basis.size).reshape(n_h, n_s, -1)
-    step = max(1, _BLOCK_AMPLITUDES // basis.matrix.shape[0])
+    step = block_rows(16 * basis.matrix.shape[0])
     qfis = np.concatenate([
         _block_qfis([h], frames[i, j:j + step], basis)[0]
         for i, h in enumerate(hams) for j in range(0, n_s, step)
@@ -560,7 +556,7 @@ def run_result3_demo(cfg, rng: Rng) -> ExperimentResult:
 
 def run_thm11_check(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, tol = cfg["n"], cfg["d"], cfg["trials"], cfg["tol"]
-    dim = check_power_dim(d, n)
+    dim = check_dense_power(d, n)
     h_words = 2 * dim * dim
     parts = []
     # trial t reads the words random_hermitian, then sample_haar, would from
@@ -655,14 +651,17 @@ def run_scaling_report(cfg, rng: Rng) -> ExperimentResult:
     shapes = _list_items(cfg["shapes"])
     n_min, n_max = cfg["n_min"], cfg["n_max"]
     _require(n_min <= n_max, "need n_min <= n_max")
-    labels, ns, reports = [], [], []
+    rows = []
     for shape in shapes:
         for n in range(n_min, n_max + 1):
-            if preset_sizes((shape,), n):
-                labels.append(shape)
-                ns.append(n)
-                reports.append(scaling_report(preset_degrees(shape, n)))
-    _require(bool(reports), "no (shape, n) pair in range is valid")
+            try:
+                preset_edge_count(shape, n)
+            except DomainError:
+                continue  # the preset is undefined at n
+            # closed-form degrees: no graph is built and no census run
+            rows.append((shape, n, scaling_report(preset_degrees(shape, n))))
+    _require(bool(rows), "no (shape, n) pair in range is valid")
+    labels, ns, reports = zip(*rows)
     return ExperimentResult(
         {"shape": np.array(labels), "n": np.array(ns), "s": np.array([rep.census.s for rep in reports]),
          **_columns_of(reports, ("norm1_sq", "norm2_sq", "ratio", "verdict"))},

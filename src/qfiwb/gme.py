@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, Rng, complex_normals, grid_size, kron_fold, row_dot
+from .numerics import (DomainError, Rng, block_rows, check_bytes, check_power_dim, complex_normals, kron_fold,
+                       row_norms)
 from .states import BlochGrid, PureState
 
 OVERLAP_ATOL = 1e-10
@@ -110,9 +111,6 @@ def _ascend_batch(
     return overlap, active
 
 
-_BLOCK_AMPLITUDES = 2**20  # of work per block of restarts (16 MiB)
-
-
 def gme(
     state: PureState,
     restarts: int = 8,
@@ -125,19 +123,18 @@ def gme(
     Restart 0 starts from the per-site marginal eigenvectors; restart r > 0
     starts from the random product state whose site i is the normalised
     `rng.substream(r).complex_normal(2)` draw i, all drawn in one block. All
-    restarts ascend as one batch, in blocks of at most _BLOCK_AMPLITUDES
-    amplitudes; the highest overlap wins, ties to the lowest restart index.
+    restarts ascend as one batch, in blocks of `block_rows` state-sized rows;
+    the highest overlap wins, ties to the lowest restart index.
     A run that never meets `tol` is still reported, flagged unconverged.
     """
     if restarts < 1:
         raise DomainError("need at least one restart")
     tensor = _qubit_tensor(state)
     rng = Rng(0) if rng is None else rng
-    step = max(1, _BLOCK_AMPLITUDES // tensor.size)
+    step = block_rows(tensor.nbytes)
     u = rng.substream_uniforms(range(1, restarts), 4 * state.n)
     z = complex_normals(u.reshape(-1, state.n, 4))
-    # rounded as np.linalg.norm of one site vector: one dot product per part
-    z /= np.sqrt(row_dot(z.real, z.real) + row_dot(z.imag, z.imag))[..., None]
+    z /= row_norms(z)[..., None]
     starts = np.concatenate([np.array(_marginal_start(tensor))[None], z])
     best = (-1.0, np.empty(0), False)
     unconverged = 0
@@ -164,14 +161,14 @@ def _oracle_grid(delta: float) -> BlochGrid:
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
-    rows = max(1, grid_size(math.pi / (2.0 * delta), "oracle grid rows"))
+    extent = math.pi / (2.0 * delta)
+    check_bytes(8 * (extent + 1), f"oracle grid of {extent:.3g} rows")
+    rows = max(1, math.ceil(extent))
     edge = np.minimum((np.arange(rows) + 1) * (math.pi / rows), math.pi)
     return BlochGrid(np.maximum(1, np.ceil(2.0 * math.pi * np.sin(edge / 2.0) / delta)))
 
 
 ORACLE_MAX_SITES = 4
-# Grid tuples the oracle may score: its work and memory grow with this count.
-ORACLE_MAX_POINTS = 2**18
 _ORACLE_DELTAS = {3: 0.03, 4: 0.15}
 
 
@@ -220,8 +217,8 @@ def _top_singular_sq(m: np.ndarray) -> np.ndarray:
 def gme_grid_oracle(state: PureState, delta: float | None = None) -> GmeBracket:
     """Exhaustive Bloch-grid bracket of E_g for up to ORACLE_MAX_SITES qubits.
 
-    Sites 3..n run over the grid (spacing `delta`, default per n), at most
-    ORACLE_MAX_POINTS grid tuples in all. Given them, the best overlap on
+    Sites 3..n run over the grid (spacing `delta`, default per n), within the
+    byte budget for their tuples' 2x2 blocks. Given them, the best overlap on
     sites 1 and 2 is the top singular value of a 2x2 matrix, taken in closed
     form for every tuple at once, so those two sites are exact and add no
     covering error.
@@ -238,11 +235,7 @@ def gme_grid_oracle(state: PureState, delta: float | None = None) -> GmeBracket:
     if delta is None:
         delta = _ORACLE_DELTAS[n]
     grid = _oracle_grid(delta)
-    if grid.count ** (n - 2) > ORACLE_MAX_POINTS:
-        raise DomainError(
-            f"oracle spacing {delta} gives {grid.count}^{n - 2} grid points at n = {n}, "
-            f"above the supported maximum {ORACLE_MAX_POINTS}"
-        )
+    check_bytes(64 * grid.count ** (n - 2), f"oracle spacing {delta} at n = {n}: {grid.count}^{n - 2} grid tuples")
     gc = np.conj(grid.states(np.arange(grid.count)))
     t = tensor
     for _ in range(n - 2):  # eats the last site axis, prepends a grid axis
@@ -276,8 +269,7 @@ class SymmetrizedAmplitudes:
             raise ValueError("weight profiles are nonnegative by construction")
         if not np.allclose(b, np.sqrt((a**2 + a[::-1] ** 2) / 2.0), atol=OVERLAP_ATOL):
             raise ValueError("b must be the reflection average of a")
-        comb = np.array([math.comb(self.n, k) for k in range(self.n + 1)])
-        total = float(np.sum(comb * b**2))
+        total = float(np.sum(_binomials(self.n) * b**2))
         if abs(total - 1.0) > OVERLAP_ATOL:
             raise ValueError(f"weighted b-profile sums to {total}, expected 1")
         a.setflags(write=False)
@@ -286,9 +278,18 @@ class SymmetrizedAmplitudes:
         object.__setattr__(self, "b", b)
 
 
+def _binomials(n: int) -> np.ndarray:
+    """C(n, k) for k = 0..n, as floats."""
+    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+
+
+def _hamming_weights(n: int) -> np.ndarray:
+    """The Hamming weight of each n-qubit basis index, in kron order."""
+    return kron_fold(np.add, [np.arange(2)] * n)
+
+
 def _state_from_profile(n: int, b: np.ndarray) -> PureState:
-    weights = kron_fold(np.add, [np.arange(2)] * n)
-    return PureState(n, 2, np.asarray(b, dtype=np.complex128)[weights])
+    return PureState(n, 2, np.asarray(b, dtype=np.complex128)[_hamming_weights(n)])
 
 
 def symmetrize_amplitudes(state: PureState) -> tuple[SymmetrizedAmplitudes, PureState]:
@@ -300,25 +301,25 @@ def symmetrize_amplitudes(state: PureState) -> tuple[SymmetrizedAmplitudes, Pure
     """
     if state.d != 2:
         raise ValueError("weight symmetrization covers qubits only (d = 2)")
-    n = state.n
-    comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    a = np.sqrt(_weight_histogram(state) / comb)
-    b = np.sqrt((a**2 + a[::-1] ** 2) / 2.0)
-    profile = SymmetrizedAmplitudes(n, a, b)
-    return profile, _state_from_profile(n, profile.b)
+    profile = _weight_profile(state.n, _weight_histogram(state))
+    return profile, _state_from_profile(state.n, profile.b)
+
+
+def _weight_profile(n: int, histogram: np.ndarray) -> SymmetrizedAmplitudes:
+    """Per-weight RMS amplitudes a from a Hamming-weight histogram, and their reflection average b."""
+    a = np.sqrt(histogram / _binomials(n))
+    return SymmetrizedAmplitudes(n, a, np.sqrt((a**2 + a[::-1] ** 2) / 2.0))
 
 
 def _weight_histogram(state: PureState) -> np.ndarray:
     """Probability of each Hamming weight k under a qubit state."""
-    weights = kron_fold(np.add, [np.arange(2)] * state.n)
     sq = np.abs(state.amplitudes) ** 2
-    return np.bincount(weights, weights=sq, minlength=state.n + 1)
+    return np.bincount(_hamming_weights(state.n), weights=sq, minlength=state.n + 1)
 
 
 def weight_distribution(profile: SymmetrizedAmplitudes) -> np.ndarray:
     """Probability of Hamming weight k under the symmetrized state: C(n,k) b_k^2."""
-    comb = np.array([math.comb(profile.n, k) for k in range(profile.n + 1)], dtype=float)
-    return comb * profile.b**2
+    return _binomials(profile.n) * profile.b**2
 
 
 def _weight_qfi(h: np.ndarray, delta: float) -> float:
@@ -381,8 +382,9 @@ def cap_state(n: int, c: float, kind: str = "uniform") -> tuple[SymmetrizedAmpli
     the cap allows onto the outermost weight pairs first, which probes the
     QFI ceiling from near its worst case.
     """
+    check_power_dim(2, n)  # the state it returns, before the C(n, k) table
     cap = amplitude_cap(n, c)
-    comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    comb = _binomials(n)
     if kind == "uniform":
         if 2.0**-n > cap * (1.0 + 1e-12):
             raise DomainError(f"uniform mass per weight exceeds the amplitude cap at (n, c) = ({n}, {c})")
@@ -448,9 +450,9 @@ def verify_result2(
     n = state.n
     threshold = gme_threshold(n, c)
     estimate = gme(state, restarts=restarts, rng=rng)
-    profile, _ = symmetrize_amplitudes(state)
-    q_state = _weight_qfi(_weight_histogram(state), delta)
-    q_sym = symmetric_weight_qfi(profile, delta)
+    histogram = _weight_histogram(state)
+    q_state = _weight_qfi(histogram, delta)
+    q_sym = symmetric_weight_qfi(_weight_profile(n, histogram), delta)
     cap = qfi_cap(n, c, delta)
     certified = 0.0
     oracle_used = False

@@ -18,13 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonians import GraphHamiltonian, normalize_hyperedges
-from .numerics import DomainError, content_lines
+from . import numerics
+from .numerics import DomainError, block_rows, check_bytes, content_lines
 from .qfi import ProductScan, max_qfi_symmetric_product, product_qfi_closed_form
 
 GAP_RATIO = 0.25
 MAX_BRUTEFORCE_PAIRS = 10**8
-MAX_CENSUS_KEYS = 2**25  # int64 co-degree keys, about s * 2^k (256 MiB)
-_CENSUS_BLOCK_WORDS = 2**20  # per block of pair tests (8 MiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +158,7 @@ def complete_graph(n: int, k: int = 2) -> InteractionGraph:
 def preset_degrees(shape: str, n: int) -> DegreeVector:
     """Degree vector of a 2-body preset in closed form, without building it."""
     s = preset_edge_count(shape, n)
+    check_bytes(8 * n, f"degree vector of {n} vertices")
     inner = {"star": 1, "chain": 2, "ring": 2, "complete": n - 1}[shape]
     first, last = {"star": (s, 1), "chain": (1, 1)}.get(shape, (inner, inner))
     return DegreeVector((first, *[inner] * (n - 2), last))
@@ -177,14 +177,8 @@ def preset_graph(shape: str, n: int, k: int = 2) -> InteractionGraph:
 
 # --- census --------------------------------------------------------------------
 
-def check_census_size(s: int, k: int) -> None:
-    """DomainError if s k-edges fit neither census route: s * 2^k keys nor s^2 pairs."""
-    if s << k > MAX_CENSUS_KEYS and s * s > MAX_BRUTEFORCE_PAIRS:
-        raise DomainError(f"{s} edges of arity {k} exceed both census caps (s * 2^k keys, s^2 pairs)")
-
-
 def preset_sizes(shapes, n: int, k: int = 2) -> dict[str, int]:
-    """Edge count of each of `shapes` defined at (n, k), all checked by check_census_size."""
+    """Edge count of each of `shapes` defined at (n, k); DomainError if one fits no census route."""
     sizes = {}
     for shape in shapes:
         try:
@@ -192,7 +186,8 @@ def preset_sizes(shapes, n: int, k: int = 2) -> dict[str, int]:
         except DomainError:
             continue
     for s in sizes.values():
-        check_census_size(s, k)
+        if s * s > MAX_BRUTEFORCE_PAIRS:
+            check_bytes(8 * (s << k), f"{s} edges of arity {k} (past the pair cap) as s * 2^k co-degree keys")
     return sizes
 
 
@@ -202,10 +197,9 @@ def census(g: InteractionGraph) -> PairCensus:
     Two distinct edges meet iff (-1)^(|T|+1) summed over the nonempty T in
     their intersection is 1, so connected = sum over j < k of (-1)^(j+1)
     sum_{|T|=j} c_T (c_T - 1), c_T being the number of edges that contain T.
-    Past MAX_CENSUS_KEYS keys (s * 2^k) the pair scan runs instead."""
+    Past the byte budget for s * 2^k int64 keys the pair scan runs instead."""
     s, k, n = g.s, g.k, g.n
-    check_census_size(s, k)
-    if s << k > MAX_CENSUS_KEYS:
+    if 8 * (s << k) > numerics.MAX_BYTES:
         return census_bruteforce(g)
     vertex = np.ascontiguousarray(g.edges.T) - 1  # (k, s): row i holds each edge's i-th vertex
     if n > 2**31:  # rank sparse labels, so that a re-ranked key times n fits int64
@@ -227,8 +221,8 @@ def census(g: InteractionGraph) -> PairCensus:
 def census_bruteforce(g: InteractionGraph) -> PairCensus:
     """Exact ordered-pair counts by direct intersection tests.
 
-    Edge bit masks are ceil(n/64) uint64 words, tested in blocks of about
-    _CENSUS_BLOCK_WORDS words."""
+    Edge bit masks are ceil(n/64) uint64 words, tested in blocks of
+    `numerics.block_rows` edges against all s."""
     s = g.s
     if s * s > MAX_BRUTEFORCE_PAIRS:
         raise DomainError(f"{s}^2 ordered pairs exceeds the brute-force cap")
@@ -237,7 +231,7 @@ def census_bruteforce(g: InteractionGraph) -> PairCensus:
     masks = np.zeros((s, words), dtype=np.uint64)
     rows = np.broadcast_to(np.arange(s)[:, None], vertex.shape)
     np.bitwise_or.at(masks, (rows, vertex // 64), np.uint64(1) << (vertex % 64).astype(np.uint64))
-    step = max(1, _CENSUS_BLOCK_WORDS // (s * words))
+    step = block_rows(8 * s * words)
     overlap = 0
     for lo in range(0, s, step):
         block = masks[lo : lo + step, None, :] & masks[None, :, :]

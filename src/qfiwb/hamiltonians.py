@@ -22,6 +22,7 @@ import numpy as np
 from .numerics import (
     Rng,
     as_complex,
+    check_dense_power,
     check_power_dim,
     check_words,
     content_lines,
@@ -161,7 +162,6 @@ class LinearHamiltonian:
             raise ValueError(
                 f"basis dimension {b.shape[0]} does not match table width {t.shape[1]}"
             )
-        check_power_dim(t.shape[1], t.shape[0])
         t.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "table", t)
@@ -193,7 +193,7 @@ class LinearHamiltonian:
         return kron_fold(np.add, self.table)
 
     def dense(self) -> np.ndarray:
-        dim = check_power_dim(self.d, self.n)
+        dim = check_dense_power(self.d, self.n)
         out = np.zeros((dim, dim), dtype=np.complex128)
         eye = np.eye(self.d, dtype=np.complex128)
         for i in range(self.n):
@@ -237,7 +237,7 @@ class ProductDiagonalHamiltonian:
         if c.ndim != 1:
             raise ValueError("coeffs must be a flat vector")
         _ensure_finite(c, "coeffs")
-        dim = check_power_dim(d, len(bases))
+        dim = check_power_dim(d, len(bases), 8, "coefficient row")
         if c.shape[0] != dim:
             raise ValueError(f"expected {dim} coefficients, got {c.shape[0]}")
         c.setflags(write=False)
@@ -394,7 +394,7 @@ class GraphHamiltonian:
         return tuple(op.basis for op in self.site_ops)
 
     def dense(self) -> np.ndarray:
-        dim = check_power_dim(2, self.n)
+        dim = check_dense_power(2, self.n)
         out = np.zeros((dim, dim), dtype=np.complex128)
         eye = np.eye(2, dtype=np.complex128)
         mats = [op.matrix for op in self.site_ops]
@@ -425,7 +425,6 @@ def _is_haar(basis: str | np.ndarray) -> bool:
 
 def linear_words(n: int, d: int, basis: str | np.ndarray) -> int:
     """Uniform words sample_linear reads: a Haar block of 2 d^2 for basis "haar", then n d levels."""
-    check_power_dim(d, n)
     return (2 * d * d if _is_haar(basis) else 0) + n * d
 
 
@@ -470,7 +469,7 @@ def sample_linear(
 
 def product_diagonal_words(n: int, d: int) -> int:
     """Uniform words sample_product_diagonal reads: n Haar blocks of 2 d^2, then d^n coefficients."""
-    return 2 * n * d * d + check_power_dim(d, n)
+    return 2 * n * d * d + check_power_dim(d, n, 8, "coefficient row")
 
 
 def sample_product_diagonal_arrays(

@@ -32,13 +32,14 @@ from .hamiltonians import (
 from .numerics import (
     DomainError,
     Rng,
+    block_rows,
+    check_bytes,
     check_power_dim,
     check_words,
     complex_normals,
-    grid_size,
     haar_unitaries,
     kron_fold,
-    row_dot,
+    row_norms,
 )
 from .qfi import expected_qfi_symmetric_levels, max_separable_tables, qfi_frames
 from .states import (
@@ -113,7 +114,9 @@ def coefficient_grid(A: float, B: float, eps_c: float) -> CoefficientGrid:
         raise DomainError(f"need B > A > 0, got A={A}, B={B}")
     if eps_c <= 0.0:
         raise DomainError(f"eps_c must be positive, got {eps_c}")
-    k = np.arange(grid_size((B - A) / (2.0 * eps_c), "coefficient ladder rungs") + 1, dtype=float)
+    extent = (B - A) / (2.0 * eps_c)
+    check_bytes(16 * (extent + 1), f"coefficient ladder of {extent:.3g} rungs")
+    k = np.arange(math.ceil(extent) + 1, dtype=float)
     ladder = B - 2.0 * eps_c * k
     return CoefficientGrid(A, B, eps_c, np.concatenate([ladder, -ladder]))
 
@@ -131,7 +134,9 @@ def pure_state_net_qubit(eps_p: float) -> BlochGrid:
     if not (0.0 < eps_p < 1.0):
         raise DomainError(f"eps_p must lie in (0, 1), got {eps_p}")
     delta = 2.0 * eps_p
-    rows = grid_size(math.pi / delta, "Bloch net rows")
+    extent = math.pi / delta
+    check_bytes(8 * (extent + 1), f"Bloch net of {extent:.3g} rows")
+    rows = math.ceil(extent)
     thetas = BlochGrid.polar_angle(np.arange(rows), rows)
     counts = np.maximum(1, np.ceil(2.0 * math.pi * np.sin(thetas) / delta)).astype(np.int64)
     net = BlochGrid(counts)
@@ -362,7 +367,6 @@ def _banded(u: np.ndarray, A: float, B: float) -> np.ndarray:
 
 def linear_banded_words(n: int, d: int) -> int:
     """Uniform words of one banded linear draw: n d magnitudes, n d signs, a Haar block of 2 d^2."""
-    check_power_dim(d, n)
     return 2 * n * d + 2 * d * d
 
 
@@ -385,7 +389,7 @@ def sample_linear_banded_arrays(
 
 def product_banded_words(n: int, d: int) -> int:
     """Uniform words of one banded product draw: n Haar blocks of 2 d^2, d^n magnitudes, d^n signs."""
-    return 2 * n * d * d + 2 * check_power_dim(d, n)
+    return 2 * n * d * d + 2 * check_power_dim(d, n, 16, "banded coefficient row")
 
 
 def sample_product_banded_arrays(
@@ -442,12 +446,13 @@ def property_audit(
     trial's stream, as sample_symmetric and sample_haar would read them.
 
     All trials are drawn in one pass (Rng.substream_uniforms), validated as
-    stacks, snapped in one LinearFamilyNet.nearest call, and the QFIs of
-    both H and H' are one qfi_frames pass with a frame per row; each value
-    equals the one-trial computation bit for bit.  Violations do not raise;
-    they are reported with the offending Hamiltonian serialized, so a
-    deliberately coarsened net shows up as a negative control rather than a
-    crash.
+    stacks, and snapped in one LinearFamilyNet.nearest call.  The states are
+    lifted in blocks of `numerics.block_rows` statevectors, and each block's
+    QFIs under H and under H' are one qfi_frames call each, with a frame per
+    row; each value equals the one-trial computation bit for bit.
+    Violations do not raise; they are reported with the offending
+    Hamiltonian serialized, so a deliberately coarsened net shows up as a
+    negative control rather than a crash.
     """
     if which not in AUDIT_KINDS:
         raise DomainError(f"which must be one of {AUDIT_KINDS}, got {which!r}")
@@ -456,27 +461,27 @@ def property_audit(
     n, d = net.n, net.d
     h_words = linear_banded_words(n, d)
     basis = dicke_basis(n, d) if which == "prop8" else None
-    if which == "cover":
-        state_dim = 0
-    else:
-        state_dim = d**n if basis is None else basis.size
-    u = rng.substream_uniforms(range(trials), h_words + 2 * state_dim)
+    dim = 0 if which == "cover" else check_power_dim(d, n)
+    u = rng.substream_uniforms(range(trials), h_words + 2 * (dim if basis is None else basis.size))
     tables, bases = sample_linear_banded_arrays(u[:, :h_words], n, d, net.grid.A, net.grid.B)
     rep_tables, frames, values = net.nearest(tables, bases)
     if which != "cover":
-        z = complex_normals(u[:, h_words:])
-        if basis is not None:
-            z = z @ basis.matrix.T  # each frame row has one nonzero entry, so the lift is exact
-        # rounded as np.linalg.norm of one row: one dot product per part
-        states = z / np.sqrt(row_dot(z.real, z.real) + row_dot(z.imag, z.imag))[:, None]
-        both = np.concatenate([tables, rep_tables])
-        diags = kron_fold(np.add, np.moveaxis(both, -2, 0))
-        qfis = qfi_frames(np.concatenate([states, states]), (np.concatenate([bases, frames]),) * n, diags)
+        step = block_rows(16 * dim)  # state rows per block, as cli._state_qfis takes them
+        qfis = np.empty((2, trials))
+        for lo in range(0, trials, step):
+            rows = slice(lo, lo + step)
+            z = complex_normals(u[rows, h_words:])
+            if basis is not None:
+                z = basis.lift(z)
+            states = z / row_norms(z)[:, None]
+            for side, (t, b) in enumerate(((tables, bases), (rep_tables, frames))):
+                qfis[side, rows] = qfi_frames(states, (b[rows],) * n, kron_fold(np.add, np.moveaxis(t[rows], -2, 0)))
+        both = np.stack([tables, rep_tables])
         if which == "prop8":
             gaps = qfis - expected_qfi_symmetric_levels(both.mean(axis=-2), n)
         else:
             gaps = qfis - max_separable_tables(both)
-        values = np.abs(gaps[:trials] - gaps[trials:])
+        values = np.abs(gaps[0] - gaps[1])
     failed = ~(values <= eps)
     values.setflags(write=False)
     return AuditReport(

@@ -1,11 +1,11 @@
 """Dense linear-algebra kernels and reproducible random streams.
 
-Everything operates on plain numpy arrays in complex128. Dense objects are
-capped at MAX_DIM = 4096 per axis so an oversized tensor product fails with
-a clear error instead of exhausting memory, and grids (net ladders, Bloch
-rows) at MAX_GRID entries per axis.  A size, index or parameter outside the
-domain a routine documents raises DomainError, the one ValueError subclass
-that means "bad input" rather than a failed internal check.
+Everything operates on plain numpy arrays in complex128. `check_bytes` caps
+any config-sized array at MAX_BYTES = 256 MiB before numpy allocates it,
+`block_rows` sizes blocked kernels to BLOCK_BYTES = 16 MiB, and dense d^n x
+d^n objects are capped at MAX_DIM = 4096 per axis.  A size, index or
+parameter outside its documented domain raises DomainError, the one
+ValueError subclass that means "bad input", not a failed internal check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 MAX_DIM = 4096
-MAX_GRID = 2**20
+MAX_BYTES = 2**28
+BLOCK_BYTES = 2**24
 
 HERMITIAN_ATOL = 1e-10
 
@@ -30,11 +31,15 @@ class DimensionError(DomainError):
     """A requested dense object would exceed the supported size."""
 
 
-def grid_size(extent: float, what: str) -> int:
-    """ceil(extent) entries of a grid axis, validated against MAX_GRID before anything is allocated."""
-    if not extent <= MAX_GRID:  # `not <=` so that a NaN extent is rejected too
-        raise DomainError(f"{what}: {extent:.3g} entries exceed the supported maximum {MAX_GRID}")
-    return math.ceil(extent)
+def check_bytes(nbytes: float, what: str) -> None:
+    """Raise DomainError naming `what` if one array of `nbytes` bytes would pass MAX_BYTES."""
+    if not nbytes <= MAX_BYTES:  # `not <=` so that a NaN size is rejected too
+        raise DomainError(f"{what}: more than the {MAX_BYTES >> 20} MiB allowed for one array")
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` bytes per block of a blocked kernel: BLOCK_BYTES of them, at least one."""
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
 def check_dim(dim: int) -> int:
@@ -43,9 +48,7 @@ def check_dim(dim: int) -> int:
     if dim < 1:
         raise DimensionError(f"dimension must be positive, got {dim}")
     if dim > MAX_DIM:
-        raise DimensionError(
-            f"dense dimension {dim} exceeds the supported maximum {MAX_DIM}"
-        )
+        raise DimensionError(f"dense dimension {dim} exceeds the supported maximum {MAX_DIM}")
     return dim
 
 
@@ -56,18 +59,22 @@ def check_words(u: np.ndarray, words: int) -> int:
     return words
 
 
-def check_power_dim(d: int, n: int) -> int:
-    """Validate that d**n fits under MAX_DIM and return it."""
+def check_power_dim(d: int, n: int, itemsize: int = 16, what: str = "statevector") -> int:
+    """d**n, once `what`, an array of d**n entries of `itemsize` bytes, passes check_bytes."""
     if d < 2:
         raise DimensionError(f"local dimension must be at least 2, got {d}")
     if n < 1:
         raise DimensionError(f"site count must be positive, got {n}")
-    # compare in log space so huge inputs cannot overflow
-    if n * math.log2(d) > math.log2(MAX_DIM) + 1e-12:
-        raise DimensionError(
-            f"dense dimension {d}**{n} exceeds the supported maximum {MAX_DIM}"
-        )
-    return d**n
+    dim = d**n if n < 64 else math.inf  # n has no upper bound, and d^64 passes any budget
+    check_bytes(itemsize * dim, f"{what} of {d}**{n} entries")
+    return dim
+
+
+def check_dense_power(d: int, n: int) -> int:
+    """d**n, once a dense d^n x d^n object passes MAX_DIM per axis, before any statevector check."""
+    if n * math.log2(max(d, 2)) > math.log2(MAX_DIM) + 1e-12:  # in log space: n has no upper bound
+        raise DimensionError(f"dense dimension {d}**{n} exceeds the supported maximum {MAX_DIM}")
+    return check_power_dim(d, n)
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:
@@ -208,6 +215,23 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, count: int) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=1).reshape(rows, 4 * blocks)[:, :count]
 
 
+def _philox_uniforms(k0: np.ndarray, k1: np.ndarray, words: int) -> np.ndarray:
+    """Row i is the first `words` uniforms of Philox under key (k0[i], k1[i]), by the route of Rng."""
+    if words < _ARRAY_ROW_WORDS:
+        # Generator.random: the top 53 bits of each word, scaled into [0, 1)
+        return (_philox_words(k0, k1, words) >> np.uint64(11)) * 2.0**-53
+    # Seeded, so it reads no OS entropy.  Its state is fresh (counter zero,
+    # empty buffer), and each row overwrites the key.
+    gen = np.random.Generator(np.random.Philox(0))
+    state = gen.bit_generator.state
+    u = np.empty((len(k0), words))
+    for row, key in zip(u, zip(k0.tolist(), k1.tolist())):
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        gen.random(out=row)
+    return u
+
+
 class Rng:
     """Counter-based random stream keyed by a seed and a substream path.
 
@@ -223,7 +247,8 @@ class Rng:
     Trials read their words through one protocol: `uniform_blocks(trials,
     words)` yields (block, u) in trial order, and row i of u is
     `substream(block[i]).random(words)` bit for bit.  It hashes every key
-    (numpy's SeedSequence) in one vectorised pass per call, and a block holds
+    (numpy's SeedSequence) once, in one vectorised pass per chunk of whole
+    blocks (at most BLOCK_BYTES of keys), and a block holds
     at most _PHILOX_PASS_WORDS words and at least one row.  Rows narrower
     than _ARRAY_ROW_WORDS = 64 words are Philox4x64-10 words computed from
     (key, counter) for the whole block; wider rows are filled in place by one
@@ -298,31 +323,20 @@ class Rng:
             raise ValueError("substream index must be non-negative")
         if max(trials[0], trials[-1]) > _MASK32:
             raise DomainError("a block of substreams needs indices below 2**32")
-        k0, k1 = _seed_keys(self.seed, self.path, np.arange(trials.start, trials.stop, trials.step))
         step = max(1, _PHILOX_PASS_WORDS // max(1, words))
-        if words < _ARRAY_ROW_WORDS:
-            for start in range(0, len(trials), step):
+        # Keys are hashed a chunk of whole blocks at a time, at most
+        # BLOCK_BYTES of them, so no array grows with the trial count.
+        chunk = step * block_rows(16 * step)
+        for lo in range(0, len(trials), chunk):
+            span = trials[lo:lo + chunk]
+            k0, k1 = _seed_keys(self.seed, self.path, np.arange(span.start, span.stop, span.step))
+            for start in range(0, len(span), step):
                 rows = slice(start, start + step)
-                # Generator.random: the top 53 bits of each word, scaled into [0, 1)
-                u = (_philox_words(k0[rows], k1[rows], words) >> np.uint64(11)) * 2.0**-53
-                yield trials[rows], u
-            return
-        # Seeded, so it reads no OS entropy.  Its state is fresh (counter zero,
-        # empty buffer), and each row overwrites the key.
-        gen = np.random.Generator(np.random.Philox(0))
-        state = gen.bit_generator.state
-        keys = zip(k0.tolist(), k1.tolist())
-        for start in range(0, len(trials), step):
-            block = trials[start:start + step]
-            u = np.empty((len(block), words))
-            for row, key in zip(u, keys):
-                state["state"]["key"] = key
-                gen.bit_generator.state = state
-                gen.random(out=row)
-            yield block, u
+                yield span[rows], _philox_uniforms(k0[rows], k1[rows], words)
 
     def substream_uniforms(self, trials: range, words: int) -> np.ndarray:
         """Row i is `substream(trials[i]).random(words)`, bit for bit."""
+        check_bytes(8 * len(trials) * words, f"uniforms of {len(trials)} trials x {words} words")
         out = np.empty((len(trials), words))
         start = 0
         for block, u in self.uniform_blocks(trials, words):
@@ -332,6 +346,7 @@ class Rng:
 
     def substream_normals(self, trials: range, dim: int) -> np.ndarray:
         """Row i is `substream(trials[i]).complex_normal(dim)`, bit for bit, a block at a time."""
+        check_bytes(16 * len(trials) * dim, f"complex normals of {len(trials)} trials x {dim} entries")
         out = np.empty((len(trials), dim), dtype=np.complex128)
         start = 0
         for block, u in self.uniform_blocks(trials, 2 * dim):
@@ -449,7 +464,9 @@ def kron_fold(ufunc: np.ufunc, vectors: Sequence[np.ndarray]) -> np.ndarray:
     if len(vectors) == 0:
         raise ValueError("kron_fold needs at least one vector")
     vectors = [np.asarray(v) for v in vectors]
-    check_dim(math.prod(v.shape[-1] for v in vectors))
+    entries = math.prod(float(v.shape[-1]) for v in vectors)  # a float: no site count forms a huge int
+    stack = math.prod(np.broadcast_shapes(*(v.shape[:-1] for v in vectors)))
+    check_bytes(np.result_type(*vectors).itemsize * stack * entries, f"Kronecker fold of {len(vectors)} sites")
     out = vectors[0]
     for v in vectors[1:]:
         out = ufunc(out[..., :, np.newaxis], v[..., np.newaxis, :])

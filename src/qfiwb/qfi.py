@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, check_power_dim, ensure_hermitian, kron_fold, row_dot, row_norms,
+from .numerics import (DomainError, as_complex, check_power_dim, ensure_hermitian, kron_fold, row_dot, row_norms,
                        spectral_norm)
 from .hamiltonians import (
     GraphHamiltonian,
@@ -34,7 +34,7 @@ from .hamiltonians import (
     ProductDiagonalHamiltonian,
     SingleSiteOperator,
 )
-from .states import NORM_ATOL, DickeBasis, PureState, dicke_basis, dim_symmetric, product_state
+from .states import DickeBasis, PureState, dicke_basis, dim_symmetric, norm_atol, product_state
 
 QFI_CLIP_ATOL = 1e-9
 DEGENERACY_ATOL = 1e-12
@@ -83,8 +83,8 @@ def _unit_rows(amplitudes: np.ndarray, dim: int) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] != dim:
         raise ValueError(f"dimension mismatch: state rows {a.shape}, operator {dim}")
     # `not <=` so that a NaN norm is rejected too
-    if not np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= NORM_ATOL):
-        raise ValueError(f"a state row's norm deviates from 1 by more than {NORM_ATOL}")
+    if not np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= norm_atol(dim)):
+        raise ValueError(f"a state row's norm deviates from 1 by more than {norm_atol(dim)}")
     return a
 
 
@@ -112,7 +112,11 @@ def qfi_batch(h, amplitudes: np.ndarray) -> np.ndarray:
     """
     if not isinstance(h, np.ndarray):
         return qfi_frames(amplitudes, *_product_frame(h))
-    hm = ensure_hermitian(h)
+    return _matrix_qfis(ensure_hermitian(h), amplitudes)
+
+
+def _matrix_qfis(hm: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """qfi_batch of a bare array or stack already checked Hermitian."""
     a = _unit_rows(amplitudes, hm.shape[-1])
     y = a @ hm.T if hm.ndim == 2 else (a[:, np.newaxis, :] @ hm.swapaxes(-1, -2))[:, 0]
     second = np.sum(np.abs(y) ** 2, axis=1)
@@ -201,10 +205,12 @@ def expected_qfi_symmetric_tables(tables: np.ndarray) -> np.ndarray:
     traces are sums over the table, its row sums and its column sums.
     """
     n, d = tables.shape[-2:]
+    c = dim_symmetric(n, d)
+    if (c * (c + 1)).bit_length() > 1023:  # _sphere_mean divides by it as a double
+        raise DomainError(f"the symmetric subspace dimension C({n + d - 1}, {n}) is too large for a double")
     total, sq = tables.sum(axis=(-2, -1)), (tables**2).sum(axis=(-2, -1))
     rows, cols = tables.sum(axis=-1), tables.sum(axis=-2)
     pairs = _square(total) - row_dot(rows, rows) + row_dot(cols, cols) - sq
-    c = dim_symmetric(n, d)
     return _sphere_mean(c * total / d, c * (sq / d + pairs / (d * (d + 1))), c)
 
 
@@ -355,7 +361,8 @@ def transport_batch(amplitudes: np.ndarray, h) -> TransportResult:
     `h` is a typed Hamiltonian or a bare (dim, dim) array shared by every
     row, or a stack of bare arrays (rows, dim, dim), one per row, which is
     diagonalised by one stacked eigh. With a stack, row i's values equal
-    global_unitary_transport of row i under h[i], bit for bit.
+    global_unitary_transport of row i under h[i], bit for bit. A bare
+    array is checked Hermitian once, in _eigenframe, for its check QFI too.
     """
     bases, diag = _eigenframe(h)
     psi = _unit_rows(amplitudes, diag.shape[-1])
@@ -369,7 +376,8 @@ def transport_batch(amplitudes: np.ndarray, h) -> TransportResult:
     nrm = row_norms(r)[:, None]
     r = np.divide(r, nrm, out=r, where=nrm > 0.0)
     moved = np.conj(phase)[:, None] * (psi - 2.0 * r * row_dot(r.conj(), psi)[:, None])
-    return TransportResult(phase, r, qfi_batch(h, moved), target, degenerate)
+    check = _matrix_qfis(as_complex(h), moved) if isinstance(h, np.ndarray) else qfi_frames(moved, bases, diag)
+    return TransportResult(phase, r, check, target, degenerate)
 
 
 def global_unitary_transport(state: PureState, h) -> TransportResult:

@@ -15,9 +15,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .numerics import Rng, as_complex, check_power_dim, content_lines, kron_fold
+from .numerics import Rng, as_complex, check_bytes, check_power_dim, content_lines, kron_fold
 
 NORM_ATOL = 1e-12
+
+
+def norm_atol(dim: int) -> float:
+    """The tolerance on a unit norm of dim entries: NORM_ATOL, or dim eps where rounding grows past it."""
+    return max(NORM_ATOL, dim * 2.0**-52)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,9 +39,10 @@ class PureState:
         if a.shape[0] != dim:
             raise ValueError(f"expected {dim} amplitudes, got {a.shape[0]}")
         nrm = float(np.linalg.norm(a))
+        tol = norm_atol(dim)
         # `not <=` so that a NaN norm is rejected too
-        if not abs(nrm - 1.0) <= NORM_ATOL:
-            raise ValueError(f"state norm {nrm} deviates from 1 by more than {NORM_ATOL}")
+        if not abs(nrm - 1.0) <= tol:
+            raise ValueError(f"state norm {nrm} deviates from 1 by more than {tol}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
@@ -89,6 +95,7 @@ def ghz(n: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> PureState
     gram = np.array([[np.vdot(a, b) for b in (v0, v1)] for a in (v0, v1)])
     if not np.allclose(gram, np.eye(2), atol=NORM_ATOL):
         raise ValueError("basis vectors must be orthonormal")
+    check_power_dim(d, n)  # before the n-long lists of site vectors
     total = kron_fold(np.multiply, [v0] * n) + kron_fold(np.multiply, [v1] * n)
     return PureState(n, d, total / math.sqrt(2.0))
 
@@ -150,30 +157,41 @@ class DickeBasis:
 
     Column c of `matrix` is the generalized Dicke state for compositions[c]:
     equal positive amplitude on every basis string with that letter count.
+    Row k of `matrix` has one nonzero entry, `weights[k]` in column
+    `columns[k]`.
     """
 
     n: int
     d: int
     compositions: tuple[tuple[int, ...], ...]
     matrix: np.ndarray
+    columns: np.ndarray
+    weights: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.compositions)
 
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """Frame amplitudes z (..., size) in the product basis, bit for bit `matrix @ z`, by index."""
+        return np.take(z, self.columns, axis=-1) * self.weights
+
 
 def dicke_basis(n: int, d: int) -> DickeBasis:
     dim = check_power_dim(d, n)
+    size = dim_symmetric(n, d)
+    check_bytes(8 * dim * size, f"Dicke frame of {dim} x {size} entries")
     comps = tuple(compositions_colex(n, d))
     index_of = {c: i for i, c in enumerate(comps)}
     letters = np.eye(d, dtype=np.int64)
     counts = np.stack([kron_fold(np.add, [letters[j]] * n) for j in range(d)], axis=1)
     cols = np.array([index_of[tuple(row)] for row in counts], dtype=np.int64)
-    mult = np.bincount(cols, minlength=len(comps))
+    weights = 1.0 / np.sqrt(np.bincount(cols, minlength=len(comps))[cols])
     m = np.zeros((dim, len(comps)))
-    m[np.arange(dim), cols] = 1.0 / np.sqrt(mult[cols])
-    m.setflags(write=False)
-    return DickeBasis(n, d, comps, m)
+    m[np.arange(dim), cols] = weights
+    for a in (m, cols, weights):
+        a.setflags(write=False)
+    return DickeBasis(n, d, comps, m, cols, weights)
 
 
 def sample_symmetric(n: int, d: int, rng: Rng, basis: DickeBasis | None = None) -> PureState:
@@ -181,15 +199,10 @@ def sample_symmetric(n: int, d: int, rng: Rng, basis: DickeBasis | None = None) 
     if basis is None:
         basis = dicke_basis(n, d)
     c = rng.complex_normal(basis.size)
-    return normalized_state(n, d, basis.matrix @ c)
+    return normalized_state(n, d, basis.lift(c))
 
 
 # --- qubit Bloch-sphere grid -------------------------------------------------
-
-# Materializing every frame of a fine grid would need gigabytes; past this
-# count, callers must use the per-index accessors.
-MAX_MATERIALIZED_FRAMES = 200_000
-
 
 def trace_distance_qubit(u: np.ndarray, v: np.ndarray) -> float:
     """Trace distance between pure qubit states, sqrt(1 - |<u|v>|^2)."""
@@ -264,15 +277,6 @@ class BlochGrid:
         out[..., 0, 0], out[..., 0, 1] = c, s
         out[..., 1, 0], out[..., 1, 1] = s * ph, -c * ph
         return out
-
-    @property
-    def frames(self) -> np.ndarray:
-        if self.count > MAX_MATERIALIZED_FRAMES:
-            raise ValueError(
-                f"grid has {self.count} frames; materialization is capped at "
-                f"{MAX_MATERIALIZED_FRAMES}, use frame_at / nearest_index"
-            )
-        return self.frame_at(np.arange(self.count))
 
     def nearest_index(self, v: np.ndarray) -> np.ndarray:
         """Indices of the elements nearest v in trace distance within v's patch.

@@ -262,7 +262,7 @@ def test_main_non_finite_cell_is_internal_error(tmp_path: Path, capsys, monkeypa
 
 def test_state_qfis_blocks_match_rowwise_qfi(monkeypatch):
     # Three dimension-1024 rows per block: eight trials take three blocks.
-    monkeypatch.setattr(cli, "_BLOCK_AMPLITUDES", 3 * 2**10)
+    monkeypatch.setattr(importlib.import_module("qfiwb.numerics"), "BLOCK_BYTES", 3 * 16 * 2**10)
     batch = cli.qfi_batch
     calls = []
 
@@ -286,7 +286,7 @@ def test_state_qfis_blocks_match_rowwise_qfi(monkeypatch):
 
 def test_state_qfis_symmetric_blocks_match_rowwise_sample_symmetric(monkeypatch):
     # Dimension-64 rows, 5 to a block; Gaussians drawn in the 7-dim Dicke frame.
-    monkeypatch.setattr(cli, "_BLOCK_AMPLITUDES", 5 * 2**6)
+    monkeypatch.setattr(importlib.import_module("qfiwb.numerics"), "BLOCK_BYTES", 5 * 16 * 2**6)
     n = 6
     basis = dicke_basis(n, 2)
     hms = [random_hermitian(2**n, Rng(3).substream(k)) for k in range(2)]
@@ -378,25 +378,34 @@ def test_main_domain_error_maps_to_config_exit(tmp_path: Path, capsys):
     assert capsys.readouterr().err.startswith("qfiwb: config error: n^(c-1) = ")
 
 
+def _unbuilt(n, k=2):
+    raise AssertionError("the complete graph was built")
+
+
 @pytest.mark.parametrize("experiment, text, s, k", [
     # star is undefined at k = 10 and skipped; chain and ring would fit.
     pytest.param("table-census", "n = 200\nk = 10\n", math.comb(200, 10), 10, id="table-census"),
-    # A skipped complete graph would leave the star row and exit 0.
-    pytest.param("scaling-report", "shapes = star,complete\nn_min = 5000\nn_max = 5000\n", 12497500, 2,
-                 id="scaling-report"),
 ])
 def test_main_census_cap_exits_before_building(tmp_path: Path, capsys, monkeypatch, experiment, text, s, k):
     # The complete graph's edge count is closed form, so a preset past both
-    # census caps (s * 2^k keys, s^2 pairs) exits 2 without a single edge built.
-    def unbuilt(n, k=2):
-        raise AssertionError("the complete graph was built")
-
-    monkeypatch.setattr(importlib.import_module("qfiwb.graphs"), "complete_graph", unbuilt)
+    # census routes (s^2 pairs, s * 2^k keys) exits 2 without a single edge built.
+    monkeypatch.setattr(importlib.import_module("qfiwb.graphs"), "complete_graph", _unbuilt)
     rc = main([experiment, "--config", cfg_file(tmp_path, text), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"qfiwb: config error: {s} edges of arity {k} exceed both census caps (s * 2^k keys, s^2 pairs)\n"
+        f"qfiwb: config error: {s} edges of arity {k} (past the pair cap) as s * 2^k co-degree keys: "
+        "more than the 256 MiB allowed for one array\n"
     )
+
+
+def test_main_scaling_report_takes_presets_past_both_census_routes(tmp_path: Path, monkeypatch):
+    # scaling-report reads closed-form degrees and runs no census, so the
+    # complete graph on 4097 vertices, past both census routes, is a row.
+    monkeypatch.setattr(importlib.import_module("qfiwb.graphs"), "complete_graph", _unbuilt)
+    text = "shapes = complete\nn_min = 4097\nn_max = 4097\n"
+    rc = main(["scaling-report", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    assert _csv_column(tmp_path / "scaling-report.csv", "s") == [str(math.comb(4097, 2))] == ["8390656"]
 
 
 def test_main_table_census_sizes_every_preset_before_any_census(tmp_path: Path, capsys, monkeypatch):

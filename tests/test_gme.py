@@ -120,7 +120,7 @@ def test_gme_restart_blocks_match_one_block(monkeypatch, state, per_block):
     # GHZ restarts 0, 1, 2, 5 and 7 tie exactly at seed 0 with different
     # witnesses, so the tie rule must hold across block borders too.
     whole = gme(state, restarts=8, rng=Rng(0))
-    monkeypatch.setattr(gme_module, "_BLOCK_AMPLITUDES", per_block * 2**state.n)
+    monkeypatch.setattr(importlib.import_module("qfiwb.numerics"), "BLOCK_BYTES", per_block * state.amplitudes.nbytes)
     split = gme(state, restarts=8, rng=Rng(0))
     assert split.overlap_sq == whole.overlap_sq
     assert split.converged == whole.converged

@@ -11,7 +11,6 @@ import oracles
 from formats import commented
 from qfiwb.graphs import (
     GAP_RATIO,
-    MAX_CENSUS_KEYS,
     InteractionGraph,
     census,
     census_bruteforce,
@@ -34,7 +33,7 @@ from qfiwb.graphs import (
     to_hamiltonian,
     write_graph,
 )
-from qfiwb.numerics import DomainError, Rng
+from qfiwb.numerics import MAX_BYTES, DomainError, Rng
 from qfiwb.qfi import max_qfi_symmetric_product, product_qfi_closed_form, qfi, symmetric_product_state
 from qfiwb.states import sample_haar
 
@@ -187,24 +186,24 @@ def _random_hypergraph(n: int, s: int, k: int, r: Rng) -> InteractionGraph:
     return InteractionGraph(n, tuple(sorted(edges)))
 
 
-@pytest.mark.parametrize("max_keys", [MAX_CENSUS_KEYS, 1])
+@pytest.mark.parametrize("max_keys", [MAX_BYTES // 8, 1])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), k=st.integers(2, 4), n=st.integers(4, 11), fill=st.floats(0.0, 1.0))
 def test_census_matches_pair_oracle_on_random_kgraphs(max_keys, seed, k, n, fill):
-    # A cap of 1 key sends every graph down the brute-force route.
+    # A byte budget of one int64 key sends every graph down the brute-force route.
     s = 1 + int(fill * (math.comb(n, k) - 1))
     g = _random_hypergraph(n, s, k, Rng(seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("qfiwb.graphs"), "MAX_CENSUS_KEYS", max_keys)
+        mp.setattr(importlib.import_module("qfiwb.numerics"), "MAX_BYTES", 8 * max_keys)
         c = census(g)
     assert (c.s, c.disjoint, c.connected, c.all) == oracles.census_pairs(g.edges.tolist())
 
 
 @pytest.mark.parametrize("block_words", [2**20, 1000])
 def test_census_multiword_masks_match_pair_oracle(monkeypatch, block_words):
-    # Past 64 vertices an edge mask spans several uint64 words, and past 512
-    # edges (or at a small block) the rows split over several blocks.
-    monkeypatch.setattr(importlib.import_module("qfiwb.graphs"), "_CENSUS_BLOCK_WORDS", block_words)
+    # Past 64 vertices an edge mask spans several uint64 words, and at a
+    # block of 1000 words the rows split over several blocks.
+    monkeypatch.setattr(importlib.import_module("qfiwb.numerics"), "BLOCK_BYTES", 8 * block_words)
     rng = Rng(2024)
     for t, n in enumerate((64, 65, 128, 151)):
         r = rng.substream(t)

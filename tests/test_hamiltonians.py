@@ -24,7 +24,7 @@ from qfiwb.hamiltonians import (
     to_spec_text,
     write_spec,
 )
-from qfiwb.numerics import DimensionError, Rng, haar_unitary
+from qfiwb.numerics import DomainError, Rng, haar_unitary
 
 
 def test_computational_site_is_diagonal():
@@ -181,9 +181,10 @@ def test_graph_hamiltonian_entry_is_product_of_site_levels():
 
 
 def test_graph_hamiltonian_diagonal_past_the_dense_cap_raises():
-    # The constructor takes any n; only the 2^n diagonal is capped.
-    g = GraphHamiltonian.shared(n=13, hyperedges=[(1, 2), (12, 13)], levels=(0.5, 1.5))
-    with pytest.raises(DimensionError):
+    # The constructor takes any n; only the 2^n diagonal is capped, by the
+    # byte budget: 2^26 float64 entries are 512 MiB.
+    g = GraphHamiltonian.shared(n=26, hyperedges=[(1, 2), (25, 26)], levels=(0.5, 1.5))
+    with pytest.raises(DomainError, match="Kronecker fold of 26 sites"):
         g.diagonal()
 
 

@@ -31,7 +31,7 @@ from qfiwb.nets import (
 )
 from qfiwb.numerics import DomainError, Rng
 from qfiwb.qfi import expected_qfi_symmetric_linear, max_separable_linear, qfi
-from qfiwb.states import MAX_MATERIALIZED_FRAMES, dicke_basis, sample_haar, sample_symmetric
+from qfiwb.states import dicke_basis, sample_haar, sample_symmetric
 
 SQRT2 = math.sqrt(2.0)
 
@@ -128,7 +128,7 @@ def test_pure_state_net_half():
     net = pure_state_net_qubit(0.5)
     assert net.count == 18
     assert net.count <= (5.0 / 0.5) ** 4
-    frames = net.frames
+    frames = net.frame_at(np.arange(net.count))
     assert frames.shape == (18, 2, 2)
     eye = np.eye(2)
     for i in range(net.count):
@@ -151,16 +151,6 @@ def test_net_probe_covering_radius():
     assert 0.15 < worst <= 0.5
     assert worst == 0.3083320943320933  # the per-stream draw's value, bit for bit
     assert oracles.net_probe(net, 2000, Rng(7)) == worst
-
-
-def test_frames_materialization_cap():
-    net = pure_state_net_qubit(0.003)
-    assert net.count > MAX_MATERIALIZED_FRAMES
-    with pytest.raises(ValueError, match="materialization is capped"):
-        net.frames
-    # Per-index access still works above the cap.
-    f = net.frame_at(net.count - 1)
-    assert np.allclose(f @ f.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_pure_state_net_validation():
@@ -467,6 +457,15 @@ def test_property_audit_values_match_one_trial_computations():
                         ref = max_separable_linear(g)
                     gaps.append(qfi(psi, g) - ref)
                 assert value == abs(gaps[0] - gaps[1])
+
+
+@pytest.mark.parametrize("which, mode", [("prop8", "result1"), ("prop9", "result3")])
+def test_property_audit_blocks_match_one_block(monkeypatch, which, mode):
+    # Blocks of 7 states at n = 3 (30 trials: 7, 7, 7, 7, 2) give the one-block values bit for bit.
+    net = build_linear_net(audit_params(2.0, 3), mode)
+    whole = property_audit(net, 2.0, 30, which, Rng(5)).values
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 7 * 16 * 2**3)
+    assert property_audit(net, 2.0, 30, which, Rng(5)).values.tobytes() == whole.tobytes()
 
 
 def test_net_cover_audit_at_printed_choices():

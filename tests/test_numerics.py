@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qfiwb import numerics
 from qfiwb.numerics import (
     _PHILOX_PASS_WORDS,
     MAX_DIM,
@@ -287,8 +288,8 @@ def test_kron_fold_small_case():
     assert kron_fold(np.add, [a, b]).tolist() == [1.0, 2.0, 3.0, 11.0, 12.0, 13.0]
     assert np.array_equal(kron_fold(np.multiply, [a, b]), np.kron(a, b))
     assert np.array_equal(kron_fold(np.add, [b]), b)
-    with pytest.raises(DimensionError):
-        kron_fold(np.add, [np.arange(2)] * 13)
+    with pytest.raises(DomainError, match="Kronecker fold of 26 sites"):  # 2^26 int64 entries
+        kron_fold(np.add, [np.arange(2)] * 26)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=4))
@@ -340,6 +341,24 @@ def test_uniform_blocks_cross_pass_boundaries_with_a_step(words):
     trials = range(5, 5 + 3 * (2 * rows + 7), 3)
     blocks = _check_blocks(Rng(2**64 + 3).substream(1), trials, words)
     assert [len(b) for b in blocks] == [rows, rows, 7]
+
+
+@pytest.mark.parametrize("words", [40, 6001])
+def test_uniform_blocks_hash_keys_a_chunk_of_blocks_at_a_time(monkeypatch, words):
+    # Two blocks' keys fit the patched budget, so no key array grows with the trial count.
+    rows = _PHILOX_PASS_WORDS // words
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 2 * 16 * rows)
+    hashed = []
+
+    def seed_keys(seed, path, last):
+        hashed.append(len(last))
+        return _seed_keys(seed, path, last)
+
+    monkeypatch.setattr(numerics, "_seed_keys", seed_keys)
+    trials = range(5, 5 + 3 * (4 * rows + 7), 3)
+    blocks = _check_blocks(Rng(2**64 + 3).substream(1), trials, words)
+    assert [len(b) for b in blocks] == [rows] * 4 + [7]
+    assert hashed == [2 * rows, 2 * rows, 7]
 
 
 def test_uniform_blocks_hold_one_row_wider_than_a_pass():

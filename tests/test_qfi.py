@@ -610,3 +610,14 @@ def test_exact_product_optimum_beats_the_grid(s, frac, lam0, gap):
     assert 0.0 <= best.p <= 1.0
     assert best.value == product_qfi_closed_form(s, connected, lam0, lam1, best.p)
     assert best.value >= grid - 1e-12 * max(1.0, best.value)
+
+
+def test_qfi_row_norm_tolerance_grows_with_the_dimension():
+    # A row 5e-12 from unit norm: a 2^20-term norm rounds that far (net-audit
+    # prop8 at n = 20 met it), which dim * 2^-52 allows; a 4-term norm cannot.
+    site = SingleSiteOperator.computational((0.0, 1.0))
+    row = np.zeros((1, 2**20), dtype=complex)
+    row[0, 0] = 1.0 + 5e-12
+    assert qfi_batch(LinearHamiltonian.from_site(20, site), row)[0] == 0.0
+    with pytest.raises(ValueError, match="deviates from 1 by more than 1e-12"):
+        qfi_batch(LinearHamiltonian.from_site(2, site), row[:, :4])

@@ -37,6 +37,15 @@ def test_pure_state_rejects_unnormalized():
         PureState(1, 2, np.array([1.0, 1.0], dtype=complex))
 
 
+def test_pure_state_norm_tolerance_grows_with_the_dimension():
+    # Normalised by its own computed norm, the 2^21-amplitude superposition
+    # is 2.6e-12 from unit norm, past NORM_ATOL = 1e-12, but within
+    # dim * 2^-52; a small state keeps the 1e-12 tolerance.
+    assert superposition_state(21).dim == 2**21
+    with pytest.raises(ValueError, match="deviates from 1 by more than 1e-12"):
+        PureState(2, 2, np.array([1.0 + 2e-12, 0.0, 0.0, 0.0]))
+
+
 def test_normalized_state_rescales():
     st_ = normalized_state(1, 2, np.array([3.0, 4.0], dtype=complex))
     assert np.linalg.norm(st_.amplitudes) == pytest.approx(1.0)
@@ -140,6 +149,18 @@ def test_dicke_state_values():
     column = basis.matrix[:, basis.compositions.index((1, 1))]
     assert np.allclose(column, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
     assert (3, 1) not in basis.compositions
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (10, 2), (4, 3), (3, 4)])
+def test_dicke_lift_is_the_frame_product_bit_for_bit(n, d):
+    # One nonzero per frame row: the gather equals the complex product
+    # exactly, and comes out row-major as the product does.
+    basis = dicke_basis(n, d)
+    z = Rng(n + d).complex_normal((7, basis.size))
+    lifted = basis.lift(z)
+    assert lifted.flags["C_CONTIGUOUS"]
+    assert lifted.tobytes() == (z @ basis.matrix.T).tobytes()
+    assert basis.lift(z[0]).tobytes() == (basis.matrix @ z[0]).tobytes()
 
 
 def test_symmetric_projector_is_projector():
