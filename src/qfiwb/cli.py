@@ -395,11 +395,11 @@ def run_lemma1_montecarlo(cfg, rng: Rng) -> ExperimentResult:
 
 def run_lemma3_montecarlo(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials = cfg["n"], cfg["d"], cfg["trials"]
-    levels = np.linspace(cfg["lam0"], cfg["lam1"], d)
-    site = SingleSiteOperator.computational(tuple(levels))
+    basis = dicke_basis(n, d)  # first: it refuses n >= 2, d = 4096 before a 4096 x 4096 site basis is built
+    site = SingleSiteOperator.computational(tuple(np.linspace(cfg["lam0"], cfg["lam1"], d)))
     h = LinearHamiltonian.from_site(n, site)
     closed = expected_qfi_symmetric_linear(site, n)
-    values = _state_qfis(rng, range(trials), [h], dicke_basis(n, d))[0]
+    values = _state_qfis(rng, range(trials), [h], basis)[0]
     return _montecarlo_result(cfg, "equal-row", values, closed)
 
 
@@ -519,7 +519,7 @@ def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     # from one draw, and Hamiltonian i scores its own n_s rows in the blocks
     # _state_qfis would use
     frames = rng.substream(1).substream_normals(range(n_h * n_s), basis.size).reshape(n_h, n_s, -1)
-    step = block_rows(16 * basis.matrix.shape[0])
+    step = block_rows(16 * basis.columns.size)
     qfis = np.concatenate([
         _block_qfis([h], frames[i, j:j + step], basis)[0]
         for i, h in enumerate(hams) for j in range(0, n_s, step)

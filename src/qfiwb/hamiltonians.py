@@ -116,7 +116,7 @@ class SingleSiteOperator:
     @classmethod
     def computational(cls, levels: Sequence[float]) -> "SingleSiteOperator":
         levels = _ensure_levels(levels)
-        return cls(levels, np.eye(len(levels), dtype=np.complex128))
+        return cls(levels, named_basis("computational", len(levels)))
 
     @classmethod
     def plus_minus(cls, levels: Sequence[float]) -> "SingleSiteOperator":
@@ -133,6 +133,7 @@ BASIS_NAMES = ("computational", "plus_minus", "explicit")
 
 def named_basis(name: str, d: int) -> np.ndarray:
     if name == "computational":
+        check_power_dim(d, 2, 16, "site basis")
         return np.eye(d, dtype=np.complex128)
     if name == "plus_minus":
         if d != 2:
@@ -425,7 +426,7 @@ def _is_haar(basis: str | np.ndarray) -> bool:
 
 def linear_words(n: int, d: int, basis: str | np.ndarray) -> int:
     """Uniform words sample_linear reads: a Haar block of 2 d^2 for basis "haar", then n d levels."""
-    return (2 * d * d if _is_haar(basis) else 0) + n * d
+    return (2 * check_power_dim(d, 2, 16, "site basis") if _is_haar(basis) else 0) + n * d
 
 
 def sample_linear_arrays(
@@ -469,7 +470,7 @@ def sample_linear(
 
 def product_diagonal_words(n: int, d: int) -> int:
     """Uniform words sample_product_diagonal reads: n Haar blocks of 2 d^2, then d^n coefficients."""
-    return 2 * n * d * d + check_power_dim(d, n, 8, "coefficient row")
+    return 2 * n * check_power_dim(d, 2, 16, "site basis") + check_power_dim(d, n, 8, "coefficient row")
 
 
 def sample_product_diagonal_arrays(

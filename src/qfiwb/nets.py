@@ -45,6 +45,7 @@ from .qfi import expected_qfi_symmetric_levels, max_separable_tables, qfi_frames
 from .states import (
     BlochGrid,
     dicke_basis,
+    dim_symmetric,
     trace_distance_qubit,  # noqa: F401 -- re-exported
 )
 
@@ -276,7 +277,7 @@ def theorem_bound(
     p = params
     if which == "thm7":
         size_log = net_size_bound(p, "result1", prop6_c)
-        dim = math.comb(p.n + p.d - 1, p.n)
+        dim = dim_symmetric(p.n, p.d)
         scale = p.n * p.B * p.a + p.norm_A0
     else:
         size_log = net_size_bound(p, "result3", prop6_c)

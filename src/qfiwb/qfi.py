@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, as_complex, check_power_dim, ensure_hermitian, kron_fold, row_dot, row_norms,
-                       spectral_norm)
+from .numerics import (DomainError, as_complex, check_bytes, check_power_dim, ensure_hermitian, kron_fold, row_dot,
+                       row_norms, spectral_norm)
 from .hamiltonians import (
     GraphHamiltonian,
     LinearHamiltonian,
@@ -192,9 +192,11 @@ def expected_qfi_symmetric(h, n: int, d: int, basis: DickeBasis | None = None) -
     bases, diag = _eigenframe(h)
     if diag.size != check_power_dim(d, n):
         raise ValueError("operator dimension does not match (n, d)")
+    size = dim_symmetric(n, d)
+    check_bytes(16 * size * diag.size, f"rotated Dicke frame of {size} x {diag.size} amplitudes")
     if basis is None:
         basis = dicke_basis(n, d)
-    p = np.sum(np.abs(_frame_rows(basis.matrix.T, bases)) ** 2, axis=0)
+    p = np.sum(np.abs(_frame_rows(basis.lift(np.eye(basis.size)), bases)) ** 2, axis=0)
     return _sphere_mean(float(p @ diag), float(p @ diag**2), basis.size)
 
 

@@ -2,8 +2,8 @@
 the one Bloch-sphere grid of qubit states.
 
 Basis indices follow kron order (site 1 most significant). The symmetric
-subspace is handled through an explicit orthonormal frame of generalized
-Dicke states; compositions are enumerated in colexicographic order, so for
+subspace is handled through an orthonormal frame of generalized Dicke
+states, an index map in colexicographic order of the letter counts, so for
 n = 2, d = 2 the frame columns are |00>, (|01> + |10>)/sqrt(2), |11>.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -135,63 +135,54 @@ def dim_symmetric(n: int, d: int) -> int:
     return math.comb(n + d - 1, n)
 
 
-def compositions_colex(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of `total` into `parts` non-negative parts, colex order.
-
-    The last coordinate varies slowest; within a fixed tail the prefix
-    recurses with the same rule.
-    """
-    if parts < 1:
-        raise ValueError("parts must be positive")
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for prefix in compositions_colex(total - last, parts - 1):
-            yield prefix + (last,)
-
-
 @dataclass(frozen=True, eq=False)
 class DickeBasis:
-    """Orthonormal frame of the symmetric subspace in the product basis.
+    """Orthonormal frame of the symmetric subspace, as an index map from the product basis.
 
-    Column c of `matrix` is the generalized Dicke state for compositions[c]:
-    equal positive amplitude on every basis string with that letter count.
-    Row k of `matrix` has one nonzero entry, `weights[k]` in column
-    `columns[k]`.
+    Column c is the generalized Dicke state whose letter counts are row c
+    of `compositions` (C, d): equal positive amplitude on every basis
+    string with those counts. Basis string k lies in column `columns[k]`
+    with amplitude `weights[k]`, its one nonzero frame entry.
     """
 
     n: int
     d: int
-    compositions: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
+    compositions: np.ndarray
     columns: np.ndarray
     weights: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.compositions)
+        return self.compositions.shape[0]
 
     def lift(self, z: np.ndarray) -> np.ndarray:
-        """Frame amplitudes z (..., size) in the product basis, bit for bit `matrix @ z`, by index."""
+        """Frame amplitudes z (..., size) in the product basis, by each string's one frame entry."""
         return np.take(z, self.columns, axis=-1) * self.weights
 
 
 def dicke_basis(n: int, d: int) -> DickeBasis:
+    """The Dicke frame of n sites of dimension d, its columns in colex order of letter counts.
+
+    A string with counts m lies in the column counting the compositions ahead of m, by the
+    hockey-stick identity sum_{j = d-1 ... 1} C(R_j + j, j) - C(R_j - m_j + j, j), R_j = n - sum_{i > j} m_i.
+    """
     dim = check_power_dim(d, n)
+    check_bytes(8 * dim * d, f"Dicke count table of {dim} x {d} entries")
+    counts = kron_fold(np.add, [np.eye(d, dtype=np.int64)] * n)  # row j counts letter j
+    binom = np.array([[math.comb(r + j, j) for j in range(d)] for r in range(n + 1)], dtype=np.int64)
+    cols = np.zeros(dim, dtype=np.int64)
+    rest = n
+    for j in range(d - 1, 0, -1):
+        cols += binom[rest, j]
+        rest = rest - counts[j]
+        cols -= binom[rest, j]
     size = dim_symmetric(n, d)
-    check_bytes(8 * dim * size, f"Dicke frame of {dim} x {size} entries")
-    comps = tuple(compositions_colex(n, d))
-    index_of = {c: i for i, c in enumerate(comps)}
-    letters = np.eye(d, dtype=np.int64)
-    counts = np.stack([kron_fold(np.add, [letters[j]] * n) for j in range(d)], axis=1)
-    cols = np.array([index_of[tuple(row)] for row in counts], dtype=np.int64)
-    weights = 1.0 / np.sqrt(np.bincount(cols, minlength=len(comps))[cols])
-    m = np.zeros((dim, len(comps)))
-    m[np.arange(dim), cols] = weights
-    for a in (m, cols, weights):
+    weights = 1.0 / np.sqrt(np.bincount(cols, minlength=size)[cols])
+    comps = np.empty((size, d), dtype=np.int64)
+    comps[cols] = counts.T
+    for a in (comps, cols, weights):
         a.setflags(write=False)
-    return DickeBasis(n, d, comps, m, cols, weights)
+    return DickeBasis(n, d, comps, cols, weights)
 
 
 def sample_symmetric(n: int, d: int, rng: Rng, basis: DickeBasis | None = None) -> PureState:

@@ -6,6 +6,7 @@ the library beyond numpy itself, except the per-trial samplers, which are
 the one-row cases of the library's array samplers.
 """
 
+import collections
 import itertools
 import math
 
@@ -88,6 +89,35 @@ def basis_digits(n: int, d: int) -> np.ndarray:
     """Digit table of the product basis, shape (d**n, n); column 0 is site 1, most significant."""
     idx = np.arange(d**n)
     return np.stack([(idx // d ** (n - 1 - j)) % d for j in range(n)], axis=1)
+
+
+def compositions_colex(total: int, parts: int):
+    """Compositions of `total` into `parts` non-negative parts, colex order.
+
+    The last coordinate varies slowest; within a fixed tail the prefix
+    recurses with the same rule.
+    """
+    if parts < 1:
+        raise ValueError("parts must be positive")
+    if parts == 1:
+        yield (total,)
+        return
+    for last in range(total + 1):
+        for prefix in compositions_colex(total - last, parts - 1):
+            yield prefix + (last,)
+
+
+def dicke_matrix(n: int, d: int) -> np.ndarray:
+    """Dense Dicke frame (d**n, C): column c has equal positive amplitude on
+    every basis string whose letter counts are compositions_colex(n, d)'s c-th."""
+    column = {c: i for i, c in enumerate(compositions_colex(n, d))}
+    strings = list(itertools.product(range(d), repeat=n))  # kron order, site 1 first
+    cols = [column[tuple(s.count(letter) for letter in range(d))] for s in strings]
+    sizes = collections.Counter(cols)
+    frame = np.zeros((len(strings), len(column)))
+    for k, c in enumerate(cols):
+        frame[k, c] = 1.0 / math.sqrt(sizes[c])
+    return frame
 
 
 def mc_mean(values: list[float]) -> tuple[float, float]:

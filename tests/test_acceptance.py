@@ -120,7 +120,7 @@ def test_criterion_2_ensemble_means():
         )
         c = rng.complex_normal((trials, basis.size))
         c /= np.linalg.norm(c, axis=1, keepdims=True)
-        vals = qfi_batch(hm, c @ basis.matrix.T)
+        vals = qfi_batch(hm, c @ oracles.dicke_matrix(n, d).T)
         se = float(np.std(vals, ddof=1)) / math.sqrt(trials)
         worst_z = max(worst_z, abs(float(np.mean(vals)) - exact_sym) / se)
 
@@ -192,7 +192,7 @@ def test_criterion_4_symmetrized_linear_and_eigenrelation():
         col_means = h.table.mean(axis=0)
         # Dicke states over the shared eigenbasis: rotate the computational
         # frame by basis^(x n).
-        rotated = kron_all([h.basis] * n) @ basis.matrix
+        rotated = kron_all([h.basis] * n) @ oracles.dicke_matrix(n, d)
         for col, comp in enumerate(basis.compositions):
             vec = rotated[:, col]
             eig = float(np.dot(np.asarray(comp, dtype=float), col_means))

@@ -9,23 +9,28 @@ import pytest
 pytest.importorskip("resource")
 
 from limited import run_cli  # noqa: E402
-from qfiwb.cli import EXIT_CONFIG, EXIT_PASS, main  # noqa: E402
+from qfiwb.cli import EXIT_CONFIG, EXIT_PASS, EXIT_VIOLATION, main  # noqa: E402
 from qfiwb.hamiltonians import GraphHamiltonian, LinearHamiltonian, ProductDiagonalHamiltonian  # noqa: E402
 from qfiwb.numerics import DimensionError  # noqa: E402
 
 BUDGET = "more than the 256 MiB allowed for one array"
 
 
-@pytest.mark.parametrize("experiment, text", [
-    pytest.param("lemma1-montecarlo", "n = 20\ntrials = 2\nfamily = linear\n", id="lemma1-linear"),
-    pytest.param("lemma1-montecarlo", "n = 20\ntrials = 2\nfamily = product\n", id="lemma1-product"),
-    pytest.param("concentration", "n = 20\ntrials = 2\n", id="concentration"),
-    pytest.param("net-audit", "audit = prop8\nn = 20\ntrials = 2\n", id="net-audit-prop8"),
+@pytest.mark.parametrize("experiment, text, exits", [
+    pytest.param("lemma1-montecarlo", "n = 20\ntrials = 2\nfamily = linear\n", {EXIT_PASS}, id="lemma1-linear"),
+    pytest.param("lemma1-montecarlo", "n = 20\ntrials = 2\nfamily = product\n", {EXIT_PASS}, id="lemma1-product"),
+    pytest.param("concentration", "n = 20\ntrials = 2\n", {EXIT_PASS}, id="concentration"),
+    pytest.param("net-audit", "audit = prop8\nn = 20\ntrials = 2\n", {EXIT_PASS}, id="net-audit-prop8"),
+    # Dicke frames of 2^21 strings: two trials may fail the 3-sigma verdict,
+    # but the run must reach one, not exit 2 or 3.
+    pytest.param("lemma3-montecarlo", "n = 21\ntrials = 2\n", {EXIT_PASS, EXIT_VIOLATION}, id="lemma3-n21"),
+    pytest.param("result1-demo", "n = 21\nhamiltonians = 1\nstates = 2\n", {EXIT_PASS, EXIT_VIOLATION},
+                 id="result1-n21"),
 ])
-def test_statevectors_past_the_dense_cap_run_in_2_gib(tmp_path: Path, experiment, text):
+def test_statevectors_past_the_dense_cap_run_in_2_gib(tmp_path: Path, experiment, text, exits):
     # 2^20 amplitudes: 256 times the 4096 dense cap, 16 MiB a statevector.
     proc = run_cli(experiment, text, tmp_path)
-    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert proc.returncode in exits, proc.stderr
 
 
 @pytest.mark.parametrize("experiment, text, quantity", [
@@ -43,6 +48,15 @@ def test_statevectors_past_the_dense_cap_run_in_2_gib(tmp_path: Path, experiment
                  "QFI values of 20 operators x 1000000000000 trials", id="result3-demo"),
     pytest.param("scaling-report", "shapes = star\nn_min = 1000000000\nn_max = 1000000000\n",
                  "degree vector of 1000000000 vertices", id="scaling-report"),
+    pytest.param("lemma1-montecarlo", "n = 1\nd = 16777216\nfamily = linear\n",
+                 "site basis of 16777216**2 entries", id="lemma1-linear-d"),
+    pytest.param("lemma1-montecarlo", "n = 1\nd = 16777216\nfamily = product\n",
+                 "site basis of 16777216**2 entries", id="lemma1-product-d"),
+    # the Dicke frame is checked before the site basis, and its count table is the larger
+    pytest.param("lemma3-montecarlo", "n = 1\nd = 16777216\n",
+                 "Dicke count table of 16777216 x 16777216 entries", id="lemma3-montecarlo-d"),
+    pytest.param("concentration", "n = 1\nd = 16777216\n",
+                 "site basis of 16777216**2 entries", id="concentration-d"),
 ])
 def test_oversized_configs_exit_2_naming_the_quantity(tmp_path: Path, experiment, text, quantity):
     # Each allocated terabytes, and exited 3 with a MemoryError, before the budget.

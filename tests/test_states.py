@@ -15,7 +15,6 @@ from qfiwb.nets import pure_state_net_qubit
 from qfiwb.states import (
     BlochGrid,
     PureState,
-    compositions_colex,
     dicke_basis,
     dim_symmetric,
     ghz,
@@ -115,7 +114,7 @@ def test_dim_symmetric():
 
 
 def test_compositions_colex_order_and_count():
-    comps = list(compositions_colex(2, 3))
+    comps = list(oracles.compositions_colex(2, 3))
     assert comps[0] == (2, 0, 0)
     assert comps[-1] == (0, 0, 2)
     assert len(comps) == dim_symmetric(2, 3)
@@ -125,30 +124,31 @@ def test_compositions_colex_order_and_count():
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4))
 def test_compositions_colex_is_exhaustive(total, parts):
-    comps = list(compositions_colex(total, parts))
+    comps = list(oracles.compositions_colex(total, parts))
     assert len(comps) == math.comb(total + parts - 1, total)
     assert len(set(comps)) == len(comps)
 
 
 def test_dicke_basis_is_orthonormal():
-    b = dicke_basis(3, 3)
-    gram = b.matrix.T @ b.matrix
-    assert np.allclose(gram, np.eye(b.size), atol=1e-12)
+    frame = oracles.dicke_matrix(3, 3)
+    gram = frame.T @ frame
+    assert np.allclose(gram, np.eye(dicke_basis(3, 3).size), atol=1e-12)
 
 
 def test_dicke_frame_reproduces_projector():
     for n, d in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
-        b = dicke_basis(n, d)
+        frame = oracles.dicke_matrix(n, d)
         pi = oracles.symmetrizer(n, d)
-        assert np.allclose(b.matrix @ b.matrix.T, pi, atol=1e-12), (n, d)
+        assert np.allclose(frame @ frame.T, pi, atol=1e-12), (n, d)
 
 
 def test_dicke_state_values():
     # |1,1> of two qubits: equal weight on 01 and 10.
     basis = dicke_basis(2, 2)
-    column = basis.matrix[:, basis.compositions.index((1, 1))]
+    column = basis.lift(np.eye(basis.size))[basis.compositions.tolist().index([1, 1])]
     assert np.allclose(column, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
-    assert (3, 1) not in basis.compositions
+    assert np.allclose(column, oracles.dicke_matrix(2, 2)[:, 1])
+    assert [3, 1] not in basis.compositions.tolist()
 
 
 @pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (10, 2), (4, 3), (3, 4)])
@@ -156,11 +156,27 @@ def test_dicke_lift_is_the_frame_product_bit_for_bit(n, d):
     # One nonzero per frame row: the gather equals the complex product
     # exactly, and comes out row-major as the product does.
     basis = dicke_basis(n, d)
+    frame = oracles.dicke_matrix(n, d)
     z = Rng(n + d).complex_normal((7, basis.size))
     lifted = basis.lift(z)
     assert lifted.flags["C_CONTIGUOUS"]
-    assert lifted.tobytes() == (z @ basis.matrix.T).tobytes()
-    assert basis.lift(z[0]).tobytes() == (basis.matrix @ z[0]).tobytes()
+    assert lifted.tobytes() == (z @ frame.T).tobytes()
+    assert basis.lift(z[0]).tobytes() == (frame @ z[0]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(n, d) for d in range(2, 17) for n in range(1, 13) if d**n <= 4096]),
+       st.integers(0, 2**32 - 1))
+def test_dicke_basis_matches_the_dense_oracle(frame_shape, seed):
+    # The closed-form colex ranks against the dict of recursive compositions.
+    n, d = frame_shape
+    basis = dicke_basis(n, d)
+    frame = oracles.dicke_matrix(n, d)
+    assert basis.compositions.tolist() == [list(c) for c in oracles.compositions_colex(n, d)]
+    assert basis.columns.tolist() == np.argmax(frame, axis=1).tolist()
+    assert basis.weights.tobytes() == frame.max(axis=1).tobytes()
+    z = Rng(seed).complex_normal((3, basis.size))
+    assert basis.lift(z).tobytes() == (z @ frame.T).tobytes()
 
 
 def test_symmetric_projector_is_projector():
