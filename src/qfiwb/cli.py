@@ -5,18 +5,14 @@ pinned by (experiment, config, seed): trial t always draws from the seed's
 stream (1, t), and trials run serially in trial order.
 
 Every driver reads its trial words through one protocol,
-`Rng.uniform_blocks`: the trials' keys are hashed in one pass, and each
-block of at most 2^16 words holds the words the trials' own streams would
-draw, bit for bit.  Rows narrower than 64 words come from the array
-Philox, wider rows from one numpy Philox rekeyed per row, which is faster
-there (40 rows of 2048 words: 4.6 against 0.9 ms on a 2-vCPU host; the
-`Rng` docstring has the measured table).  The state-sampling experiments
-(lemma1-montecarlo, lemma3-montecarlo, result1-demo, result3-demo) read
-blocks of states through `Rng.substream_normals`.  The audits
-(prop4-audit, prop5-audit, net-audit), the Hamiltonians of result1-demo
-and result3-demo, and the GME restarts read `Rng.substream_uniforms`, and
-the array samplers take each trial's Hamiltonian (and net-audit's state)
-at fixed offsets, exactly the words the per-trial samplers read.
+`Rng.uniform_blocks` (its docstring has the routes, the README their timings):
+each block of at most 2^16 words holds the words the trials' own streams
+would draw, bit for bit.  The sampled states (lemma1-montecarlo,
+lemma3-montecarlo, result1-demo, result3-demo, net-audit's prop8 and
+prop9) come a block at a time from `states.state_blocks`.  The audits, the
+Hamiltonians of result1-demo and result3-demo, and the GME restarts read
+`Rng.substream_uniforms`, and the array samplers take each trial's
+Hamiltonian at fixed offsets, exactly the words the per-trial samplers read.
 concentration and thm11-check evaluate each block as arrays: one GEMM of
 the block's logs against the centred spectrum's powers, and one stacked
 eigh of the block's Hamiltonians with the transport as row arrays.
@@ -51,6 +47,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -80,7 +77,7 @@ from .nets import (
     sample_product_banded_arrays,
     theorem_bound,
 )
-from .numerics import (DomainError, Rng, block_rows, check_bytes, check_dense_power, check_power_dim, complex_normals,
+from .numerics import (DomainError, Rng, check_bytes, check_dense_power, check_power_dim, complex_normals,
                        content_lines, hermitian_parts, row_norms)
 from .qfi import (
     expected_qfi_haar,
@@ -101,6 +98,7 @@ from .states import (
     plus_vector,
     product_state,
     sample_haar,
+    state_blocks,
     superposition_state,
 )
 
@@ -282,34 +280,24 @@ def write_csv(path: Path, columns: dict[str, object]) -> int:
     return rows
 
 
+# The sampled-state drivers' norms: a pairwise sum per row, which their pinned bytes keep.
+_PAIRWISE_NORMS = partial(np.linalg.norm, axis=1)
+
+
 def _state_qfis(rng: Rng, trials: range, hs: list, basis: DickeBasis | None = None) -> np.ndarray:
-    """QFI of each trial's random state under every operator in `hs`.
+    """QFI (len(hs), len(trials)) of each trial's random state under every operator in `hs`.
 
     The operators are typed Hamiltonians, evaluated in their product
-    eigenframes, or bare arrays. Trial t's state is the normalised complex
-    Gaussian of the seed's stream (1, t): the state sample_haar draws, or
-    with `basis` the state sample_symmetric draws in that Dicke frame.
-    Each block of `numerics.block_rows` states is drawn in one vectorised
-    pass and is one qfi_batch call per operator.
-    Returns shape (len(hs), len(trials)).
+    eigenframes, or bare arrays. Trial t's state is the one sample_haar, or
+    with `basis` sample_symmetric, draws on the seed's stream (1, t), and
+    each block of states is one qfi_batch call per operator.
     """
-    streams = rng.substream(1)
     dim = hs[0].shape[0] if isinstance(hs[0], np.ndarray) else check_power_dim(hs[0].d, hs[0].n)
-    width = dim if basis is None else basis.size
-    step = block_rows(16 * dim)
     check_bytes(8 * len(hs) * len(trials), f"QFI values of {len(hs)} operators x {len(trials)} trials")
     out = np.empty((len(hs), len(trials)))
-    for start in range(0, len(trials), step):
-        block = trials[start:start + step]
-        out[:, start:start + len(block)] = _block_qfis(hs, streams.substream_normals(block, width), basis)
+    for rows, states in state_blocks(rng.substream(1), trials, dim, basis, norms=_PAIRWISE_NORMS):
+        out[:, rows] = [qfi_batch(h, states) for h in hs]
     return out
-
-
-def _block_qfis(hs: list, z: np.ndarray, basis: DickeBasis | None) -> np.ndarray:
-    """QFI (len(hs), rows) of z's rows normalised, lifted from the Dicke frame when `basis` is given."""
-    amplitudes = z if basis is None else basis.lift(z)
-    amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
-    return np.array([qfi_batch(h, amplitudes) for h in hs])
 
 
 def _columns_of(items: list, names: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -405,6 +393,7 @@ def run_lemma3_montecarlo(cfg, rng: Rng) -> ExperimentResult:
 
 def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     n, d, trials, eps = cfg["n"], cfg["d"], cfg["trials"], cfg["epsilon"]
+    check_power_dim(d, 2, 16, "site basis")  # first: a huge d is refused before its d levels are built
     levels = np.linspace(cfg["lam0"], cfg["lam1"], d)
     # The equal-row Hamiltonian is computational, so its eigenframe diagonal
     # is its spectrum and each trial needs only |z_k|^2.
@@ -433,11 +422,6 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
     exceed_one = dev < -eps
     freq_two = int(np.count_nonzero(exceed_two)) / trials
     freq_one = int(np.count_nonzero(exceed_one)) / trials
-    checks = []
-    if not bound.vacuous_two_sided:
-        checks.append(freq_two <= bound.two_sided)
-    if not bound.vacuous_one_sided:
-        checks.append(freq_one <= bound.one_sided)
     return ExperimentResult(
         {"trial": np.arange(trials), "f_value": f, "f_mean": f_mean, "deviation": dev,
          "exceed_two": exceed_two, "exceed_one": exceed_one},
@@ -452,7 +436,8 @@ def run_concentration(cfg, rng: Rng) -> ExperimentResult:
             "bound_one_sided": bound.one_sided,
             "vacuous_one_sided": bound.vacuous_one_sided,
         },
-        all(checks) if checks else True,
+        (bound.vacuous_two_sided or freq_two <= bound.two_sided)
+        and (bound.vacuous_one_sided or freq_one <= bound.one_sided),
     )
 
 
@@ -515,15 +500,13 @@ def run_result1_demo(cfg, rng: Rng) -> ExperimentResult:
     # the permutation average of a linear H has every row at the column means
     sym_means = expected_qfi_symmetric_levels(tables.mean(axis=-2), n).repeat(n_s)
     basis = dicke_basis(n, d)
-    # pair (i, j) is trial i n_s + j: every pair's Dicke-frame Gaussians come
-    # from one draw, and Hamiltonian i scores its own n_s rows in the blocks
-    # _state_qfis would use
-    frames = rng.substream(1).substream_normals(range(n_h * n_s), basis.size).reshape(n_h, n_s, -1)
-    step = block_rows(16 * basis.columns.size)
-    qfis = np.concatenate([
-        _block_qfis([h], frames[i, j:j + step], basis)[0]
-        for i, h in enumerate(hams) for j in range(0, n_s, step)
-    ])
+    # pair (i, j) is trial i n_s + j, and Hamiltonian i scores its own n_s states
+    qfis = np.empty(n_h * n_s)
+    for rows, states in state_blocks(rng.substream(1), range(qfis.size), check_power_dim(d, n), basis,
+                                     norms=_PAIRWISE_NORMS, group=n_s):
+        for lo in range(rows.start, rows.stop, n_s):
+            hi = min(lo + n_s, rows.stop)
+            qfis[lo:hi] = qfi_batch(hams[lo // n_s], states[lo - rows.start:hi - rows.start])
     threshold = sym_means - c
     below = qfis < threshold
     fraction = int(np.count_nonzero(below)) / qfis.size

@@ -163,9 +163,7 @@ def _oracle_grid(delta: float) -> BlochGrid:
         raise DomainError("delta must be positive")
     extent = math.pi / (2.0 * delta)
     check_bytes(8 * (extent + 1), f"oracle grid of {extent:.3g} rows")
-    rows = max(1, math.ceil(extent))
-    edge = np.minimum((np.arange(rows) + 1) * (math.pi / rows), math.pi)
-    return BlochGrid(np.maximum(1, np.ceil(2.0 * math.pi * np.sin(edge / 2.0) / delta)))
+    return BlochGrid(max(1, math.ceil(extent)), delta, far_edge=True)
 
 
 ORACLE_MAX_SITES = 4

@@ -32,20 +32,18 @@ from .hamiltonians import (
 from .numerics import (
     DomainError,
     Rng,
-    block_rows,
     check_bytes,
     check_power_dim,
     check_words,
-    complex_normals,
     haar_unitaries,
     kron_fold,
-    row_norms,
 )
 from .qfi import expected_qfi_symmetric_levels, max_separable_tables, qfi_frames
 from .states import (
     BlochGrid,
     dicke_basis,
     dim_symmetric,
+    state_blocks,
     trace_distance_qubit,  # noqa: F401 -- re-exported
 )
 
@@ -137,10 +135,7 @@ def pure_state_net_qubit(eps_p: float) -> BlochGrid:
     delta = 2.0 * eps_p
     extent = math.pi / delta
     check_bytes(8 * (extent + 1), f"Bloch net of {extent:.3g} rows")
-    rows = math.ceil(extent)
-    thetas = BlochGrid.polar_angle(np.arange(rows), rows)
-    counts = np.maximum(1, np.ceil(2.0 * math.pi * np.sin(thetas) / delta)).astype(np.int64)
-    net = BlochGrid(counts)
+    net = BlochGrid(math.ceil(extent), delta)
     if net.count > (5.0 / eps_p) ** 4:
         raise RuntimeError("constructed net exceeds its cardinality bound")
     return net
@@ -336,7 +331,7 @@ class LinearFamilyNet:
                 f"family mismatch: net is ({self.n}, {self.d}), "
                 f"tables are {table.shape[-2:]} and bases {basis.shape[-2:]}"
             )
-        frame = self.basis_net.frame_at(self.basis_net.nearest_index(basis[..., :, 0]))
+        frame = self.basis_net.nearest_frame(basis[..., :, 0])
         rep = self.grid.nearest(table)
         b, f = basis[..., None, :, :], frame[..., None, :, :]  # B diag(levels_i) B^dag per site
         diffs = (b * table[..., None, :]) @ np.conj(b).swapaxes(-1, -2)
@@ -446,11 +441,10 @@ def property_audit(
     of that gap between H and H'.  The state's words follow H's on the
     trial's stream, as sample_symmetric and sample_haar would read them.
 
-    All trials are drawn in one pass (Rng.substream_uniforms), validated as
-    stacks, and snapped in one LinearFamilyNet.nearest call.  The states are
-    lifted in blocks of `numerics.block_rows` statevectors, and each block's
-    QFIs under H and under H' are one qfi_frames call each, with a frame per
-    row; each value equals the one-trial computation bit for bit.
+    All trials' Hamiltonians are drawn in one Rng.substream_uniforms pass,
+    validated as stacks and snapped in one LinearFamilyNet.nearest call; each
+    block of states.state_blocks is one qfi_frames call under H and one under
+    H', a frame per row, each value the one-trial computation's bit for bit.
     Violations do not raise; they are reported with the offending
     Hamiltonian serialized, so a deliberately coarsened net shows up as a
     negative control rather than a crash.
@@ -463,18 +457,12 @@ def property_audit(
     h_words = linear_banded_words(n, d)
     basis = dicke_basis(n, d) if which == "prop8" else None
     dim = 0 if which == "cover" else check_power_dim(d, n)
-    u = rng.substream_uniforms(range(trials), h_words + 2 * (dim if basis is None else basis.size))
-    tables, bases = sample_linear_banded_arrays(u[:, :h_words], n, d, net.grid.A, net.grid.B)
+    u = rng.substream_uniforms(range(trials), h_words)
+    tables, bases = sample_linear_banded_arrays(u, n, d, net.grid.A, net.grid.B)
     rep_tables, frames, values = net.nearest(tables, bases)
     if which != "cover":
-        step = block_rows(16 * dim)  # state rows per block, as cli._state_qfis takes them
         qfis = np.empty((2, trials))
-        for lo in range(0, trials, step):
-            rows = slice(lo, lo + step)
-            z = complex_normals(u[rows, h_words:])
-            if basis is not None:
-                z = basis.lift(z)
-            states = z / row_norms(z)[:, None]
+        for rows, states in state_blocks(rng, range(trials), dim, basis, h_words):
             for side, (t, b) in enumerate(((tables, bases), (rep_tables, frames))):
                 qfis[side, rows] = qfi_frames(states, (b[rows],) * n, kron_fold(np.add, np.moveaxis(t[rows], -2, 0)))
         both = np.stack([tables, rep_tables])

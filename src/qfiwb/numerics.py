@@ -97,9 +97,10 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# Words per vectorised Philox pass: the temporaries of a larger pass fall
-# out of cache, a smaller one pays numpy's per-call cost too often.
-_PHILOX_PASS_WORDS = 2**16
+# Entries per vectorised pass (of Philox words, Box-Muller normals, grid
+# rows): the temporaries of a larger pass fall out of cache, a smaller one
+# pays numpy's per-call cost too often.
+PASS_WORDS = 2**16
 # Rows narrower than this many words come from the array Philox, wider ones
 # from one numpy Philox rekeyed per row (see the Rng docstring).
 _ARRAY_ROW_WORDS = 64
@@ -249,20 +250,13 @@ class Rng:
     `substream(block[i]).random(words)` bit for bit.  It hashes every key
     (numpy's SeedSequence) once, in one vectorised pass per chunk of whole
     blocks (at most BLOCK_BYTES of keys), and a block holds
-    at most _PHILOX_PASS_WORDS words and at least one row.  Rows narrower
+    at most PASS_WORDS words and at least one row.  Rows narrower
     than _ARRAY_ROW_WORDS = 64 words are Philox4x64-10 words computed from
     (key, counter) for the whole block; wider rows are filled in place by one
-    numpy Philox rekeyed per row, the faster route there (`substream_uniforms`
-    on a 2-vCPU host, one BLAS thread, minimum of 5):
-
-        rows x words    array Philox   rekeyed
-        20000 x 32         28 ms        52 ms
-        20000 x 64         61 ms        60 ms
-        10000 x 128        59 ms        34 ms
-        40 x 2048         4.6 ms       0.9 ms
-
-    The hash and Philox are frozen by numpy's stream-compatibility policy
-    (NEP 19), and tests pin both routes to numpy's own generators.
+    numpy Philox rekeyed per row, the faster route there (the README's
+    "Command line" section has the measured table).  The hash and Philox
+    are frozen by numpy's stream-compatibility policy (NEP 19), and tests
+    pin both routes to numpy's own generators.
     `substream_uniforms` and `substream_normals` read the blocks into one
     array, the latter as `complex_normal(dim)` reads its words (see
     `complex_normals`), so a trial's words have one layout however drawn.
@@ -293,28 +287,20 @@ class Rng:
 
     def normal(self, count: int) -> np.ndarray:
         """Standard real normals via Box-Muller, as a flat array."""
-        if count == 0:
-            return np.zeros(0)
         pairs = (count + 1) // 2
-        u1 = self._gen.random(pairs)
-        cos_part, sin_part = _box_muller(u1, self._gen.random(pairs))
+        cos_part, sin_part = _box_muller(self._gen.random(pairs), self._gen.random(pairs))  # u1 first
         return np.concatenate([cos_part, sin_part])[:count]
 
     def complex_normal(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Standard complex normals, E|z|^2 = 1."""
-        if isinstance(shape, int):
-            shape = (shape,)
-        count = 1
-        for s in shape:
-            count *= int(s)
+        count = math.prod((shape,) if isinstance(shape, int) else shape)
         x = self.normal(2 * count)
-        z = (x[:count] + 1j * x[count:]) / math.sqrt(2.0)
-        return z.reshape(shape)
+        return ((x[:count] + 1j * x[count:]) / math.sqrt(2.0)).reshape(shape)
 
     def uniform_blocks(self, trials: range, words: int) -> Iterator[tuple[range, np.ndarray]]:
         """(block, u) over `trials` in order; row i of u is `substream(block[i]).random(words)`.
 
-        Each block holds at most _PHILOX_PASS_WORDS words and at least one
+        Each block holds at most PASS_WORDS words and at least one
         row.  Every index must lie in [0, 2**32).
         """
         if not trials:
@@ -323,7 +309,7 @@ class Rng:
             raise ValueError("substream index must be non-negative")
         if max(trials[0], trials[-1]) > _MASK32:
             raise DomainError("a block of substreams needs indices below 2**32")
-        step = max(1, _PHILOX_PASS_WORDS // max(1, words))
+        step = max(1, PASS_WORDS // max(1, words))
         # Keys are hashed a chunk of whole blocks at a time, at most
         # BLOCK_BYTES of them, so no array grows with the trial count.
         chunk = step * block_rows(16 * step)
@@ -344,13 +330,13 @@ class Rng:
             start += len(block)
         return out
 
-    def substream_normals(self, trials: range, dim: int) -> np.ndarray:
-        """Row i is `substream(trials[i]).complex_normal(dim)`, bit for bit, a block at a time."""
+    def substream_normals(self, trials: range, dim: int, skip: int = 0) -> np.ndarray:
+        """Row i is `substream(trials[i]).complex_normal(dim)` after its first `skip` words, bit for bit."""
         check_bytes(16 * len(trials) * dim, f"complex normals of {len(trials)} trials x {dim} entries")
         out = np.empty((len(trials), dim), dtype=np.complex128)
         start = 0
-        for block, u in self.uniform_blocks(trials, 2 * dim):
-            out[start:start + len(block)] = complex_normals(u)
+        for block, u in self.uniform_blocks(trials, skip + 2 * dim):
+            complex_normals(u[:, skip:], out[start:start + len(block)])
             start += len(block)
         return out
 
@@ -362,15 +348,21 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return r * np.cos(theta), r * np.sin(theta)
 
 
-def complex_normals(u: np.ndarray) -> np.ndarray:
+def complex_normals(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Complex normals (..., m) from uniforms (..., 2 m), as `Rng.complex_normal(m)` reads them.
 
     Box-Muller takes the first m words of a row as u1 and the last m as
-    u2, and z = (r cos(2 pi u2) + i r sin(2 pi u2)) / sqrt(2).
+    u2, and z = (r cos(2 pi u2) + i r sin(2 pi u2)) / sqrt(2), written into
+    `out` (new when None) about PASS_WORDS entries at a time, bit for bit.
     """
     m = u.shape[-1] // 2
-    cos_part, sin_part = _box_muller(u[..., :m], u[..., m:])
-    return (cos_part + 1j * sin_part) / math.sqrt(2.0)
+    out = np.empty(u.shape[:-1] + (m,), dtype=np.complex128) if out is None else out
+    u1, u2 = u[..., :m], u[..., m:]
+    step = max(1, PASS_WORDS // max(1, math.prod(u.shape[:-1])))
+    for lo in range(0, m, step):
+        cos_part, sin_part = _box_muller(u1[..., lo:lo + step], u2[..., lo:lo + step])
+        out[..., lo:lo + step] = (cos_part + 1j * sin_part) / math.sqrt(2.0)
+    return out
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

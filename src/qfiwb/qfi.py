@@ -68,14 +68,18 @@ def _frame_rows(a: np.ndarray, bases: tuple[np.ndarray, ...]) -> np.ndarray:
     Each step rotates the last site with one (rows d^(n-1), d) x (d, d)
     product and cycles that site to the front, so after n steps the sites
     are back in kron order. A site basis of shape (rows, d, d) rotates each
-    row by its own matrix, one (d^(n-1), d) x (d, d) product per row.
+    row by its own matrix, one (d^(n-1), d) x (d, d) product per row. Each
+    step's product and cycled copy go into two buffers the size of `a`.
     """
     rows, dim = a.shape
+    product, cycled = np.empty((rows, dim), np.complex128), np.empty((rows, dim), np.complex128)
     for b in reversed(bases):
         d = b.shape[-1]
-        lhs = a.reshape(-1, d) if b.ndim == 2 else a.reshape(rows, dim // d, d)
-        a = (lhs @ b.conj()).reshape(rows, dim // d, d).transpose(0, 2, 1)
-    return a.reshape(rows, dim)
+        shape = (-1, d) if b.ndim == 2 else (rows, dim // d, d)
+        np.matmul(a.reshape(shape), b.conj(), out=product.reshape(shape))
+        cycled.reshape(rows, d, dim // d)[...] = product.reshape(rows, dim // d, d).transpose(0, 2, 1)
+        a = cycled
+    return a
 
 
 def _unit_rows(amplitudes: np.ndarray, dim: int) -> np.ndarray:

@@ -10,12 +10,14 @@ n = 2, d = 2 the frame columns are |00>, (|01> + |10>)/sqrt(2), |11>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .numerics import Rng, as_complex, check_bytes, check_power_dim, content_lines, kron_fold
+from .numerics import (PASS_WORDS, Rng, as_complex, block_rows, check_bytes, check_power_dim, content_lines, kron_fold,
+                       row_norms)
 
 NORM_ATOL = 1e-12
 
@@ -123,9 +125,7 @@ def superposition_state(n: int) -> PureState:
 
 def sample_haar(n: int, d: int, rng: Rng) -> PureState:
     """Haar-random pure state: normalized vector of i.i.d. complex normals."""
-    dim = check_power_dim(d, n)
-    z = rng.complex_normal(dim)
-    return normalized_state(n, d, z)
+    return normalized_state(n, d, rng.complex_normal(check_power_dim(d, n)))
 
 
 # --- symmetric subspace ------------------------------------------------------
@@ -140,9 +140,9 @@ class DickeBasis:
     """Orthonormal frame of the symmetric subspace, as an index map from the product basis.
 
     Column c is the generalized Dicke state whose letter counts are row c
-    of `compositions` (C, d): equal positive amplitude on every basis
-    string with those counts. Basis string k lies in column `columns[k]`
-    with amplitude `weights[k]`, its one nonzero frame entry.
+    of `compositions` (C, d): amplitude `weights[c]` on every basis string
+    with those counts. Basis string k lies in column `columns[k]`, its one
+    nonzero frame entry, so the frame costs one index per string.
     """
 
     n: int
@@ -157,7 +157,7 @@ class DickeBasis:
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """Frame amplitudes z (..., size) in the product basis, by each string's one frame entry."""
-        return np.take(z, self.columns, axis=-1) * self.weights
+        return np.take(z * self.weights, self.columns, axis=-1)
 
 
 def dicke_basis(n: int, d: int) -> DickeBasis:
@@ -177,7 +177,7 @@ def dicke_basis(n: int, d: int) -> DickeBasis:
         rest = rest - counts[j]
         cols -= binom[rest, j]
     size = dim_symmetric(n, d)
-    weights = 1.0 / np.sqrt(np.bincount(cols, minlength=size)[cols])
+    weights = 1.0 / np.sqrt(np.bincount(cols, minlength=size))
     comps = np.empty((size, d), dtype=np.int64)
     comps[cols] = counts.T
     for a in (comps, cols, weights):
@@ -187,10 +187,33 @@ def dicke_basis(n: int, d: int) -> DickeBasis:
 
 def sample_symmetric(n: int, d: int, rng: Rng, basis: DickeBasis | None = None) -> PureState:
     """Haar-random state of the symmetric subspace (Gaussian in the Dicke frame)."""
-    if basis is None:
-        basis = dicke_basis(n, d)
-    c = rng.complex_normal(basis.size)
-    return normalized_state(n, d, basis.lift(c))
+    basis = basis or dicke_basis(n, d)
+    return normalized_state(n, d, basis.lift(rng.complex_normal(basis.size)))
+
+
+def state_blocks(rng: Rng, trials: range, dim: int, basis: DickeBasis | None = None, skip: int = 0,
+                 norms: Callable[[np.ndarray], np.ndarray] = row_norms,
+                 group: int = 1) -> Iterator[tuple[slice, np.ndarray]]:
+    """Random unit states of `trials`, numerics.block_rows statevectors of dim entries at a time.
+
+    Trial t's state is the complex Gaussian that rng.substream(t) draws
+    after its first `skip` words: the dim entries sample_haar draws, or with
+    `basis` the frame entries sample_symmetric draws, lifted as it lifts
+    them.  Each row is divided in place by its entry of `norms`; row_norms
+    rounds it as the one-trial state's np.linalg.norm does.  A block never
+    crosses a multiple of `group` positions: it holds whole groups, or part
+    of one.  Yields (rows, states), `rows` the block's positions in `trials`.
+    """
+    width = dim if basis is None else basis.size
+    step = block_rows(16 * dim)
+    span = max(group, step - step % group)
+    for lo in range(0, len(trials), span):
+        hi = min(lo + span, len(trials))
+        for start in range(lo, hi, step):
+            z = rng.substream_normals(trials[start:min(start + step, hi)], width, skip)
+            states = z if basis is None else basis.lift(z)
+            states /= norms(states)[:, None]
+            yield slice(start, start + len(states)), states
 
 
 # --- qubit Bloch-sphere grid -------------------------------------------------
@@ -213,84 +236,90 @@ def qubit_overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class BlochGrid:
     """Latitude/longitude grid of qubit states (cos t/2, e^{ip} sin t/2).
 
-    Row j of R sits at polar angle t_j = (j + 1/2) pi / R and carries
-    `row_counts[j]` azimuths p = 2 pi k / row_counts[j]; elements are
-    numbered row by row. Index i also names the frame whose columns are its
-    state and the phase-fixed complement (sin t/2, -e^{ip} cos t/2).
-    Elements are generated on demand, so a grid of billions of cells costs
-    only its row table, and `nearest_index` works by cell lookup.
+    Row j of `rows` sits at polar angle t_j = (j + 1/2) pi / rows and carries
+    m_j = max(1, ceil(2 pi sin(a_j) / delta)) azimuths p = 2 pi k / m_j,
+    a_j = t_j, or with `far_edge` half the far edge min((j + 1) pi / rows, pi);
+    elements are numbered row by row. Index i also names the frame whose
+    columns are its state and the phase-fixed complement (sin t/2, -e^{ip} cos t/2).
+
+    The nearest element to v is the first strict maximum of |<v|u>| over the
+    3x3 patch of cells around v's Bloch angles: rows in order (clipped at the
+    poles), azimuths k-1, k, k+1; the containing cell alone realizes the
+    covering radius. No row is tabulated: a snap derives the counts of the
+    rows it visits, `count` sums them a pass of rows at a time, and the row
+    offsets are built only when an index is asked for.
     """
 
-    row_counts: np.ndarray
-    offsets: np.ndarray = field(init=False)
+    rows: int
+    delta: float
+    far_edge: bool = False
 
     def __post_init__(self):
-        counts = np.asarray(self.row_counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size == 0 or np.any(counts < 1):
-            raise ValueError("a Bloch grid needs rows of at least one azimuth each")
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        object.__setattr__(self, "row_counts", counts)
-        object.__setattr__(self, "offsets", offsets)
+        if not (self.rows >= 1 and self.delta > 0.0):
+            raise ValueError("a Bloch grid needs at least one row and a positive spacing")
 
-    @staticmethod
-    def polar_angle(j, rows: int):
-        """t_j = (j + 1/2) pi / rows, the polar angle of row j of `rows`."""
-        return (j + 0.5) * (math.pi / rows)
+    def azimuths(self, j: np.ndarray) -> np.ndarray:
+        """m_j, the azimuth count of each row in the int array j."""
+        step = math.pi / self.rows
+        a = np.minimum((j + 1) * step, math.pi) / 2.0 if self.far_edge else (j + 0.5) * step
+        return np.maximum(1, np.ceil(2.0 * math.pi * np.sin(a) / self.delta)).astype(np.int64)
 
-    @property
+    @cached_property
     def count(self) -> int:
-        return int(self.offsets[-1])
+        return sum(int(self.azimuths(np.arange(lo, min(lo + PASS_WORDS, self.rows))).sum())
+                   for lo in range(0, self.rows, PASS_WORDS))
 
-    def _parts(self, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """cos t/2, sin t/2 and e^{ip} of the elements `index`."""
-        index = np.asarray(index, dtype=np.int64)
-        if ((index < 0) | (index >= self.offsets[-1])).any():
-            raise IndexError(f"grid index out of range [0, {self.count})")
-        j = np.searchsorted(self.offsets, index, side="right") - 1
-        half = self.polar_angle(j, self.row_counts.size) / 2.0
-        phi = 2.0 * math.pi * (index - self.offsets[j]) / self.row_counts[j]
-        return np.cos(half), np.sin(half), np.exp(1j * phi)
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Index of each row's first element, then `count`: the one table, built when an index is asked for."""
+        return np.concatenate([[0], np.cumsum(self.azimuths(np.arange(self.rows)))])
 
-    def states(self, index) -> np.ndarray:
-        """State vectors of the elements `index`, shape index.shape + (2,)."""
-        c, s, ph = self._parts(index)
-        out = np.empty(np.shape(c) + (2,), dtype=np.complex128)
-        out[..., 0], out[..., 1] = c, s * ph
-        return out
-
-    state_at = states  # the name used for one index
-
-    def frame_at(self, index) -> np.ndarray:
-        """Frames of the elements `index`, shape index.shape + (2, 2)."""
-        c, s, ph = self._parts(index)
+    def _frames(self, j, k) -> np.ndarray:
+        """Frames (..., 2, 2) of the elements in rows j at azimuths k."""
+        half = (j + 0.5) * (math.pi / self.rows) / 2.0
+        c, s, ph = np.cos(half), np.sin(half), np.exp(1j * (2.0 * math.pi * k / self.azimuths(j)))
         out = np.empty(np.shape(c) + (2, 2), dtype=np.complex128)
         out[..., 0, 0], out[..., 0, 1] = c, s
         out[..., 1, 0], out[..., 1, 1] = s * ph, -c * ph
         return out
 
-    def nearest_index(self, v: np.ndarray) -> np.ndarray:
-        """Indices of the elements nearest v in trace distance within v's patch.
+    def frame_at(self, index) -> np.ndarray:
+        """Frames of the elements `index`, shape index.shape + (2, 2)."""
+        index = np.asarray(index, dtype=np.int64)
+        if ((index < 0) | (index >= self.count)).any():
+            raise IndexError(f"grid index out of range [0, {self.count})")
+        j = np.searchsorted(self.offsets, index, side="right") - 1
+        return self._frames(j, index - self.offsets[j])
 
-        v has shape (..., 2), the result v.shape[:-1]. Snaps the Bloch angles
-        of each v to their cell and compares the 3x3 patch of cells around
-        it, rows in order (clipped at the poles) and azimuths k-1, k, k+1
-        within a row; the first strict maximum of |<v|u>| wins. The
-        containing cell alone already realizes the grid's covering radius.
-        """
+    def states(self, index) -> np.ndarray:
+        """State vectors of the elements `index`, shape index.shape + (2,): their frames' first columns."""
+        return self.frame_at(index)[..., :, 0]
+
+    state_at = states  # the name used for one index
+
+    def _snap(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row and azimuth (j, k), each of shape v.shape[:-1], of the element nearest each v (..., 2)."""
         v = np.asarray(v, dtype=np.complex128)
         theta = 2.0 * np.arctan2(np.abs(v[..., 1]), np.abs(v[..., 0]))
         phi = np.angle(v[..., 1] * np.conj(v[..., 0])) % (2.0 * math.pi)
-        rows = self.row_counts.size
-        j0 = np.round(theta / (math.pi / rows) - 0.5).astype(np.int64)
+        j0 = np.round(theta / (math.pi / self.rows) - 0.5).astype(np.int64)
         # A clipped row repeats its neighbour in the patch, which keeps the winner.
-        j = np.clip(j0[..., None] + (-1, 0, 1), 0, rows - 1)
-        m = self.row_counts[j]
+        j = np.clip(j0[..., None] + (-1, 0, 1), 0, self.rows - 1)
+        m = self.azimuths(j)
         k0 = np.round(phi[..., None] * m / (2.0 * math.pi)).astype(np.int64)
-        k = (k0[..., None] + (-1, 0, 1)) % m[..., None]
-        patch = (self.offsets[j][..., None] + k).reshape(theta.shape + (9,))
-        best = np.argmax(qubit_overlap(v[..., None, :], self.states(patch)), axis=-1)
-        return np.take_along_axis(patch, best[..., None], -1)[..., 0]
+        k = ((k0[..., None] + (-1, 0, 1)) % m[..., None]).reshape(theta.shape + (9,))
+        j = j.repeat(3, axis=-1)
+        best = np.argmax(qubit_overlap(v[..., None, :], self._frames(j, k)[..., :, 0]), axis=-1)[..., None]
+        return np.take_along_axis(j, best, -1)[..., 0], np.take_along_axis(k, best, -1)[..., 0]
+
+    def nearest_index(self, v: np.ndarray) -> np.ndarray:
+        """Indices of the elements nearest v (..., 2)."""
+        j, k = self._snap(v)
+        return self.offsets[j] + k
+
+    def nearest_frame(self, v: np.ndarray) -> np.ndarray:
+        """Frames (..., 2, 2) of the elements nearest v (..., 2): frame_at(nearest_index(v)), with no row table."""
+        return self._frames(*self._snap(v))
 
 
 # --- plain-text round trip ---------------------------------------------------

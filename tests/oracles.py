@@ -139,6 +139,86 @@ def bloch_states(polar: int, azimuth: int) -> np.ndarray:
     return states.reshape(-1, 2)
 
 
+class TableBlochGrid:
+    """The Bloch grid with its tables: every row's azimuth count and offset, stored.
+
+    Row j of R sits at polar angle t_j = (j + 1/2) pi / R and carries
+    row_counts[j] azimuths p = 2 pi k / row_counts[j]; elements are
+    numbered row by row, and index i also names the frame whose columns are
+    its state and (sin t/2, -e^{ip} cos t/2). nearest_index compares the 3x3
+    patch of cells around v's Bloch angles and keeps the first strict
+    maximum of |<v|u>|. The library's grid derives the same counts on
+    demand; this is the reference it must match bit for bit.
+    """
+
+    def __init__(self, row_counts):
+        counts = np.asarray(row_counts, dtype=np.int64)
+        if counts.ndim != 1 or counts.size == 0 or np.any(counts < 1):
+            raise ValueError("a Bloch grid needs rows of at least one azimuth each")
+        self.row_counts = counts
+        self.offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+
+    @classmethod
+    def net(cls, eps_p: float) -> "TableBlochGrid":
+        """The counts of pure_state_net_qubit(eps_p): rows pi / (2 eps_p), at each row's polar angle."""
+        delta = 2.0 * eps_p
+        rows = math.ceil(math.pi / delta)
+        thetas = (np.arange(rows) + 0.5) * (math.pi / rows)
+        return cls(np.maximum(1, np.ceil(2.0 * math.pi * np.sin(thetas) / delta)))
+
+    @classmethod
+    def oracle(cls, delta: float) -> "TableBlochGrid":
+        """The counts of the GME oracle's grid: rows pi / (2 delta), at each row's far edge."""
+        rows = max(1, math.ceil(math.pi / (2.0 * delta)))
+        edge = np.minimum((np.arange(rows) + 1) * (math.pi / rows), math.pi)
+        return cls(np.maximum(1, np.ceil(2.0 * math.pi * np.sin(edge / 2.0) / delta)))
+
+    @property
+    def count(self) -> int:
+        return int(self.offsets[-1])
+
+    def _parts(self, index):
+        index = np.asarray(index, dtype=np.int64)
+        if ((index < 0) | (index >= self.offsets[-1])).any():
+            raise IndexError(f"grid index out of range [0, {self.count})")
+        j = np.searchsorted(self.offsets, index, side="right") - 1
+        half = (j + 0.5) * (math.pi / self.row_counts.size) / 2.0
+        phi = 2.0 * math.pi * (index - self.offsets[j]) / self.row_counts[j]
+        return np.cos(half), np.sin(half), np.exp(1j * phi)
+
+    def states(self, index) -> np.ndarray:
+        c, s, ph = self._parts(index)
+        out = np.empty(np.shape(c) + (2,), dtype=np.complex128)
+        out[..., 0], out[..., 1] = c, s * ph
+        return out
+
+    state_at = states
+
+    def frame_at(self, index) -> np.ndarray:
+        c, s, ph = self._parts(index)
+        out = np.empty(np.shape(c) + (2, 2), dtype=np.complex128)
+        out[..., 0, 0], out[..., 0, 1] = c, s
+        out[..., 1, 0], out[..., 1, 1] = s * ph, -c * ph
+        return out
+
+    def nearest_index(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=np.complex128)
+        theta = 2.0 * np.arctan2(np.abs(v[..., 1]), np.abs(v[..., 0]))
+        phi = np.angle(v[..., 1] * np.conj(v[..., 0])) % (2.0 * math.pi)
+        rows = self.row_counts.size
+        j0 = np.round(theta / (math.pi / rows) - 0.5).astype(np.int64)
+        j = np.clip(j0[..., None] + (-1, 0, 1), 0, rows - 1)
+        m = self.row_counts[j]
+        k0 = np.round(phi[..., None] * m / (2.0 * math.pi)).astype(np.int64)
+        k = (k0[..., None] + (-1, 0, 1)) % m[..., None]
+        patch = (self.offsets[j][..., None] + k).reshape(theta.shape + (9,))
+        u = self.states(patch)
+        z = np.conj(v[..., None, 0]) * u[..., 0] + np.conj(v[..., None, 1]) * u[..., 1]
+        best = np.argmax(np.hypot(z.real, z.imag), axis=-1)
+        return np.take_along_axis(patch, best[..., None], -1)[..., 0]
+
+
 def max_variance_scan(site: np.ndarray, polar: int = 400, azimuth: int = 800) -> float:
     """Grid maximum of Var_psi(site) over qubit states."""
     grid = bloch_states(polar, azimuth)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,29 @@ def test_statevectors_past_the_dense_cap_run_in_2_gib(tmp_path: Path, experiment
     # 2^20 amplitudes: 256 times the 4096 dense cap, 16 MiB a statevector.
     proc = run_cli(experiment, text, tmp_path)
     assert proc.returncode in exits, proc.stderr
+
+
+# 2^24 amplitudes, 256 MiB a statevector.
+STATEVECTOR_24 = 16 * 2**24
+
+
+@pytest.mark.parametrize("experiment, text, exits", [
+    pytest.param("lemma1-montecarlo", "n = 24\ntrials = 2\nfamily = linear\n", {EXIT_PASS}, id="lemma1-linear"),
+    pytest.param("lemma1-montecarlo", "n = 24\ntrials = 2\nfamily = product\n", {EXIT_PASS}, id="lemma1-product"),
+    # two trials may fail the 3-sigma verdict, as at n = 21
+    pytest.param("lemma3-montecarlo", "n = 24\ntrials = 2\n", {EXIT_PASS, EXIT_VIOLATION}, id="lemma3"),
+    pytest.param("result1-demo", "n = 24\nhamiltonians = 1\nstates = 2\n", {EXIT_PASS, EXIT_VIOLATION},
+                 id="result1"),
+    pytest.param("net-audit", "audit = prop8\nn = 24\ntrials = 2\n", {EXIT_PASS}, id="net-audit-prop8"),
+    pytest.param("net-audit", "audit = prop9\nn = 24\ntrials = 2\n", {EXIT_PASS}, id="net-audit-prop9"),
+])
+def test_sampled_states_of_2_24_amplitudes_peak_within_4_5_statevectors(tmp_path: Path, experiment, text, exits):
+    # One block of states, its two frame buffers and the spectrum are live at
+    # once; each run used to hold 4.8 to 8 statevectors, and prop8 ran out of
+    # the 2 GiB.
+    proc = run_cli(experiment, text, tmp_path)
+    assert proc.returncode in exits, proc.stderr
+    assert proc.peak_rss <= 4.5 * STATEVECTOR_24, f"peak RSS {proc.peak_rss / 2**20:.0f} MiB"
 
 
 @pytest.mark.parametrize("experiment, text, quantity", [
@@ -63,6 +87,23 @@ def test_oversized_configs_exit_2_naming_the_quantity(tmp_path: Path, experiment
     proc = run_cli(experiment, text, tmp_path)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert proc.stderr == f"qfiwb: config error: {quantity}: {BUDGET}\n"
+
+
+def test_concentration_refuses_a_huge_d_before_building_its_levels(tmp_path: Path):
+    # It used to build 16777216 levels, and two tuples of them, before the check.
+    cfg = tmp_path / "concentration.cfg"
+    cfg.write_text("n = 1\nd = 16777216\n")
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(["concentration", "--config", str(cfg), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert err.getvalue() == f"qfiwb: config error: site basis of 16777216**2 entries: {BUDGET}\n"
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", [13, 25])

@@ -4,14 +4,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from qfiwb import numerics
 from qfiwb.numerics import (
-    _PHILOX_PASS_WORDS,
     MAX_DIM,
+    PASS_WORDS,
     DimensionError,
     DomainError,
     Rng,
     _philox_words,
     _seed_keys,
     check_words,
+    complex_normals,
     content_lines,
     ensure_hermitian,
     haar_qr,
@@ -140,7 +141,7 @@ def test_substream_normals_match_per_stream_draws(seed, path, start, count, step
 @example(seed=5, path=[1, 0], start=2, count=4, step=3, words=9)
 @example(seed=9, path=[], start=U32 - 20, count=5, step=5, words=13)
 # a row longer than a Philox pass: each trial is its own pass
-@example(seed=2, path=[1], start=3, count=2, step=2, words=_PHILOX_PASS_WORDS + 5)
+@example(seed=2, path=[1], start=3, count=2, step=2, words=PASS_WORDS + 5)
 def test_substream_uniforms_match_per_stream_draws(seed, path, start, count, step, words):
     rng = Rng(seed, path)
     trials = range(start, start + count * step, step)
@@ -203,6 +204,26 @@ def test_substream_normals_span_several_passes():
     got = rng.substream_normals(trials, 3000)
     for row, t in zip(got, trials):
         assert _same_bits(row, rng.substream(t).complex_normal(3000))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_complex_normals_in_passes_equal_the_whole_row_formula(rows):
+    # Rows wider than a pass are read in passes; every entry, signed zeros
+    # too, is the whole-row formula's. A zero u1 gives r = -0.0.
+    m = 2 * PASS_WORDS + 777
+    u = Rng(4).random((rows, 2 * m))
+    u[:, :m:101] = 0.0
+    u[:, m::203] = 0.0
+    cos_part, sin_part = numerics._box_muller(u[:, :m], u[:, m:])
+    want = (cos_part + 1j * sin_part) / np.sqrt(2.0)
+    assert _same_bits(complex_normals(u), want)
+    out = np.full((rows + 1, m), np.nan, dtype=complex)
+    assert complex_normals(u, out[1:]).base is out
+    assert _same_bits(out[1:], want) and np.isnan(out[0]).all()
+    skip = 5
+    rng = Rng(8).substream(2)
+    for row, t in zip(rng.substream_normals(range(3, 5), 40, skip), range(3, 5)):
+        assert _same_bits(row, complex_normals(rng.substream(t).random(skip + 80)[skip:]))
 
 
 def test_substream_normals_reject_indices_outside_32_bits():
@@ -320,7 +341,7 @@ def _check_blocks(rng: Rng, trials: range, words: int) -> list[range]:
     for block, u in rng.uniform_blocks(trials, words):
         assert u.shape == (len(block), words)
         assert len(block) >= 1
-        assert len(block) == 1 or u.size <= _PHILOX_PASS_WORDS
+        assert len(block) == 1 or u.size <= PASS_WORDS
         for row, t in zip(u, block):
             assert _same_bits(row, rng.substream(t).random(words))
         blocks.append(block)
@@ -337,7 +358,7 @@ def test_uniform_blocks_match_substream_on_both_sides_of_the_route_width(words):
 @pytest.mark.parametrize("words", [40, 6001])
 def test_uniform_blocks_cross_pass_boundaries_with_a_step(words):
     # 1638 rows of 40 words or 10 rows of 6001 words fill a pass.
-    rows = _PHILOX_PASS_WORDS // words
+    rows = PASS_WORDS // words
     trials = range(5, 5 + 3 * (2 * rows + 7), 3)
     blocks = _check_blocks(Rng(2**64 + 3).substream(1), trials, words)
     assert [len(b) for b in blocks] == [rows, rows, 7]
@@ -346,7 +367,7 @@ def test_uniform_blocks_cross_pass_boundaries_with_a_step(words):
 @pytest.mark.parametrize("words", [40, 6001])
 def test_uniform_blocks_hash_keys_a_chunk_of_blocks_at_a_time(monkeypatch, words):
     # Two blocks' keys fit the patched budget, so no key array grows with the trial count.
-    rows = _PHILOX_PASS_WORDS // words
+    rows = PASS_WORDS // words
     monkeypatch.setattr(numerics, "BLOCK_BYTES", 2 * 16 * rows)
     hashed = []
 
@@ -362,7 +383,7 @@ def test_uniform_blocks_hash_keys_a_chunk_of_blocks_at_a_time(monkeypatch, words
 
 
 def test_uniform_blocks_hold_one_row_wider_than_a_pass():
-    words = _PHILOX_PASS_WORDS + 5
+    words = PASS_WORDS + 5
     blocks = _check_blocks(Rng(2, (1,)), range(3, 9, 2), words)
     assert [len(b) for b in blocks] == [1, 1, 1]
 

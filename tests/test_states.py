@@ -25,6 +25,7 @@ from qfiwb.states import (
     read_state,
     sample_haar,
     sample_symmetric,
+    state_blocks,
     superposition_state,
     trace_distance_qubit,
     write_state,
@@ -174,7 +175,7 @@ def test_dicke_basis_matches_the_dense_oracle(frame_shape, seed):
     frame = oracles.dicke_matrix(n, d)
     assert basis.compositions.tolist() == [list(c) for c in oracles.compositions_colex(n, d)]
     assert basis.columns.tolist() == np.argmax(frame, axis=1).tolist()
-    assert basis.weights.tobytes() == frame.max(axis=1).tobytes()
+    assert basis.weights[basis.columns].tobytes() == frame.max(axis=1).tobytes()
     z = Rng(seed).complex_normal((3, basis.size))
     assert basis.lift(z).tobytes() == (z @ frame.T).tobytes()
 
@@ -201,35 +202,61 @@ def test_sample_symmetric_prebuilt_basis_matches():
     assert np.allclose(a.amplitudes, c.amplitudes)
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("group", [1, 3, 7])
+def test_state_blocks_give_each_trials_sampled_state_and_keep_to_groups(monkeypatch, symmetric, group):
+    # Blocks of 5 rows of 16 amplitudes; a block holds whole groups or part of one.
+    monkeypatch.setattr(importlib.import_module("qfiwb.numerics"), "BLOCK_BYTES", 5 * 16 * 16)
+    n, d, trials = 4, 2, range(2, 2 + 3 * 23, 3)
+    basis = dicke_basis(n, d) if symmetric else None
+    rng = Rng(11).substream(1)
+    seen = []
+    for rows, states in state_blocks(rng, trials, d**n, basis, group=group):
+        assert states.shape == (rows.stop - rows.start, d**n) and 1 <= states.shape[0] <= 5
+        whole = rows.start % group == 0 and (rows.stop % group == 0 or rows.stop == len(trials))
+        assert whole or rows.start // group == (rows.stop - 1) // group
+        for t, row in zip(trials[rows], states):
+            want = sample_symmetric(n, d, rng.substream(t), basis) if symmetric else sample_haar(n, d, rng.substream(t))
+            assert row.tobytes() == want.amplitudes.tobytes()
+        seen += range(rows.start, rows.stop)
+    assert seen == list(range(len(trials)))
+
+
 # --- Bloch grid --------------------------------------------------------------
 
 def test_bloch_grid_layout():
-    grid = BlochGrid(np.array([1, 3, 2]))
-    assert grid.count == 6
-    t = math.pi / 2.0  # row 1 of 3 sits at (1 + 1/2) pi / 3
-    phi = 2.0 * math.pi / 3.0  # element 2 is azimuth 1 of 3 in row 1
-    assert np.allclose(grid.state_at(2), [math.cos(t / 2), math.sin(t / 2) * np.exp(1j * phi)])
-    assert np.allclose(grid.state_at(0), [math.cos(math.pi / 12), math.sin(math.pi / 12)])
-    assert grid.states(np.array([[0, 1], [4, 5]])).shape == (2, 2, 2)
-    frame = grid.frame_at(2)
-    assert np.allclose(frame[:, 0], grid.state_at(2))
-    assert np.allclose(frame @ frame.conj().T, np.eye(2), atol=1e-12)
+    # Rows of 2, 3 and 2 azimuths: 2 pi sin(t_j) / 2.5 is 1.26, 2.51, 1.26.
+    for grid in (BlochGrid(3, 2.5), oracles.TableBlochGrid([2, 3, 2])):
+        assert grid.count == 7
+        t = math.pi / 2.0  # row 1 of 3 sits at (1 + 1/2) pi / 3
+        phi = 2.0 * math.pi / 3.0  # element 3 is azimuth 1 of 3 in row 1
+        assert np.allclose(grid.state_at(3), [math.cos(t / 2), math.sin(t / 2) * np.exp(1j * phi)])
+        assert np.allclose(grid.state_at(0), [math.cos(math.pi / 12), math.sin(math.pi / 12)])
+        assert grid.states(np.array([[0, 1], [5, 6]])).shape == (2, 2, 2)
+        frame = grid.frame_at(3)
+        assert np.allclose(frame[:, 0], grid.state_at(3))
+        assert np.allclose(frame @ frame.conj().T, np.eye(2), atol=1e-12)
+        with pytest.raises(IndexError):
+            grid.states(np.array([0, 7]))
+    # At the far edges pi/3, 2 pi/3, pi the half-angle sines are 1/2, 0.87, 1.
+    assert BlochGrid(3, 2.5, far_edge=True).offsets.tolist() == [0, 2, 5, 8]
+    for rows, delta in ((0, 1.0), (2, 0.0), (2, -1.0)):
+        with pytest.raises(ValueError):
+            BlochGrid(rows, delta)
     for counts in ([], [1, 0], [[1, 2]]):
         with pytest.raises(ValueError):
-            BlochGrid(np.array(counts, dtype=np.int64))
-    with pytest.raises(IndexError):
-        grid.states(np.array([0, 6]))
+            oracles.TableBlochGrid(np.array(counts, dtype=np.int64))
 
 
-def _patch(grid: BlochGrid, v: np.ndarray) -> list[int]:
+def _patch(grid, v: np.ndarray) -> list[int]:
     """The 3x3 cells around v's Bloch angles: nearby rows, azimuths k-1..k+1."""
     theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
     phi = cmath.phase(v[1] * np.conj(v[0])) % (2.0 * math.pi)
-    rows = len(grid.row_counts)
+    rows = len(grid.offsets) - 1
     j0 = round(theta / (math.pi / rows) - 0.5)
     out = []
     for j in range(max(0, j0 - 1), min(rows, j0 + 2)):
-        m = int(grid.row_counts[j])
+        m = int(grid.offsets[j + 1] - grid.offsets[j])
         k0 = round(phi * m / (2.0 * math.pi))
         out += [int(grid.offsets[j]) + (k0 + dk) % m for dk in (-1, 0, 1)]
     return out
@@ -258,17 +285,25 @@ def test_bloch_grid_covering_rules(seed, pole, eps_p, delta):
     assert math.sqrt(max(0.0, 2.0 - 2.0 * ov)) <= delta + 1e-12
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_bloch_grid_nearest_index_of_a_batch(seed):
+def _probe_vectors(seed: int, count: int) -> np.ndarray:
+    """count random unit qubit vectors, 8 within 1e-9 of the phi = 0 seam, and the poles with phases."""
     r = Rng(seed)
     a = r.uniform(0.0, math.pi / 2.0, 8)
     seam = np.stack([np.cos(a), np.sin(a) * np.exp(1j * r.uniform(-1e-9, 1e-9, 8))], axis=1)
     poles = np.array([[1, 0], [0, 1], [1j, 0], [0, -1j]], dtype=complex)
-    v = np.concatenate([r.complex_normal((24, 2)), seam, poles])
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    for counts in ([1], [2, 2], [1, 2, 5, 2, 1], [3, 6, 6, 3], [6, 10, 12], [1, 7, 12, 9, 2]):
-        grid = BlochGrid(np.array(counts))
+    v = np.concatenate([r.complex_normal((count, 2)), seam, poles])
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_bloch_grid_nearest_index_of_a_batch(seed):
+    v = _probe_vectors(seed, 24)
+    grids = [BlochGrid(1, 7.0), BlochGrid(2, 4.0), BlochGrid(5, 1.3), BlochGrid(4, 0.6, far_edge=True),
+             BlochGrid(3, 0.5)]
+    grids += [oracles.TableBlochGrid(counts)
+              for counts in ([1], [2, 2], [1, 2, 5, 2, 1], [3, 6, 6, 3], [6, 10, 12], [1, 7, 12, 9, 2])]
+    for grid in grids:
         idx = grid.nearest_index(v)
         assert idx.shape == (36,)
         assert np.array_equal(grid.nearest_index(v.reshape(4, 9, 2)), idx.reshape(4, 9))
@@ -277,6 +312,31 @@ def test_bloch_grid_nearest_index_of_a_batch(seed):
             best = trace_distance_qubit(w, grid.state_at(i))
             assert i in _patch(grid, w)
             assert all(best <= trace_distance_qubit(w, grid.state_at(j)) for j in _patch(grid, w))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    eps_p=st.one_of(st.sampled_from([0.5, 0.05, 7.1e-6]), st.floats(1e-5, 0.99)),
+    delta=st.one_of(st.sampled_from([0.03, 0.15]), st.floats(0.02, 2.0)),
+)
+def test_bloch_grid_snaps_as_the_table_reference(seed, eps_p, delta):
+    v = _probe_vectors(seed, 200)
+    net, ref = pure_state_net_qubit(eps_p), oracles.TableBlochGrid.net(eps_p)
+    assert net.count == ref.offsets[-1]
+    frames = net.nearest_frame(v.reshape(4, 53, 2))
+    assert "offsets" not in vars(net)  # a snap to a frame builds no row table
+    assert frames.tobytes() == ref.frame_at(ref.nearest_index(v)).tobytes()
+    assert np.array_equal(net.nearest_index(v), ref.nearest_index(v))
+    oracle, table = importlib.import_module("qfiwb.gme")._oracle_grid(delta), oracles.TableBlochGrid.oracle(delta)
+    assert np.array_equal(oracle.offsets, table.offsets)
+    assert oracle.states(np.arange(oracle.count)).tobytes() == table.states(np.arange(table.count)).tobytes()
+
+
+def test_bloch_grid_count_sums_its_rows_a_chunk_at_a_time(monkeypatch):
+    # 1000 rows a pass: the 221239 rows of the 7.1e-6 net take 222 passes.
+    monkeypatch.setattr(importlib.import_module("qfiwb.states"), "PASS_WORDS", 1000)
+    assert BlochGrid(221239, 1.42e-5).count == oracles.TableBlochGrid.net(7.1e-6).count
 
 
 @settings(max_examples=30, deadline=None)
